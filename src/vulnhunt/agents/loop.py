@@ -2,16 +2,17 @@
 
 One agent run is: send the conversation to the tier's model chain, execute
 any requested tools, append the results, and repeat until the model stops or
-a budget trips.  Budgets cover tool calls (total and per-tool), tokens, and
-wall clock; a tripped budget ends the run with ``budget_exhausted`` set
-rather than raising.  Every tool invocation lands in the outcome's log with
-its arguments and a digest of the result.
+a budget trips.  Budgets cover tokens and per-tool call counts, and an
+optional context budget compresses the conversation before each step; a
+tripped token budget or the step cap ends the run with ``budget_exhausted``
+set rather than raising, and a tool over its limit is refused, not run.
+Every tool invocation lands in the outcome's log with its arguments and a
+digest of the result.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 
 from .compress import Summarizer, compress_context
@@ -79,15 +80,10 @@ def run_agent(
     )
     outcome = AgentOutcome(role=spec.role)
     budgets = spec.budgets
-    started = time.monotonic()
 
     def tripped() -> str:
-        if budgets.max_wall_clock_s is not None and time.monotonic() - started >= budgets.max_wall_clock_s:
-            return "wall-clock budget exhausted"
         if budgets.max_total_tokens is not None and outcome.usage.total >= budgets.max_total_tokens:
             return "token budget exhausted"
-        if budgets.max_tool_calls is not None and registry.total_calls() >= budgets.max_tool_calls:
-            return "tool-call budget exhausted"
         return ""
 
     for step in range(1, max_steps + 1):
@@ -115,14 +111,7 @@ def run_agent(
             Message(role="assistant", content=response.text, tool_calls=response.tool_calls)
         )
         if response.tool_calls:
-            halted = ""
             for tc in response.tool_calls:
-                if (
-                    budgets.max_tool_calls is not None
-                    and registry.total_calls() >= budgets.max_tool_calls
-                ):
-                    halted = "tool-call budget exhausted"
-                    break
                 limit = budgets.tool_call_limits.get(tc.name)
                 if limit is not None and registry.call_counts.get(tc.name, 0) >= limit:
                     text, ok = (
@@ -143,10 +132,6 @@ def run_agent(
                 conversation.append(
                     Message(role="tool", content=text, tool_call_id=tc.call_id)
                 )
-            if halted:
-                outcome.budget_exhausted = True
-                outcome.budget_reason = halted
-                break
             if response.stop:
                 outcome.final_text = response.text
                 break

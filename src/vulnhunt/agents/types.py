@@ -43,9 +43,7 @@ def estimate_tokens(text: str) -> int:
 class Budgets:
     """Per-agent-run resource caps; None disables a cap."""
 
-    max_tool_calls: int | None = None
     max_total_tokens: int | None = None
-    max_wall_clock_s: float | None = None
     tool_call_limits: dict[str, int] = field(default_factory=dict)
     context_token_budget: int | None = None
 

@@ -13,7 +13,8 @@ that annotate extra reachability (e.g. function-pointer targets) keep it and
 annotation-free exports still get a computed closure.  Call depth is defined
 as 1 + the minimum edge distance from any entry of the fuzzer (entries are
 depth 1); functions reachable only by annotation have no measurable path and
-therefore carry no depth.
+therefore carry no depth.  One BFS, :func:`bfs_parents`, yields the closure,
+the depths and the static entry-to-function routes (:func:`bfs_path`).
 """
 
 from __future__ import annotations
@@ -121,17 +122,32 @@ def _parse_line(raw: str, line_no: int) -> dict:
     return obj
 
 
-def _closure_from(entries: list[str], functions: dict[str, FunctionRecord]) -> set[str]:
-    seen: set[str] = set()
-    frontier = deque(e for e in entries if e in functions)
-    seen.update(frontier)
+def bfs_parents(functions: dict[str, FunctionRecord], entries: Iterable[str]) -> dict[str, str | None]:
+    """Breadth-first walk over call edges from ``entries``.
+
+    Maps every function reached to the function it was first reached from
+    (``None`` for entries), in discovery order, so a parent always precedes
+    its children.  Entries absent from ``functions`` are skipped.
+    """
+    parents: dict[str, str | None] = {e: None for e in entries if e in functions}
+    frontier = deque(parents)
     while frontier:
         cur = frontier.popleft()
         for callee in functions[cur].callees:
-            if callee in functions and callee not in seen:
-                seen.add(callee)
+            if callee in functions and callee not in parents:
+                parents[callee] = cur
                 frontier.append(callee)
-    return seen
+    return parents
+
+
+def bfs_path(parents: dict[str, str | None], target: str) -> list[str]:
+    """The entry-to-``target`` route read out of :func:`bfs_parents`; [] if unreached."""
+    if target not in parents:
+        return []
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[::-1]
 
 
 def load_call_graph(source: str | Path | Iterable[str]) -> CallGraph:
@@ -197,16 +213,11 @@ def load_call_graph(source: str | Path | Iterable[str]) -> CallGraph:
         for fuzzer in rec.reached_by_fuzzers:
             fuzzer_entries.setdefault(fuzzer, [])
 
-    for fuzzer, entries in fuzzer_entries.items():
-        closure = _closure_from(entries, functions)
-        for fid in closure:
-            functions[fid].reached_by_fuzzers.add(fuzzer)
-
     graph = CallGraph(functions=functions, fuzzer_entries=fuzzer_entries, warnings=warnings)
-    for fuzzer, entries in fuzzer_entries.items():
-        if entries:
-            for fid, depth in compute_depths(graph, fuzzer).items():
-                functions[fid].call_depth[fuzzer] = depth
+    for fuzzer in fuzzer_entries:
+        for fid, depth in compute_depths(graph, fuzzer).items():
+            functions[fid].reached_by_fuzzers.add(fuzzer)
+            functions[fid].call_depth[fuzzer] = depth
     for warning in warnings:
         logger.debug("call graph: %s", warning)
     return graph
@@ -225,17 +236,8 @@ def compute_depths(graph: CallGraph, fuzzer: str) -> dict[str, int]:
     if fuzzer not in graph.fuzzer_entries:
         raise UnknownFuzzerError(f"unknown fuzzer '{fuzzer}'")
     depths: dict[str, int] = {}
-    frontier: deque[str] = deque()
-    for entry in graph.fuzzer_entries[fuzzer]:
-        if entry in graph.functions and entry not in depths:
-            depths[entry] = 1
-            frontier.append(entry)
-    while frontier:
-        cur = frontier.popleft()
-        for callee in graph.functions[cur].callees:
-            if callee in graph.functions and callee not in depths:
-                depths[callee] = depths[cur] + 1
-                frontier.append(callee)
+    for fid, parent in bfs_parents(graph.functions, graph.fuzzer_entries[fuzzer]).items():
+        depths[fid] = 1 if parent is None else depths[parent] + 1
     return depths
 
 

@@ -43,7 +43,6 @@ class Config:
     targets_dir: str = ""
     out_dir: str = "out"
     store_dir: str = ""  # empty: in-memory store
-    corpus_dir: str = ""  # empty: corpora stay in memory
     scenario_path: str = ""
     diff_path: str = ""
     fuzzers: list[str] = field(default_factory=list)  # empty: all in the graph

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph
+from .callgraph import CallGraph, bfs_parents
 
 logger = logging.getLogger(__name__)
 
@@ -121,16 +120,7 @@ def build_pools(direction: Direction, subgraph: CallGraph) -> tuple[set[str], se
         core.add(rec.id)
         if name in direction.entry_functions:
             entries.append(rec.id)
-    general: set[str] = set()
-    frontier = deque(entries)
-    seen = set(entries)
-    while frontier:
-        cur = frontier.popleft()
-        for callee in subgraph.functions[cur].callees:
-            if callee in subgraph.functions and callee not in seen:
-                seen.add(callee)
-                frontier.append(callee)
-    general = seen - core
+    general = set(bfs_parents(subgraph.functions, entries)) - core
     return core, general, warnings
 
 

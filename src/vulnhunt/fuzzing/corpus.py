@@ -10,9 +10,7 @@ half on every pick with a floor of 1.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 HOT_ENERGY = 4.0
 MIN_ENERGY = 1.0
@@ -61,44 +59,3 @@ class Corpus:
     def heat(self, seed: Seed) -> None:
         """Reset a seed to hot after its mutation added coverage."""
         seed.energy = HOT_ENERGY
-
-    # ----- persistence -----
-
-    def save(self, directory: str | Path) -> None:
-        """Persist blobs plus a fingerprint index under a directory."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        index = []
-        for i, seed in enumerate(self.seeds):
-            blob_name = f"{i:06d}_{seed.fingerprint[:16]}.bin"
-            (directory / blob_name).write_bytes(seed.blob)
-            index.append(
-                {
-                    "blob": blob_name,
-                    "fingerprint": seed.fingerprint,
-                    "origin": seed.origin,
-                    "energy": seed.energy,
-                }
-            )
-        tmp = directory / "index.json.tmp"
-        tmp.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        tmp.replace(directory / "index.json")
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "Corpus":
-        directory = Path(directory)
-        corpus = cls()
-        index_path = directory / "index.json"
-        if not index_path.exists():
-            return corpus
-        for entry in json.loads(index_path.read_text(encoding="utf-8")):
-            blob = (directory / entry["blob"]).read_bytes()
-            seed = Seed(
-                blob=blob,
-                fingerprint=entry["fingerprint"],
-                origin=entry["origin"],
-                energy=float(entry.get("energy", HOT_ENERGY)),
-            )
-            corpus.seeds.append(seed)
-            corpus._fingerprints.add(seed.fingerprint)
-        return corpus

@@ -1,4 +1,4 @@
-"""Fuzzing loops, crash bookkeeping, and reproduction.
+"""Fuzzing loops and crash reproduction.
 
 Two loop flavors share one engine:
 
@@ -90,6 +90,7 @@ class FuzzLoop:
         if not self.corpus.seeds:
             # A cold start still needs something to mutate.
             result = self.runner.run(b"")
+            self.stats.executions += 1
             self.corpus.add(b"", result.coverage, origin="empty")
         steps = min(iterations, self.budget_left)
         for _ in range(steps):
@@ -185,12 +186,16 @@ def make_sp_background_loop(
     iteration_budget: int,
     mutator: Mutator | None = None,
 ) -> FuzzLoop:
-    """Background loop scoped to one SP, seeded from its failed PoC attempts."""
+    """Background loop scoped to one SP, seeded from its failed PoC attempts.
+
+    Each failed blob runs once to seed the corpus; the loop's stats count
+    those runs as executions.
+    """
     corpus = Corpus()
     for blob in failed_blobs:
         result = runner.run(blob)
         corpus.add(blob, result.coverage, origin="poc-attempt")
-    return FuzzLoop(
+    loop = FuzzLoop(
         runner=runner,
         corpus=corpus,
         mutator=mutator or Mutator(),
@@ -198,6 +203,8 @@ def make_sp_background_loop(
         origin="sp-background",
         iteration_budget=iteration_budget,
     )
+    loop.stats.executions = len(failed_blobs)
+    return loop
 
 
 @dataclass(frozen=True)
@@ -227,31 +234,3 @@ def reproduce(blob: bytes, runner: TargetRunner, quorum: int = DEFAULT_QUORUM) -
         locations.append(result.crash.location)
         signatures.add((result.crash.location, result.crash.vuln_type))
     return ReproduceOutcome(len(signatures) == 1, quorum, tuple(locations))
-
-
-@dataclass
-class CrashKeyRecord:
-    key: tuple[str, str, str]
-    count: int = 1
-
-
-class CrashLedger:
-    """Deduplicates crashes by (location, vuln_type, sanitizer)."""
-
-    def __init__(self) -> None:
-        self._records: dict[tuple[str, str, str], CrashKeyRecord] = {}
-
-    def record(self, result: ExecutionResult) -> tuple[CrashKeyRecord, bool]:
-        """Count a crash; returns (record, is_new)."""
-        assert result.crash is not None
-        key = (result.crash.location, result.crash.vuln_type, result.crash.sanitizer)
-        existing = self._records.get(key)
-        if existing is not None:
-            existing.count += 1
-            return existing, False
-        record = CrashKeyRecord(key=key)
-        self._records[key] = record
-        return record, True
-
-    def counts(self) -> dict[tuple[str, str, str], int]:
-        return {key: rec.count for key, rec in self._records.items()}

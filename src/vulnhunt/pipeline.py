@@ -17,7 +17,6 @@ import logging
 import os
 import random
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,19 +32,27 @@ from .agents import (
     render_prompt,
     run_agent,
 )
-from .callgraph import QUERY_KINDS, CallGraph, load_call_graph, query, reachable_subgraph
+from .callgraph import (
+    QUERY_KINDS,
+    CallGraph,
+    bfs_parents,
+    bfs_path,
+    load_call_graph,
+    query,
+    reachable_subgraph,
+)
 from .config import Config
 from .delta import DeltaSpec, load_delta
 from .directions import Direction, DirectionScheduler, GlobalAnalyzedSet
 from .errors import ChainExhaustedError, ConfigError, UnknownFuzzerError
 from .fuzzing import (
     Corpus,
-    CrashLedger,
     ExecLimits,
     FuzzLoop,
     Mutator,
     SimTargetRunner,
     load_targets_dir,
+    make_sp_background_loop,
     reproduce,
     seed_from_direction,
     seed_from_fp,
@@ -57,10 +64,6 @@ from .spstore import SPStore, SuspiciousPoint, is_sanitizer_compatible
 from .store import FileStore, MemoryStore, StoreBackend
 
 log = logging.getLogger("vulnhunt.pipeline")
-
-WORKER_STATES = ("pending", "running", "done", "timeout", "failed")
-
-CODE_TOOL_NAMES = QUERY_KINDS
 
 FAILURE_HINT_CHARS = 2000
 
@@ -136,13 +139,12 @@ def plan_workers(
         for sanitizer in config.sanitizers:
             if pair_filter is not None and not pair_filter(fuzzer, sanitizer):
                 continue
-            sub = reachable_subgraph(graph, fuzzer)
             task = WorkerTask(
                 id=f"{fuzzer}--{sanitizer}",
                 fuzzer=fuzzer,
                 sanitizer=sanitizer,
                 mode=config.mode,
-                degenerate=not sub.functions,
+                degenerate=not graph.fuzzer_entries[fuzzer],
                 budget_seconds=config.budget_seconds,
                 token_ceiling=config.token_ceiling,
             )
@@ -202,8 +204,18 @@ class Worker:
         self.runner = SimTargetRunner(target, task.sanitizer, limits) if target else None
         self.mutator = Mutator(max_len=config.max_blob)
         self.corpus = Corpus()
-        self.crash_ledger = CrashLedger()
-        self.global_loop: FuzzLoop | None = None
+        self.global_loop = (
+            FuzzLoop(
+                self.runner,
+                self.corpus,
+                self.mutator,
+                random.Random(f"{config.rng_seed}|{task.id}|global"),
+                origin="global",
+                iteration_budget=config.global_fuzz_iterations,
+            )
+            if self.runner is not None
+            else None
+        )
 
         self.sp_generator_log: list[_SPGenCall] = []
         self.owned_sp_ids: set[str] = set()
@@ -214,8 +226,6 @@ class Worker:
         self.verify_retried: set[str] = set()
         self.reported_keys: dict[tuple, str] = {}
         self.crash_repeats: dict[tuple, int] = {}
-        self.pov_records: list[dict] = []
-        self.report_records: list[dict] = []
 
         self._pov_seq = 0
         self._report_seq = 0
@@ -246,7 +256,7 @@ class Worker:
 
     def _code_tool_factories(self) -> dict:
         factories = {}
-        for kind in CODE_TOOL_NAMES:
+        for kind in QUERY_KINDS:
             def make(kind=kind):
                 def fn(**args):
                     return query(self.subgraph, kind, args)
@@ -398,25 +408,14 @@ class Worker:
 
     # -- background fuzzing -------------------------------------------------
 
-    def _ensure_global_loop(self) -> None:
-        if self.global_loop is None and self.runner is not None:
-            rng = random.Random(f"{self.config.rng_seed}|{self.task.id}|global")
-            self.global_loop = FuzzLoop(
-                self.runner,
-                self.corpus,
-                self.mutator,
-                rng,
-                origin="global",
-                iteration_budget=self.config.global_fuzz_iterations,
-            )
-
-    def _pump_global(self, iterations: int | None = None) -> None:
-        self._ensure_global_loop()
-        if self.global_loop is None or self.global_loop.budget_left <= 0:
+    def _pump(self, loop: FuzzLoop | None, iterations: int | None = None) -> None:
+        """Run one slice of ``loop`` (default ``fuzz_slice`` iterations),
+        counting its executions and handling its crashes."""
+        if loop is None or loop.budget_left <= 0:
             return
-        before = self.global_loop.stats.executions
-        crashes = self.global_loop.run(iterations or self.config.fuzz_slice)
-        self.task.metrics.executions += self.global_loop.stats.executions - before
+        before = loop.stats.executions
+        crashes = loop.run(iterations or self.config.fuzz_slice)
+        self.task.metrics.executions += loop.stats.executions - before
         for finding in crashes:
             self._handle_fuzzer_crash(finding.blob, finding.result, finding.origin)
 
@@ -586,26 +585,6 @@ class Worker:
             self.poc_done.add(sp_id)
             self._generate_poc(self.spstore.get(sp_id))
 
-    def _static_shortest_path(self, target_id: str) -> list[str]:
-        entries = sorted(self.subgraph.fuzzer_entries.get(self.task.fuzzer, ()))
-        parents: dict[str, str | None] = {e: None for e in entries}
-        queue = deque(entries)
-        while queue:
-            current = queue.popleft()
-            if current == target_id:
-                path = [current]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                return list(reversed(path))
-            rec = self.subgraph.functions.get(current)
-            if rec is None:
-                continue
-            for callee in rec.callees:
-                if callee in self.subgraph.functions and callee not in parents:
-                    parents[callee] = current
-                    queue.append(callee)
-        return []
-
     def _generate_poc(self, sp: SuspiciousPoint) -> None:
         if self.runner is None:
             self.task.warnings.append(f"no simulated target; cannot attempt poc for {sp.id}")
@@ -614,30 +593,20 @@ class Worker:
         state = {"attempts": 0, "last_blobs": [], "solved": False}
         sp_bg: dict = {"loop": None, "failed": []}
 
-        def _pump_sp_background() -> None:
-            loop = sp_bg["loop"]
-            if loop is None and sp_bg["failed"]:
-                fresh = Corpus()
-                for blob in sp_bg["failed"]:
-                    res = self.runner.run(blob)
-                    self.task.metrics.executions += 1
-                    if res.outcome != "crash":
-                        fresh.add(blob, res.coverage, f"sp:{sp.id}")
-                loop = FuzzLoop(
+        def pump_sp_background() -> None:
+            # Seeded once, from the attempts failed so far; later failures
+            # only feed the global corpus.
+            if sp_bg["loop"] is None and sp_bg["failed"]:
+                sp_bg["loop"] = make_sp_background_loop(
+                    sp_bg["failed"],
                     self.runner,
-                    fresh,
+                    f"{self.config.rng_seed}|{self.task.id}|sp|{sp.id}",
+                    self.config.sp_fuzz_iterations,
                     self.mutator,
-                    random.Random(f"{self.config.rng_seed}|{self.task.id}|sp|{sp.id}"),
-                    origin=f"sp-background:{sp.id}",
-                    iteration_budget=self.config.sp_fuzz_iterations,
                 )
-                sp_bg["loop"] = loop
-            if loop is None or loop.budget_left <= 0:
-                return
-            before = loop.stats.executions
-            for finding in loop.run(min(self.config.fuzz_slice, loop.budget_left)):
-                self._handle_fuzzer_crash(finding.blob, finding.result, finding.origin)
-            self.task.metrics.executions += loop.stats.executions - before
+                sp_bg["loop"].origin = f"sp-background:{sp.id}"
+                self.task.metrics.executions += sp_bg["loop"].stats.executions
+            self._pump(sp_bg["loop"])
 
         def create_pov(recipe: dict):
             state["attempts"] += 1
@@ -677,7 +646,7 @@ class Worker:
                     "attempt": attempt,
                     "error": "crash did not reproduce across the quorum",
                 }
-            _pump_sp_background()
+            pump_sp_background()
             tails = []
             for index, result in enumerate(outcome.results):
                 if result is None:
@@ -708,7 +677,8 @@ class Worker:
             variant = max(0, min(int(variant), len(state["last_blobs"]) - 1))
             result = self.runner.run(state["last_blobs"][variant])
             self.task.metrics.executions += 1
-            want = self._static_shortest_path(sp.function_id)
+            entries = sorted(self.subgraph.fuzzer_entries.get(self.task.fuzzer, ()))
+            want = bfs_path(bfs_parents(self.subgraph.functions, entries), sp.function_id)
             executed = set(result.coverage)
             divergence = next((f for f in want if f not in executed), None)
             lines = ["executed path:"]
@@ -760,11 +730,9 @@ class Worker:
         self.task.metrics.executions += repro.runs
         if not repro.confirmed:
             return False
-        crash = result.crash
-        self.crash_ledger.record(result)
-        pov_id = self._persist_pov(sp.id, blob, result, repro.reproduced_count)
-        self.spstore.record_poc_result(sp.id, self.task.fuzzer, crashed=True, pov_id=pov_id)
-        self._emit_report(sp, pov_id, crash, "S", attempts, repro.reproduced_count)
+        pov = self._persist_pov(sp.id, blob, result, repro.reproduced_count)
+        self.spstore.record_poc_result(sp.id, self.task.fuzzer, crashed=True, pov_id=pov["id"])
+        self._emit_report(sp, pov, result.crash, "S", attempts, repro.reproduced_count)
         return True
 
     def _attach_crash_sp(self, crash) -> SuspiciousPoint:
@@ -797,7 +765,6 @@ class Worker:
         if key in self.reported_keys:
             self.crash_repeats[key] = self.crash_repeats.get(key, 0) + 1
             return
-        self.crash_ledger.record(result)
         repro = reproduce(blob, self.runner, quorum=self.config.quorum)
         self.task.metrics.executions += repro.runs
         if not repro.confirmed:
@@ -806,14 +773,14 @@ class Worker:
             )
             return
         sp = self._attach_crash_sp(crash)
-        pov_id = self._persist_pov(sp.id, blob, result, repro.reproduced_count)
+        pov = self._persist_pov(sp.id, blob, result, repro.reproduced_count)
         bypass = sp.verdict != "tp"
         self.spstore.record_poc_result(
-            sp.id, self.task.fuzzer, crashed=True, pov_id=pov_id, bypass=bypass
+            sp.id, self.task.fuzzer, crashed=True, pov_id=pov["id"], bypass=bypass
         )
-        self._emit_report(sp, pov_id, crash, "G", 0, repro.reproduced_count)
+        self._emit_report(sp, pov, crash, "G", 0, repro.reproduced_count)
 
-    def _persist_pov(self, sp_id: str, blob: bytes, result, reproduced_count: int) -> str:
+    def _persist_pov(self, sp_id: str, blob: bytes, result, reproduced_count: int) -> dict:
         self._pov_seq += 1
         pov_id = f"pov-{self.task.id}-{self._pov_seq:03d}"
         blob_path = ""
@@ -837,9 +804,8 @@ class Worker:
             "output": result.output,
         }
         self.store.put("povs", pov_id, record)
-        self.pov_records.append(record)
         self.task.metrics.pov_count += 1
-        return pov_id
+        return record
 
     def _report_description(self, sp: SuspiciousPoint, crash, reproduced_count: int) -> str:
         fallback = (
@@ -867,7 +833,7 @@ class Worker:
     def _emit_report(
         self,
         sp: SuspiciousPoint,
-        pov_id: str,
+        pov: dict,
         crash,
         method: str,
         attempts: int,
@@ -880,7 +846,6 @@ class Worker:
         self._report_seq += 1
         report_id = f"rpt-{self.task.id}-{self._report_seq:03d}"
         rec = self.subgraph.functions.get(crash.location)
-        pov_record = next(r for r in self.pov_records if r["id"] == pov_id)
         report = VulnReport(
             report_id=report_id,
             sp_id=sp.id,
@@ -891,7 +856,7 @@ class Worker:
             fuzzer=self.task.fuzzer,
             discovery_method=method,
             description=self._report_description(sp, crash, reproduced_count),
-            poc_blob_path=pov_record["blob_path"] or f"store:povs/{pov_id}",
+            poc_blob_path=pov["blob_path"] or f"store:povs/{pov['id']}",
             reproduced_count=reproduced_count,
             attempts=attempts,
             timestamps={
@@ -901,9 +866,8 @@ class Worker:
             },
         )
         record = report.to_record()
-        record["pov_id"] = pov_id
+        record["pov_id"] = pov["id"]
         self.store.put("reports", report_id, record)
-        self.report_records.append(record)
         self.reported_keys[key] = report_id
         self.crash_repeats.setdefault(key, 1)
         self.task.metrics.report_count += 1
@@ -928,14 +892,11 @@ class Worker:
             if self._budget_tripped():
                 self.task.state = "timeout"
                 return self.task
-            if self.task.mode == "delta":
-                self._run_delta()
-            else:
-                self._run_full()
+            self._analyze()
             self._drain_verify_retries()
             self._drain_poc_queue()
             if not self._budget_tripped():
-                self._pump_global(self.config.global_fuzz_iterations)
+                self._pump(self.global_loop, self.config.global_fuzz_iterations)
                 self._drain_poc_queue()
             self.task.state = "timeout" if self._budget_tripped() else "done"
         except Exception as exc:  # noqa: BLE001 - worker failure is a terminal state
@@ -947,39 +908,41 @@ class Worker:
             self.store.put("tasks", self.task.id, self.task.to_record())
         return self.task
 
-    def _run_full(self) -> None:
+    def _analyze(self) -> None:
+        """Directions and seeding, then per picked (function, direction,
+        importance): analyze, verify, queue PoCs and pump one global slice.
+
+        Full scans pick from the direction scheduler, delta scans walk the
+        changed functions this fuzzer reaches.  The budget is checked before
+        every pick, because a scheduler pick marks the function analyzed in
+        the set shared by all workers.
+        """
+        if self.task.mode == "delta":
+            if self.delta is None:
+                raise ConfigError("delta mode requires a parsed diff")
+            changed = [f for f in self.delta.changed_function_ids if f in self.subgraph.functions]
+            if not changed:
+                self.task.warnings.append("no changed functions are reachable by this fuzzer")
+                return
+            picks = iter([(f, "(delta)", 1) for f in changed])
+        else:
+            picks = (
+                (p.function_id, p.direction_name, self.scheduler.risk_rank_for(p.direction_name))
+                for p in iter(self.scheduler.next_function, None)
+            )
         self._generate_directions()
         self._seed_from_directions()
-        self._pump_global()
+        self._pump(self.global_loop)
         while not self._budget_tripped():
-            pick = self.scheduler.next_function()
+            pick = next(picks, None)
             if pick is None:
                 break
-            pending = self._analyze_function(pick.function_id, pick.direction_name)
-            rank = self.scheduler.risk_rank_for(pick.direction_name)
-            self._process_candidates(pending, rank)
+            function_id, direction_name, importance = pick
+            pending = self._analyze_function(function_id, direction_name)
+            self._process_candidates(pending, importance)
             self._drain_verify_retries()
             self._drain_poc_queue()
-            self._pump_global()
-
-    def _run_delta(self) -> None:
-        if self.delta is None:
-            raise ConfigError("delta mode requires a parsed diff")
-        changed = [f for f in self.delta.changed_function_ids if f in self.subgraph.functions]
-        if not changed:
-            self.task.warnings.append("no changed functions are reachable by this fuzzer")
-            return
-        self._generate_directions()
-        self._seed_from_directions()
-        self._pump_global()
-        for function_id in changed:
-            if self._budget_tripped():
-                break
-            pending = self._analyze_function(function_id, "(delta)")
-            self._process_candidates(pending, 1)
-            self._drain_verify_retries()
-            self._drain_poc_queue()
-            self._pump_global()
+            self._pump(self.global_loop)
 
 
 @dataclass
@@ -1003,8 +966,6 @@ def _build_pool(config: Config, scenario=None) -> tuple[ProviderPool, set[str]]:
             else:
                 data = load_scenario(config.scenario_path)
         provider = ScriptedProvider(data)
-        for model in models:
-            pool.register(model, provider)
         active = set(provider.roles())
     elif kind == "http":
         provider = HttpChatProvider(
@@ -1012,11 +973,11 @@ def _build_pool(config: Config, scenario=None) -> tuple[ProviderPool, set[str]]:
             api_key=config.provider.get("api_key", ""),
             timeout_s=float(config.provider.get("timeout_s", 120.0)),
         )
-        for model in models:
-            pool.register(model, provider)
         active = {"seed-generator", "report", "sp-deduplicator"}
     else:
         raise ConfigError(f"unknown provider kind: {kind!r}")
+    for model in models:
+        pool.register(model, provider)
     return pool, active
 
 

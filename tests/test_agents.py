@@ -570,39 +570,6 @@ class TestRunAgent:
         assert outcome.final_text == "end"
         assert not outcome.budget_exhausted
 
-    def test_overall_tool_cap_halts_mid_batch(self):
-        scenario = {
-            "agents": {
-                "sp-generator": [
-                    {
-                        "steps": [
-                            {
-                                "tool_calls": [
-                                    {"name": "probe", "args": {"k": 1}},
-                                    {"name": "probe", "args": {"k": 2}},
-                                ]
-                            },
-                            {"text": "never reached"},
-                        ]
-                    }
-                ]
-            }
-        }
-        calls: list[str] = []
-        outcome = run_agent(
-            spec=_spec(Budgets(max_tool_calls=1)),
-            seed_context="seed",
-            registry=_loop_registry(calls),
-            pool=_scripted_pool(scenario),
-            system_prompt="sys",
-        )
-        assert calls == ["probe:1"]
-        assert len(outcome.tool_log) == 1
-        assert outcome.budget_exhausted
-        assert outcome.budget_reason == "tool-call budget exhausted"
-        assert outcome.final_text == ""
-        assert outcome.steps == 1
-
     def test_token_budget_trips_before_next_step(self):
         scenario = {
             "agents": {
@@ -627,19 +594,6 @@ class TestRunAgent:
         assert outcome.budget_exhausted
         assert outcome.budget_reason == "token budget exhausted"
         assert outcome.final_text == ""
-
-    def test_wall_clock_budget_trips_immediately(self):
-        outcome = run_agent(
-            spec=_spec(Budgets(max_wall_clock_s=0.0)),
-            seed_context="seed",
-            registry=_loop_registry(),
-            pool=_scripted_pool({"agents": {}}),
-            system_prompt="sys",
-        )
-        assert outcome.steps == 0
-        assert outcome.served_models == []
-        assert outcome.budget_exhausted
-        assert outcome.budget_reason == "wall-clock budget exhausted"
 
     def test_step_cap(self):
         step = {"tool_calls": [{"name": "probe", "args": {}}]}

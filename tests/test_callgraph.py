@@ -9,6 +9,8 @@ import fixture_data as fd
 import helpers
 from vulnhunt.callgraph import (
     QUERY_KINDS,
+    bfs_parents,
+    bfs_path,
     compute_depths,
     load_call_graph,
     query,
@@ -154,7 +156,20 @@ def test_random_graphs_match_naive_oracle():
         for fuzzer in fuzzers:
             sub = reachable_subgraph(graph, fuzzer)
             assert set(sub.functions) == helpers.naive_reachable(records, fuzzer)
-            assert compute_depths(graph, fuzzer) == helpers.naive_depths(records, fuzzer)
+            depths = helpers.naive_depths(records, fuzzer)
+            assert compute_depths(graph, fuzzer) == depths
+            # Static routes: entry first, one call edge per step, shortest.
+            adj = helpers.naive_adjacency(records)
+            entries = set(helpers.naive_entries(records, fuzzer))
+            parents = bfs_parents(graph.functions, graph.fuzzer_entries[fuzzer])
+            for fid in helpers.naive_reachable(records, fuzzer):
+                path = bfs_path(parents, fid)
+                if fid not in depths:  # annotation-only: no edge route
+                    assert path == []
+                    continue
+                assert path[0] in entries and path[-1] == fid
+                assert all(callee in adj[caller] for caller, callee in zip(path, path[1:]))
+                assert len(path) == depths[fid]
 
 
 def test_subgraph_is_idempotent():

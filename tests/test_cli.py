@@ -108,7 +108,7 @@ class TestScan:
         def explode(self):
             raise RuntimeError("induced failure")
 
-        monkeypatch.setattr("vulnhunt.pipeline.Worker._run_full", explode)
+        monkeypatch.setattr("vulnhunt.pipeline.Worker._analyze", explode)
         rc = main(_scan_args(e2e_workspace))
         captured = capsys.readouterr()
         assert rc == 1

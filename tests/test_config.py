@@ -44,6 +44,8 @@ class TestLoadConfig:
         path.write_text("mode: full\nturbo: true\nwarp: 9\n")
         with pytest.raises(ConfigError, match="unknown config keys: turbo, warp"):
             load_config(path)
+        with pytest.raises(ConfigError, match="unknown config keys: corpus_dir"):
+            load_config(overrides={"corpus_dir": "corpora"})
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="config file not found"):

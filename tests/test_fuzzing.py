@@ -17,7 +17,6 @@ from vulnhunt.callgraph import reachable_subgraph
 from vulnhunt.directions import Direction
 from vulnhunt.fuzzing.corpus import Corpus, coverage_fingerprint
 from vulnhunt.fuzzing.engine import (
-    CrashLedger,
     FuzzLoop,
     make_sp_background_loop,
     reproduce,
@@ -279,19 +278,6 @@ def test_energy_schedule():
     assert seed.energy == 4.0
 
 
-def test_corpus_save_load_round_trip(tmp_path):
-    corpus = Corpus()
-    corpus.add(b"", frozenset({"e"}), origin="empty")
-    seed = corpus.add(b"\x00\xffbin", frozenset({"e", "x"}), origin="global")
-    corpus.cool(seed)
-    corpus.save(tmp_path / "c")
-    loaded = Corpus.load(tmp_path / "c")
-    assert [(s.blob, s.fingerprint, s.origin, s.energy) for s in loaded.seeds] == \
-        [(s.blob, s.fingerprint, s.origin, s.energy) for s in corpus.seeds]
-    assert loaded.add(b"zzz", frozenset({"e", "x"}), origin="late") is None
-    assert len(Corpus.load(tmp_path / "missing")) == 0
-
-
 # ---------------------------------------------------------------------------
 # Literal scraping and seed derivation
 # ---------------------------------------------------------------------------
@@ -388,6 +374,7 @@ def test_cold_start_and_budget_clamp():
                     rng=random.Random(0), origin="global", iteration_budget=50)
     loop.run(10**9)
     assert loop.iterations_done == 50
+    assert loop.stats.executions == 51      # the cold-start b"" run counts
     assert loop.budget_left == 0
     assert loop.corpus.seeds[0].origin == "empty"
     assert loop.corpus.seeds[0].blob == b""
@@ -468,15 +455,7 @@ def test_sp_background_loop_seeds_from_failed_attempts():
     # Both failed blobs share {m_entry} coverage: only the first is admitted.
     assert [s.origin for s in loop.corpus.seeds] == ["poc-attempt"]
     assert loop.origin == "sp-background"
+    assert loop.stats.executions == 2       # both seeding runs count
     loop.run(100)
     assert loop.iterations_done == 100
-
-
-def test_crash_ledger_counts_by_key():
-    ledger = CrashLedger()
-    crash_result = magic_runner().run(b"\x7f")
-    rec1, is_new = ledger.record(crash_result)
-    assert is_new and rec1.count == 1
-    rec2, is_new2 = ledger.record(crash_result)
-    assert not is_new2 and rec2.count == 2 and rec2 is rec1
-    assert ledger.counts() == {("m_handler", "heap-buffer-overflow", "address"): 2}
+    assert loop.stats.executions == 102

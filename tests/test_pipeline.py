@@ -12,6 +12,7 @@ from conftest import Workspace
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.config import Config
 from vulnhunt.errors import ConfigError, UnknownFuzzerError
+from vulnhunt.fuzzing import SimTargetRunner
 from vulnhunt.pipeline import (
     _build_pool,
     _make_duplicate_judge,
@@ -181,6 +182,22 @@ class TestEndToEnd:
 
     def test_status_snapshot_empty_store(self):
         assert "(no tasks recorded)" in status_snapshot(MemoryStore())
+
+
+def test_executions_count_every_target_run(magic_workspace, monkeypatch):
+    """With no seeds the global loop cold-starts from b"", and that run is an
+    execution like any other."""
+    blobs: list[bytes] = []
+    run = SimTargetRunner.run
+
+    def counting(self, blob):
+        blobs.append(blob)
+        return run(self, blob)
+
+    monkeypatch.setattr(SimTargetRunner, "run", counting)
+    result = run_scan(magic_workspace.config(scenario_path="", global_fuzz_iterations=300))
+    assert blobs[0] == b""
+    assert sum(t.metrics.executions for t in result.tasks) == len(blobs)
 
 
 # ===== delta mode =====
