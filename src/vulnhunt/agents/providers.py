@@ -216,9 +216,10 @@ class HttpChatProvider(Provider):
     """Minimal chat-completions-with-tools client (OpenAI-style wire shape).
 
     Maps HTTP 429 to ``rate-limit``, request timeouts to ``timeout``, and
-    connection errors / 5xx to ``unavailable`` so the fallback chain can do
-    its job.  Not exercised by the test suite beyond construction; the
-    scripted provider is the reference path.
+    connection errors, other HTTP errors and malformed response bodies to
+    ``unavailable`` so the fallback chain can do its job.  The tests drive it
+    through a stubbed ``requests.post``; the scripted provider is the
+    reference path.
     """
 
     def __init__(self, base_url: str, api_key: str = "", timeout_s: float = 120.0):
@@ -276,7 +277,15 @@ class HttpChatProvider(Provider):
             raise ProviderError("unavailable", f"HTTP {resp.status_code}")
         if resp.status_code >= 400:
             raise ProviderError("unavailable", f"HTTP {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
+        try:
+            return self._parse(resp.json())
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            # A 200 without a usable completion (not JSON, no choices, bad
+            # tool arguments) is a fault of this model, not of the worker.
+            raise ProviderError("unavailable", f"malformed response: {exc!r}") from exc
+
+    @staticmethod
+    def _parse(body) -> ProviderResponse:
         message = body["choices"][0]["message"]
         finish = body["choices"][0].get("finish_reason", "stop")
         tool_calls = tuple(

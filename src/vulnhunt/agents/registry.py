@@ -86,9 +86,6 @@ class ToolRegistry:
             return f"tool error: {name}: {exc}", False
         return _serialize_result(result), True
 
-    def total_calls(self) -> int:
-        return sum(self.call_counts.values())
-
 
 def make_registry(tool_names: tuple[str, ...], factories: dict[str, ToolFactory]) -> ToolRegistry:
     """Build a fresh registry holding exactly ``tool_names``.

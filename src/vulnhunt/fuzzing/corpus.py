@@ -1,7 +1,8 @@
 """Coverage-deduplicated seed corpora.
 
-A corpus admits a blob only when its coverage fingerprint (a hash of the
-executed-function set) is new, so no two seeds ever share a fingerprint.
+A corpus admits a blob only when its coverage (the executed-function set)
+is new, so no two seeds ever share a coverage set or its fingerprint (a hash
+of the set, computed once per admitted seed).
 Seeds carry an energy weight used by the fuzzing loops: fresh seeds and
 seeds whose latest mutation unlocked new coverage run hot (4x), cooling by
 half on every pick with a floor of 1.
@@ -10,6 +11,7 @@ half on every pick with a floor of 1.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 
 HOT_ENERGY = 4.0
@@ -17,8 +19,8 @@ MIN_ENERGY = 1.0
 
 
 def coverage_fingerprint(coverage: frozenset[str]) -> str:
-    joined = ",".join(sorted(coverage))
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    encoded = json.dumps(sorted(coverage))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -34,22 +36,23 @@ class Corpus:
 
     def __init__(self) -> None:
         self.seeds: list[Seed] = []
-        self._fingerprints: set[str] = set()
+        self.blobs: list[bytes] = []  # seeds' blobs, in seed order
+        self._coverages: set[frozenset[str]] = set()
 
     def __len__(self) -> int:
         return len(self.seeds)
 
-    def has_fingerprint(self, fingerprint: str) -> bool:
-        return fingerprint in self._fingerprints
+    def has_coverage(self, coverage: frozenset[str]) -> bool:
+        return coverage in self._coverages
 
     def add(self, blob: bytes, coverage: frozenset[str], origin: str) -> Seed | None:
         """Admit a blob if its coverage set is new; returns the seed or None."""
-        fingerprint = coverage_fingerprint(coverage)
-        if fingerprint in self._fingerprints:
+        if coverage in self._coverages:
             return None
-        seed = Seed(blob=blob, fingerprint=fingerprint, origin=origin)
+        seed = Seed(blob=blob, fingerprint=coverage_fingerprint(coverage), origin=origin)
         self.seeds.append(seed)
-        self._fingerprints.add(fingerprint)
+        self.blobs.append(blob)
+        self._coverages.add(coverage)
         return seed
 
     def cool(self, seed: Seed) -> None:

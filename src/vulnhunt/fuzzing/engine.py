@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Seed, coverage_fingerprint
+from .corpus import Corpus, Seed
 from .mutate import Mutator
 from .target import ExecutionResult, TargetRunner
 
@@ -96,9 +96,7 @@ class FuzzLoop:
         for _ in range(steps):
             self.iterations_done += 1
             parent = self._pick_seed()
-            blob = self.mutator.mutate(
-                parent.blob, self.rng, [s.blob for s in self.corpus.seeds]
-            )
+            blob = self.mutator.mutate(parent.blob, self.rng, self.corpus.blobs)
             result = self.runner.run(blob)
             self.stats.executions += 1
             if result.outcome == "crash":
@@ -112,7 +110,7 @@ class FuzzLoop:
                     )
                 )
                 continue
-            if not self.corpus.has_fingerprint(coverage_fingerprint(result.coverage)):
+            if not self.corpus.has_coverage(result.coverage):
                 self.corpus.add(blob, result.coverage, origin=self.origin)
                 self.corpus.heat(parent)
                 self.stats.corpus_adds += 1

@@ -21,6 +21,11 @@ Predicate grammar (JSON), with byte literals given as ``hex`` or ``text``::
 Out-of-range reads are simply false (an offset past the end never matches).
 The idiom for an unconditional rule is ``{"kind": "length-cmp", "op": "ge",
 "value": 0}``.
+
+Guards are compiled once, when a rule is built at parse time, into nested
+closures with their literals decoded and operators resolved, so an execution
+only calls them.  An execution's ``output`` text is rendered when read, from
+the trace and crash it records; most executions are never read that way.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from ..errors import OversizeBlobError, TargetSchemaError
 from ..spstore import SANITIZERS, is_valid_vuln_type
@@ -112,30 +118,54 @@ def validate_predicate(node: dict, where: str = "guard") -> None:
         validate_predicate(node["term"], f"{where}.term")
 
 
-def eval_predicate(node: dict, blob: bytes) -> bool:
-    """Evaluate a predicate tree against a blob; total (never raises)."""
+def compile_predicate(node: dict) -> Callable[[bytes], bool]:
+    """Compile a validated predicate tree into one test; total (never raises).
+
+    Literals are decoded and operators resolved here, once per tree, so the
+    returned closure only reads the blob.
+    """
     kind = node["kind"]
     if kind == "offset-equals":
-        off = node["offset"]
-        return off < len(blob) and blob[off] == node["value"]
+        off, byte = node["offset"], node["value"]
+        return lambda blob: off < len(blob) and blob[off] == byte
     if kind == "prefix":
-        return blob.startswith(_literal_bytes(node, "guard"))
+        literal = _literal_bytes(node, "guard")
+        return lambda blob: blob.startswith(literal)
     if kind == "contains":
-        return _literal_bytes(node, "guard") in blob
+        literal = _literal_bytes(node, "guard")
+        return lambda blob: literal in blob
     if kind == "length-cmp":
-        return _OPS[node["op"]](len(blob), node["value"])
+        op, value = _OPS[node["op"]], node["value"]
+        return lambda blob: op(len(blob), value)
     if kind == "u32-le-field-cmp":
-        off = node["offset"]
-        if off + 4 > len(blob):
-            return False
-        value = int.from_bytes(blob[off : off + 4], "little")
-        return _OPS[node["op"]](value, node["value"])
+        off, op, value = node["offset"], _OPS[node["op"]], node["value"]
+        end = off + 4
+        return lambda blob: end <= len(blob) and op(
+            int.from_bytes(blob[off:end], "little"), value
+        )
     if kind == "and":
-        return all(eval_predicate(t, blob) for t in node["terms"])
+        terms = [compile_predicate(t) for t in node["terms"]]
+
+        def conjunction(blob: bytes) -> bool:
+            for term in terms:
+                if not term(blob):
+                    return False
+            return True
+
+        return conjunction
     if kind == "or":
-        return any(eval_predicate(t, blob) for t in node["terms"])
+        terms = [compile_predicate(t) for t in node["terms"]]
+
+        def disjunction(blob: bytes) -> bool:
+            for term in terms:
+                if term(blob):
+                    return True
+            return False
+
+        return disjunction
     if kind == "not":
-        return not eval_predicate(node["term"], blob)
+        term = compile_predicate(node["term"])
+        return lambda blob: not term(blob)
     raise AssertionError(f"unreachable predicate kind {kind!r}")
 
 
@@ -154,6 +184,10 @@ class TargetRule:
     guard: dict
     enter: list[str]
     crash: CrashSpec | None = None
+    test: Callable[[bytes], bool] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.test = compile_predicate(self.guard)
 
 
 @dataclass
@@ -177,13 +211,30 @@ class ExecutionResult:
 
     ``coverage`` is the set of executed functions; ``trace`` the ordered
     sequence.  A crash's location is always an element of the coverage set.
+    ``size`` is the blob length.
     """
 
     outcome: str
     coverage: frozenset[str]
     trace: tuple[str, ...]
-    output: str
+    target_name: str
+    size: int
     crash: CrashSpec | None = None
+
+    @property
+    def output(self) -> str:
+        """The run's log: a ``run`` line, one ``enter`` line per traced
+        function, then the sanitizer error or ``exit ok``."""
+        lines = [f"run {self.target_name} ({self.size} bytes)"]
+        lines.extend(f"enter {fn}" for fn in self.trace)
+        crash = self.crash
+        if crash is None:
+            lines.append("exit ok")
+        else:
+            lines.append(
+                f"== ERROR: {crash.sanitizer} sanitizer: {crash.vuln_type} in {crash.location} =="
+            )
+        return "\n".join(lines)
 
 
 def parse_target(obj: dict, where: str = "target") -> SimTarget:
@@ -283,27 +334,20 @@ def execute(
     if len(blob) > limits.max_blob:
         raise OversizeBlobError(f"blob of {len(blob)} bytes exceeds limit {limits.max_blob}")
     trace: list[str] = []
-    lines: list[str] = [f"run {target.name} ({len(blob)} bytes)"]
     crash: CrashSpec | None = None
     for rule in target.rules:
-        if not eval_predicate(rule.guard, blob):
+        if not rule.test(blob):
             continue
         trace.extend(rule.enter)
-        for fn in rule.enter:
-            lines.append(f"enter {fn}")
         if rule.crash is not None and (sanitizer is None or rule.crash.sanitizer == sanitizer):
             crash = rule.crash
-            lines.append(
-                f"== ERROR: {crash.sanitizer} sanitizer: {crash.vuln_type} in {crash.location} =="
-            )
             break
-    if crash is None:
-        lines.append("exit ok")
     return ExecutionResult(
         outcome="crash" if crash is not None else "ok",
         coverage=frozenset(trace),
         trace=tuple(trace),
-        output="\n".join(lines),
+        target_name=target.name,
+        size=len(blob),
         crash=crash,
     )
 

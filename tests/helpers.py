@@ -101,6 +101,54 @@ def naive_depths(records, fuzzer):
 
 
 # ---------------------------------------------------------------------------
+# Naive predicate interpreter (oracle for the compiled target guards)
+# ---------------------------------------------------------------------------
+
+
+_NAIVE_OPS = {
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "ge": lambda a, b: a >= b,
+    "gt": lambda a, b: a > b,
+}
+
+
+def _naive_literal(node):
+    if "hex" in node:
+        return bytes.fromhex(node["hex"])
+    return node["text"].encode("utf-8")
+
+
+def naive_eval_predicate(node, blob):
+    """Walk a validated predicate tree against a blob on every call."""
+    kind = node["kind"]
+    if kind == "offset-equals":
+        off = node["offset"]
+        return off < len(blob) and blob[off] == node["value"]
+    if kind == "prefix":
+        return blob[: len(_naive_literal(node))] == _naive_literal(node)
+    if kind == "contains":
+        return _naive_literal(node) in blob
+    if kind == "length-cmp":
+        return _NAIVE_OPS[node["op"]](len(blob), node["value"])
+    if kind == "u32-le-field-cmp":
+        off = node["offset"]
+        if off + 4 > len(blob):
+            return False
+        value = sum(blob[off + i] << (8 * i) for i in range(4))
+        return _NAIVE_OPS[node["op"]](value, node["value"])
+    if kind == "and":
+        return all(naive_eval_predicate(t, blob) for t in node["terms"])
+    if kind == "or":
+        return any(naive_eval_predicate(t, blob) for t in node["terms"])
+    if kind == "not":
+        return not naive_eval_predicate(node["term"], blob)
+    raise ValueError(f"unknown predicate kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # Random graph generator (for the BFS-equivalence battery)
 # ---------------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from vulnhunt.agents import (
     AgentSpec,
     Budgets,
     Conversation,
+    HttpChatProvider,
     Message,
     PROMPT_VERSION,
     ProviderError,
@@ -186,7 +187,7 @@ class TestToolRegistry:
         reg = self._registry()
         text, ok = reg.invoke("ghost", {})
         assert (text, ok) == ("tool error: unknown tool 'ghost'", False)
-        assert reg.total_calls() == 0
+        assert sum(reg.call_counts.values()) == 0
 
     def test_bad_arguments_are_error_text(self):
         reg = self._registry()
@@ -223,7 +224,7 @@ class TestToolRegistry:
         reg.invoke("echo", {})
         reg.invoke("boom", {})
         assert reg.call_counts == {"echo": 2, "boom": 1, "structured": 0}
-        assert reg.total_calls() == 3
+        assert sum(reg.call_counts.values()) == 3
 
     def test_result_digest_is_truncated_sha256(self):
         expected = hashlib.sha256(b"payload").hexdigest()[:12]
@@ -314,6 +315,67 @@ class TestProviderPool:
             "ghost: unavailable (not registered)",
         ]
         assert "model chain exhausted" in str(excinfo.value)
+
+
+def _stub_post(monkeypatch, content: bytes) -> None:
+    """Make every ``requests.post`` answer HTTP 200 with ``content``."""
+    import requests
+
+    def fake_post(url, **kwargs):
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = content
+        return resp
+
+    monkeypatch.setattr(requests, "post", fake_post)
+
+
+class TestHttpChatProvider:
+    """Malformed 200 responses are provider faults, so the chain moves on."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"<html>bad gateway</html>",
+            b"{}",
+            b'{"choices": []}',
+            json.dumps({"choices": [{"message": {"tool_calls": [
+                {"id": "c1", "function": {"name": "echo", "arguments": "{not json"}}
+            ]}}]}).encode(),
+        ],
+        ids=["non-json-body", "missing-choices", "empty-choices", "bad-tool-arguments"],
+    )
+    def test_malformed_response_falls_back(self, monkeypatch, content):
+        _stub_post(monkeypatch, content)
+        pool = ProviderPool()
+        pool.register("remote", HttpChatProvider("http://localhost:9"))
+        pool.register("steady", _OkProvider())
+        request = ProviderRequest(model="remote", messages=[Message("user", "hi")])
+        response = pool.call_with_fallback(["remote", "steady"], request)
+        assert response.served_by == "steady"
+        with pytest.raises(ChainExhaustedError) as excinfo:
+            pool.call_with_fallback(["remote"], request)
+        assert excinfo.value.failures == ["remote: unavailable"]
+
+    def test_well_formed_response_is_served(self, monkeypatch):
+        body = {
+            "choices": [{
+                "finish_reason": "tool_calls",
+                "message": {"content": None, "tool_calls": [
+                    {"id": "c1", "function": {"name": "echo", "arguments": '{"value": 1}'}}
+                ]},
+            }],
+            "usage": {"prompt_tokens": 5, "completion_tokens": 2},
+        }
+        _stub_post(monkeypatch, json.dumps(body).encode())
+        pool = ProviderPool()
+        pool.register("remote", HttpChatProvider("http://localhost:9"))
+        request = ProviderRequest(model="remote", messages=[Message("user", "hi")])
+        response = pool.call_with_fallback(["remote"], request)
+        assert response.served_by == "remote"
+        assert response.tool_calls == (ToolCall("echo", {"value": 1}, "c1"),)
+        assert not response.stop
+        assert response.usage == TokenUsage(5, 2)
 
 
 class TestScriptedProvider:

@@ -32,7 +32,7 @@ from vulnhunt.fuzzing.seeds import (
 from vulnhunt.fuzzing.target import (
     ExecLimits,
     SimTargetRunner,
-    eval_predicate,
+    compile_predicate,
     execute,
     load_targets_dir,
     parse_target,
@@ -61,17 +61,21 @@ def palette_blob(total_len: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _holds(node, blob):
+    return compile_predicate(node)(blob)
+
+
 def test_predicate_kinds_evaluate_correctly():
-    assert eval_predicate({"kind": "offset-equals", "offset": 0, "value": 127}, b"\x7f")
-    assert not eval_predicate({"kind": "offset-equals", "offset": 3, "value": 1}, b"ab")
-    assert eval_predicate({"kind": "prefix", "text": "IMGX"}, b"IMGXtail")
-    assert not eval_predicate({"kind": "prefix", "text": "IMGX"}, b"xIMGX")
-    assert eval_predicate({"kind": "contains", "hex": "00ff"}, b"a\x00\xffb")
-    assert eval_predicate({"kind": "length-cmp", "op": "ge", "value": 3}, b"abc")
-    assert not eval_predicate({"kind": "length-cmp", "op": "lt", "value": 3}, b"abc")
+    assert _holds({"kind": "offset-equals", "offset": 0, "value": 127}, b"\x7f")
+    assert not _holds({"kind": "offset-equals", "offset": 3, "value": 1}, b"ab")
+    assert _holds({"kind": "prefix", "text": "IMGX"}, b"IMGXtail")
+    assert not _holds({"kind": "prefix", "text": "IMGX"}, b"xIMGX")
+    assert _holds({"kind": "contains", "hex": "00ff"}, b"a\x00\xffb")
+    assert _holds({"kind": "length-cmp", "op": "ge", "value": 3}, b"abc")
+    assert not _holds({"kind": "length-cmp", "op": "lt", "value": 3}, b"abc")
     u32 = {"kind": "u32-le-field-cmp", "offset": 2, "op": "eq", "value": 0x01020304}
-    assert eval_predicate(u32, b"..\x04\x03\x02\x01")
-    assert not eval_predicate(u32, b"..\x04\x03\x02")  # field would run past the end
+    assert _holds(u32, b"..\x04\x03\x02\x01")
+    assert not _holds(u32, b"..\x04\x03\x02")  # field would run past the end
     tree = {
         "kind": "and",
         "terms": [
@@ -79,12 +83,68 @@ def test_predicate_kinds_evaluate_correctly():
             {"kind": "not", "term": {"kind": "contains", "text": "Z"}},
         ],
     }
-    assert eval_predicate(tree, b"ABC")
-    assert not eval_predicate(tree, b"ABZ")
-    assert eval_predicate(
+    assert _holds(tree, b"ABC")
+    assert not _holds(tree, b"ABZ")
+    assert _holds(
         {"kind": "or", "terms": [{"kind": "length-cmp", "op": "gt", "value": 9},
                                  {"kind": "prefix", "text": "Q"}]},
         b"Q")
+
+
+_OP_NAMES = ("lt", "le", "eq", "ne", "ge", "gt")
+_OFFSETS = st.integers(0, 20)
+_U32_VALUES = st.one_of(
+    st.sampled_from([0, 1, 0xFF, 0x01000000, 0x41414141, 0xFFFFFFFF]),
+    st.integers(0, 0xFFFFFFFF),
+)
+_LITERALS = st.one_of(
+    st.binary(max_size=3).map(lambda b: {"hex": b.hex()}),
+    st.text(alphabet="A\x00é", max_size=3).map(lambda t: {"text": t}),
+)
+_LEAVES = st.one_of(
+    st.builds(lambda o, v: {"kind": "offset-equals", "offset": o, "value": v},
+              _OFFSETS, st.sampled_from([0, 1, 0x41, 0xFF])),
+    _LITERALS.map(lambda lit: {"kind": "prefix", **lit}),
+    _LITERALS.map(lambda lit: {"kind": "contains", **lit}),
+    st.builds(lambda op, v: {"kind": "length-cmp", "op": op, "value": v},
+              st.sampled_from(_OP_NAMES), st.integers(0, 24)),
+    st.builds(lambda o, op, v: {"kind": "u32-le-field-cmp", "offset": o, "op": op, "value": v},
+              _OFFSETS, st.sampled_from(_OP_NAMES), _U32_VALUES),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda ts: {"kind": "and", "terms": ts}),
+        st.lists(children, min_size=1, max_size=3).map(lambda ts: {"kind": "or", "terms": ts}),
+        children.map(lambda t: {"kind": "not", "term": t}),
+    ),
+    max_leaves=8,
+)
+_BLOBS = st.one_of(
+    st.binary(max_size=24),
+    st.lists(st.sampled_from([0x00, 0x01, 0x41, 0xFF]), max_size=24).map(bytes),
+)
+
+
+def _u32_offsets(node):
+    if node["kind"] == "u32-le-field-cmp":
+        yield node["offset"]
+    for child in node.get("terms", []) + ([node["term"]] if "term" in node else []):
+        yield from _u32_offsets(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES, blob=_BLOBS)
+def test_compiled_predicates_match_naive_oracle(tree, blob):
+    validate_predicate(tree)
+    test = compile_predicate(tree)
+    # Besides the drawn blob: the empty blob, and every u32 field cut off one
+    # byte short of, and exactly at, the blob's end.
+    padded = blob + b"\x41" * 24
+    probes = [blob, b""] + [padded[:off + 4 - short]
+                            for off in _u32_offsets(tree) for short in (0, 1)]
+    for probe in probes:
+        assert test(probe) == helpers.naive_eval_predicate(tree, probe), probe
 
 
 def test_predicate_validation_paths():
@@ -170,6 +230,25 @@ def test_execute_trace_keeps_duplicate_enters():
     assert result.crash.location == "img_decompress"
     assert result.trace.count("img_decompress") == 2  # plain rule + crash rule
     assert isinstance(result.coverage, frozenset)
+
+
+def test_output_text_of_crashing_and_sanitizer_filtered_runs():
+    npd_blob = b"IMGX\xff\x00\x00\x00"
+    entered = [
+        "run img_target (8 bytes)",
+        "enter img_fuzzer_entry",
+        "enter img_parse_header",
+        "enter img_validate_magic",
+        "enter img_read_chunk",
+        "enter img_util_crc",
+        "enter img_parse_header",
+    ]
+    # The crash rule is entered but built for another sanitizer: no crash.
+    filtered = execute(img_target(), npd_blob, sanitizer="address")
+    assert filtered.output == "\n".join(entered + ["exit ok"])
+    crashed = execute(img_target(), npd_blob, sanitizer="undefined")
+    assert crashed.output == "\n".join(entered + [
+        "== ERROR: undefined sanitizer: null-pointer-dereference in img_parse_header =="])
 
 
 def test_sanitizer_binding_controls_crash_visibility():
@@ -262,7 +341,27 @@ def test_corpus_admission_by_coverage_novelty():
     assert len(corpus) == 2
     fingerprints = [s.fingerprint for s in corpus.seeds]
     assert len(set(fingerprints)) == len(fingerprints)
-    assert corpus.has_fingerprint(coverage_fingerprint(cov_a))
+    assert corpus.has_coverage(cov_a)
+    assert not corpus.has_coverage(frozenset({"p"}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(adds=st.lists(
+    st.tuples(st.binary(max_size=4),
+              st.frozensets(st.sampled_from(["a", "b", "a,b", "c", ""]), max_size=3)),
+    max_size=12))
+def test_corpus_blobs_and_coverage_bookkeeping(adds):
+    corpus = Corpus()
+    probes = set()
+    for blob, coverage in adds:
+        corpus.add(blob, coverage, origin="seed")
+        probes.add(coverage)
+    assert corpus.blobs == [s.blob for s in corpus.seeds]
+    fingerprints = {s.fingerprint for s in corpus.seeds}
+    assert len(fingerprints) == len(corpus.seeds)
+    probes |= {frozenset({"a", "b"}), frozenset({"a,b"}), frozenset()}
+    for coverage in probes:
+        assert corpus.has_coverage(coverage) == (coverage_fingerprint(coverage) in fingerprints)
 
 
 def test_energy_schedule():
