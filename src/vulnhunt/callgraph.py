@@ -67,7 +67,7 @@ class FunctionRecord:
 
 @dataclass
 class CallGraph:
-    """A loaded call graph plus per-fuzzer entry lists and caller index."""
+    """A loaded call graph plus per-fuzzer entry lists, caller and name indexes."""
 
     functions: dict[str, FunctionRecord]
     fuzzer_entries: dict[str, list[str]]
@@ -75,7 +75,9 @@ class CallGraph:
 
     def __post_init__(self) -> None:
         self._callers: dict[str, list[str]] = {fid: [] for fid in self.functions}
+        self._by_name: dict[str, list[str]] = {}
         for rec in self.functions.values():
+            self._by_name.setdefault(rec.name, []).append(rec.id)
             for callee in rec.callees:
                 if callee in self._callers:
                     self._callers[callee].append(rec.id)
@@ -94,9 +96,9 @@ class CallGraph:
         rec = self.functions.get(name_or_id)
         if rec is not None:
             return rec
-        matches = [r for r in self.functions.values() if r.name == name_or_id]
+        matches = self._by_name.get(name_or_id, [])
         if len(matches) == 1:
-            return matches[0]
+            return self.functions[matches[0]]
         return None
 
 

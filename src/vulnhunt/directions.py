@@ -13,13 +13,25 @@ one worker is deprioritized everywhere.  Ties break on lower call depth,
 then lexicographic function id.  A function this scheduler already returned
 becomes eligible again (a revisit) only once no unanalyzed candidate
 remains, and at most ``max_revisits`` times.
+
+Every (direction, function) pair is one entry keyed ``(priority, depth, id,
+direction)``, kept in one of three heaps by its state: fresh-unanalyzed,
+fresh-analyzed and revisit.  The heaps are built at the first pick after
+construction or registration, so a pick costs a logarithmic number of steps
+instead of a rescan of every pool.  An entry whose state changed since it
+was pushed (another worker analyzed it, or this scheduler picked it) is
+moved only when it reaches the top of its heap.  That lazy deletion is
+exact because state only moves one way: priorities only rise (1 -> 2,
+3 -> 4) and pick counts only grow, so a stale entry's true key is never
+below its stored key, and a valid top is the true minimum of its state.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .callgraph import CallGraph, bfs_parents
 
@@ -68,6 +80,10 @@ class _DirectionPools:
     general: set[str]
 
 
+# (priority, depth, function id, direction name, is core)
+_Entry = tuple[int, int, str, str, bool]
+
+
 @dataclass(frozen=True)
 class Pick:
     """One scheduling decision, as emitted by next_function."""
@@ -95,10 +111,6 @@ class GlobalAnalyzedSet:
     def __contains__(self, function_id: str) -> bool:
         with self._lock:
             return function_id in self._seen
-
-    def snapshot(self) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._seen)
 
 
 def build_pools(direction: Direction, subgraph: CallGraph) -> tuple[set[str], set[str], list[str]]:
@@ -151,7 +163,9 @@ class DirectionScheduler:
         self._max_revisits = max_revisits
         self._pools: list[_DirectionPools] = []
         self._picks: dict[str, int] = {}
-        self._fallback_pool: set[str] | None = None
+        # Fresh-unanalyzed, fresh-analyzed and revisit entries; None until
+        # the next pick rebuilds them.
+        self._heaps: tuple[list[_Entry], list[_Entry], list[_Entry]] | None = None
 
     # ----- registration -----
 
@@ -173,7 +187,7 @@ class DirectionScheduler:
         for warning in warnings:
             logger.warning("%s", warning)
         self._pools.append(_DirectionPools(direction=direction, core=core, general=general))
-        self._fallback_pool = None
+        self._heaps = None
         return RegisterResult(True, warnings=tuple(warnings))
 
     @property
@@ -188,20 +202,57 @@ class DirectionScheduler:
 
     # ----- scheduling -----
 
-    def _candidate_pools(self) -> list[tuple[str, set[str], set[str]]]:
-        if self._pools:
-            return [(p.direction.name, p.core, p.general) for p in self._pools]
-        # No directions registered: fall back to the whole subgraph as one
-        # general pool so analysis still proceeds.
-        if self._fallback_pool is None:
-            self._fallback_pool = set(self._subgraph.functions)
-        return [("(general)", set(), self._fallback_pool)]
-
     def _depth(self, function_id: str) -> int:
         rec = self._subgraph.functions.get(function_id)
         if rec is None:
             return 1 << 30
         return rec.call_depth.get(self._fuzzer, 1 << 30)
+
+    def _build_heaps(self) -> tuple[list[_Entry], list[_Entry], list[_Entry]]:
+        if self._pools:
+            pools = [(p.direction.name, p.core, p.general) for p in self._pools]
+        else:
+            # No directions registered: fall back to the whole subgraph as
+            # one general pool so analysis still proceeds.
+            pools = [("(general)", set(), set(self._subgraph.functions))]
+        unanalyzed: list[_Entry] = []
+        analyzed: list[_Entry] = []
+        revisit: list[_Entry] = []
+        for dir_name, core, general in pools:
+            for is_core, pool in ((True, core), (False, general)):
+                for fid in pool:
+                    picks = self._picks.get(fid, 0)
+                    if picks > self._max_revisits:
+                        continue
+                    is_analyzed = picks > 0 or fid in self._analyzed
+                    priority = _PRIORITY[(is_core, is_analyzed)]
+                    heap = revisit if picks else analyzed if is_analyzed else unanalyzed
+                    heap.append((priority, self._depth(fid), fid, dir_name, is_core))
+        for heap in (unanalyzed, analyzed, revisit):
+            heapify(heap)
+        return unanalyzed, analyzed, revisit
+
+    def _settle(self, heap: list[_Entry]) -> _Entry | None:
+        """Move stale entries off the top of ``heap`` into the heap their
+        current state belongs in; return the valid top, or None."""
+        unanalyzed, analyzed, revisit = self._heaps
+        while heap:
+            _, depth, fid, dir_name, is_core = entry = heap[0]
+            picks = self._picks.get(fid, 0)
+            if picks == 0:
+                if heap is not unanalyzed or fid not in self._analyzed:
+                    return entry
+                target = analyzed  # another worker analyzed it
+            elif picks > self._max_revisits:
+                target = None  # revisits used up
+            elif heap is revisit:
+                return entry
+            else:
+                target = revisit  # this scheduler picked it
+            heappop(heap)
+            if target is not None:
+                heappush(target, (_PRIORITY[(is_core, True)], depth, fid, dir_name, is_core))
+        return None
 
     def next_function(self) -> Pick | None:
         """Return the next function to analyze, or None when exhausted.
@@ -212,32 +263,21 @@ class DirectionScheduler:
         functions only become candidates once no unanalyzed candidate
         remains, each at most ``max_revisits`` more times.
         """
-        analyzed = self._analyzed.snapshot()
-        fresh: list[tuple[int, int, str, str]] = []
-        revisit: list[tuple[int, int, str, str]] = []
-        any_unanalyzed = False
-        for dir_name, core, general in self._candidate_pools():
-            for pool_is_core, pool in ((True, core), (False, general)):
-                for fid in pool:
-                    is_analyzed = fid in analyzed
-                    priority = _PRIORITY[(pool_is_core, is_analyzed)]
-                    picks = self._picks.get(fid, 0)
-                    entry = (priority, self._depth(fid), fid, dir_name)
-                    if picks == 0:
-                        fresh.append(entry)
-                        if not is_analyzed:
-                            any_unanalyzed = True
-                    elif picks <= self._max_revisits:
-                        revisit.append(entry)
-        if fresh:
-            # Unanalyzed candidates exist iff some fresh candidate has
-            # priority 1 or 3; revisits stay ineligible while they do.
-            pool = fresh if any_unanalyzed else fresh + revisit
-            priority, _, fid, dir_name = min(pool)
-        elif revisit:
-            priority, _, fid, dir_name = min(revisit)
+        if self._heaps is None:
+            self._heaps = self._build_heaps()
+        unanalyzed, analyzed, revisit = self._heaps
+        # Settle in state order (unanalyzed, analyzed, revisit): settling a
+        # heap only pushes into the heaps after it.
+        top = self._settle(unanalyzed)
+        if top is not None:
+            # An unanalyzed candidate exists, so revisits stay ineligible.
+            tops = [top, self._settle(analyzed)]
         else:
+            tops = [self._settle(analyzed), self._settle(revisit)]
+        candidates = [t for t in tops if t is not None]
+        if not candidates:
             return None
+        priority, _, fid, dir_name, _ = min(candidates)
         self._picks[fid] = self._picks.get(fid, 0) + 1
         self._analyzed.add(fid)
         # Report the priority as classified at pick time.

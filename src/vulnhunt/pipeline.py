@@ -13,6 +13,7 @@ and timestamps are logical stage counters.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import random
@@ -408,13 +409,13 @@ class Worker:
 
     # -- background fuzzing -------------------------------------------------
 
-    def _pump(self, loop: FuzzLoop | None, iterations: int | None = None) -> None:
-        """Run one slice of ``loop`` (default ``fuzz_slice`` iterations),
-        counting its executions and handling its crashes."""
+    def _pump(self, loop: FuzzLoop | None) -> None:
+        """Run one ``fuzz_slice`` of ``loop``, counting its executions and
+        handling its crashes."""
         if loop is None or loop.budget_left <= 0:
             return
         before = loop.stats.executions
-        crashes = loop.run(iterations or self.config.fuzz_slice)
+        crashes = loop.run(self.config.fuzz_slice)
         self.task.metrics.executions += loop.stats.executions - before
         for finding in crashes:
             self._handle_fuzzer_crash(finding.blob, finding.result, finding.origin)
@@ -895,9 +896,10 @@ class Worker:
             self._analyze()
             self._drain_verify_retries()
             self._drain_poc_queue()
-            if not self._budget_tripped():
-                self._pump(self.global_loop, self.config.global_fuzz_iterations)
-                self._drain_poc_queue()
+            loop = self.global_loop
+            while loop is not None and loop.budget_left > 0 and not self._budget_tripped():
+                self._pump(loop)
+            self._drain_poc_queue()
             self.task.state = "timeout" if self._budget_tripped() else "done"
         except Exception as exc:  # noqa: BLE001 - worker failure is a terminal state
             log.exception("worker %s failed", self.task.id)
@@ -984,10 +986,11 @@ def _build_pool(config: Config, scenario=None) -> tuple[ProviderPool, set[str]]:
 def _make_duplicate_judge(config: Config, pool: ProviderPool, active: set[str]):
     if "sp-deduplicator" not in active:
         return None
-    seq = [0]
+    # The store calls the judge outside its lock; next() on a count is atomic.
+    seq = itertools.count(1)
 
     def judge(candidate: SuspiciousPoint, existing: SuspiciousPoint):
-        seq[0] += 1
+        run_id = f"dedup:{next(seq)}"
         seed = "\n".join(
             [
                 f"candidate: [{candidate.vuln_type}] {candidate.description}",
@@ -1005,7 +1008,7 @@ def _make_duplicate_judge(config: Config, pool: ProviderPool, active: set[str]):
                 registry,
                 pool,
                 system_prompt=render_prompt("sp-deduplicator"),
-                run_id=f"dedup:{seq[0]}",
+                run_id=run_id,
             )
         except ChainExhaustedError:
             return None

@@ -5,7 +5,9 @@ vulnerability at a specific function.  It moves through three stages:
 creation (screening), verification (tp/fp verdict, possibly with a corrected
 description), and proof-of-crash (PoC attempts recorded per fuzzer, with
 crashing inputs attached by id).  The store is shared across workers, so all
-mutation goes through one lock.
+mutation goes through one lock.  Points are indexed by function in insertion
+order, since only points of the candidate's function can be duplicates.  The
+duplicate judge may be a model call, so it runs outside the lock.
 
 Crashes found by background fuzzing may attach to an SP that was never
 verified true (or was judged a false positive); that path sets an explicit
@@ -206,6 +208,7 @@ class SPStore:
         self._lock = threading.RLock()
         self._sps: dict[str, SuspiciousPoint] = {}
         self._order: list[str] = []
+        self._by_function: dict[str, list[str]] = {}
         self._next_id = 1
         self._clock = 0
         self._candidates_seen = 0
@@ -220,6 +223,11 @@ class SPStore:
         sp_id = f"sp-{self._next_id:06d}"
         self._next_id += 1
         return sp_id
+
+    def _insert(self, sp: SuspiciousPoint) -> None:
+        self._sps[sp.id] = sp
+        self._order.append(sp.id)
+        self._by_function.setdefault(sp.function_id, []).append(sp.id)
 
     # ----- creation -----
 
@@ -285,16 +293,13 @@ class SPStore:
         with self._lock:
             sp = self.build_candidate(function_id, source, description, vuln_type, score)
             sp.bypass = bypass
-            self._sps[sp.id] = sp
-            self._order.append(sp.id)
+            self._insert(sp)
             self._candidates_seen += 1
             return sp.id
 
     # ----- dedup -----
 
     def _is_duplicate(self, candidate: SuspiciousPoint, existing: SuspiciousPoint) -> bool:
-        if existing.function_id != candidate.function_id:
-            return False
         if existing.vuln_type != candidate.vuln_type:
             return False
         if self._judge is not None:
@@ -307,27 +312,38 @@ class SPStore:
     def deduplicate(self, candidate: SuspiciousPoint) -> DedupOutcome:
         """Insert the candidate or merge it into the first duplicate.
 
+        Only points of the candidate's function are compared, in insertion
+        order.  They are compared outside the lock, so a slow judge stalls
+        no other caller; points that joined meanwhile are compared before
+        the candidate is inserted.
+
         On merge: sources are unioned, the score becomes the maximum, and the
         description of the higher-scored record wins (score tie: the
         lexicographically smaller description), so the final record content
         does not depend on arrival order.  The existing id is kept.
         """
+        compared = 0
         with self._lock:
             self._candidates_seen += 1
-            for sp_id in self._order:
-                existing = self._sps[sp_id]
+        while True:
+            with self._lock:
+                ids = self._by_function.get(candidate.function_id, [])
+                pending = [self._sps[sp_id] for sp_id in ids[compared:]]
+                if not pending:
+                    self._insert(candidate)
+                    return DedupOutcome(sp_id=candidate.id, merged=False)
+            compared += len(pending)
+            for existing in pending:
                 if self._is_duplicate(candidate, existing):
-                    existing.sources |= candidate.sources
-                    if candidate.score > existing.score or (
-                        candidate.score == existing.score
-                        and candidate.description < existing.description
-                    ):
-                        existing.description = candidate.description
-                    existing.score = max(existing.score, candidate.score)
+                    with self._lock:
+                        existing.sources |= candidate.sources
+                        if candidate.score > existing.score or (
+                            candidate.score == existing.score
+                            and candidate.description < existing.description
+                        ):
+                            existing.description = candidate.description
+                        existing.score = max(existing.score, candidate.score)
                     return DedupOutcome(sp_id=existing.id, merged=True)
-            self._sps[candidate.id] = candidate
-            self._order.append(candidate.id)
-            return DedupOutcome(sp_id=candidate.id, merged=False)
 
     # ----- verification -----
 
@@ -428,7 +444,7 @@ class SPStore:
 
     def for_function(self, function_id: str) -> list[SuspiciousPoint]:
         with self._lock:
-            return [self._sps[i] for i in self._order if self._sps[i].function_id == function_id]
+            return [self._sps[i] for i in self._by_function.get(function_id, [])]
 
     def counts(self) -> dict[str, int]:
         """Lifecycle counters; sp_deduped always equals tp_v + fp + unverified."""

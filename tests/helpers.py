@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 from vulnhunt.callgraph import load_call_graph
+from vulnhunt.directions import DirectionScheduler, Pick
 
 
 def export_lines(records):
@@ -189,3 +191,80 @@ def random_graph_records(rng: random.Random, max_nodes: int = 200,
                 if fuzzer not in records[idx]["reached_by_fuzzers"]:
                     records[idx]["reached_by_fuzzers"].append(fuzzer)
     return records, fuzzers
+
+
+# ---------------------------------------------------------------------------
+# Naive direction scheduler (oracle for the heap scheduler)
+# ---------------------------------------------------------------------------
+
+
+class NaiveScheduler(DirectionScheduler):
+    """Ranks every entry of every pool afresh on each pick.
+
+    Registration and pools are the package's own; only ``next_function`` is
+    replaced, by the plain rescan the heap scheduler must agree with.
+    """
+
+    def next_function(self):
+        if self._pools:
+            pools = [(p.direction.name, p.core, p.general) for p in self._pools]
+        else:
+            pools = [("(general)", set(), set(self._subgraph.functions))]
+        fresh, revisit = [], []
+        any_unanalyzed = False
+        for dir_name, core, general in pools:
+            for pool_is_core, pool in ((True, core), (False, general)):
+                for fid in pool:
+                    is_analyzed = fid in self._analyzed
+                    priority = _NAIVE_PRIORITY[(pool_is_core, is_analyzed)]
+                    picks = self._picks.get(fid, 0)
+                    entry = (priority, self._depth(fid), fid, dir_name)
+                    if picks == 0:
+                        fresh.append(entry)
+                        if not is_analyzed:
+                            any_unanalyzed = True
+                    elif picks <= self._max_revisits:
+                        revisit.append(entry)
+        if fresh:
+            # Unanalyzed candidates exist iff some fresh candidate has
+            # priority 1 or 3; revisits stay ineligible while they do.
+            pool = fresh if any_unanalyzed else fresh + revisit
+            priority, _, fid, dir_name = min(pool)
+        elif revisit:
+            priority, _, fid, dir_name = min(revisit)
+        else:
+            return None
+        self._picks[fid] = self._picks.get(fid, 0) + 1
+        self._analyzed.add(fid)
+        return Pick(function_id=fid, direction_name=dir_name, priority=priority)
+
+
+_NAIVE_PRIORITY = {(True, False): 1, (True, True): 2, (False, False): 3, (False, True): 4}
+
+
+# ---------------------------------------------------------------------------
+# Linear duplicate search (oracle for the per-function dedup index)
+# ---------------------------------------------------------------------------
+
+
+def naive_jaccard(a, b):
+    ta = set(re.findall(r"[a-z0-9_]+", a.lower()))
+    tb = set(re.findall(r"[a-z0-9_]+", b.lower()))
+    if not ta and not tb:
+        return 1.0
+    return len(ta & tb) / len(ta | tb)
+
+
+def naive_duplicate_of(points, candidate, judge, threshold):
+    """Id of the first point, in the given order, that the candidate
+    duplicates, or None: same function and type, then the judge's answer,
+    or the Jaccard threshold when there is no judge or it abstains."""
+    for existing in points:
+        if (existing.function_id, existing.vuln_type) != (candidate.function_id, candidate.vuln_type):
+            continue
+        answer = judge(candidate, existing) if judge is not None else None
+        if answer is None:
+            answer = naive_jaccard(candidate.description, existing.description) >= threshold
+        if answer:
+            return existing.id
+    return None

@@ -258,3 +258,21 @@ def test_resolve_by_unique_name():
     graph = e2e_graph()
     assert graph.resolve("img_decompress").id == "img_decompress"
     assert graph.resolve("missing") is None
+
+
+def test_resolve_prefers_id_then_unique_name():
+    def named(fid, name):
+        return {"id": fid, "name": name, "file": "r.c", "source": f"void {name}(void) {{}}",
+                "callees": [], "reached_by_fuzzers": [], "is_entry_for": []}
+
+    graph = helpers.graph_from_records([
+        named("a.c:init", "init"),
+        named("b.c:init", "init"),
+        named("a.c:parse", "parse"),
+        named("parse", "b.c:init"),
+    ])
+    assert graph.resolve("init") is None  # ambiguous name
+    assert graph.resolve("a.c:init").id == "a.c:init"
+    assert graph.resolve("b.c:init").id == "b.c:init"  # the id wins over a name
+    assert graph.resolve("parse").id == "parse"
+    assert graph.resolve("a.c:parse").id == "a.c:parse"

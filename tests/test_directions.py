@@ -1,9 +1,14 @@
 """Direction registration and the priority-matrix function scheduler."""
 from __future__ import annotations
 
+import random
 import threading
 
 import helpers
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vulnhunt.directions as directions
 from vulnhunt.directions import (
     DirectionScheduler,
     Direction,
@@ -255,4 +260,112 @@ def test_shared_analyzed_set_is_thread_safe():
     for t in threads:
         t.join()
     assert sorted(wins) == sorted({f"fn{i}" for i in range(50)})
-    assert len(analyzed.snapshot()) == 50
+    assert all(f"fn{i}" in analyzed for i in range(50))
+    assert "fn50" not in analyzed
+
+
+# ---------------------------------------------------------------------------
+# Heap scheduler against the naive rescan
+# ---------------------------------------------------------------------------
+
+
+def random_directions(rng, ids):
+    """Up to three directions; some duplicate a name, name an unknown
+    function or carry an invalid risk level, so registration rejects them."""
+    out = []
+    for _ in range(rng.randint(0, 3)):
+        entries = rng.sample(ids, min(len(ids), rng.randint(0, 2)))
+        if rng.random() < 0.2:
+            entries.append("ghost_fn")
+        out.append(Direction(
+            name=f"d{rng.randint(0, 2)}",
+            entry_functions=entries,
+            core_functions=rng.sample(ids, min(len(ids), rng.randint(0, 4))),
+            risk_level=rng.choice(("high", "medium", "low", "extreme")),
+            risk_reason="random"))
+    return out
+
+
+def interleaved_drain(cls, graph, fuzzer, dirs, registered_first, max_revisits, seed):
+    """Drain ``cls`` while another worker marks random functions analyzed
+    between picks; the directions past ``registered_first`` join after the
+    third pick."""
+    rng = random.Random(seed)
+    analyzed = GlobalAnalyzedSet()
+    sched = cls(graph, fuzzer, analyzed, max_revisits=max_revisits)
+    for d in dirs[:registered_first]:
+        sched.register_direction(d)
+    ids = sorted(graph.functions)
+    out = []
+    while True:
+        if rng.random() < 0.3:
+            analyzed.add(rng.choice(ids))
+        if len(out) == 3:
+            out.extend(sched.register_direction(d).accepted for d in dirs[registered_first:])
+        pick = sched.next_function()
+        if pick is None:
+            return out
+        out.append(pick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       max_revisits=st.integers(min_value=0, max_value=2),
+       split=st.floats(min_value=0.0, max_value=1.0))
+def test_heap_scheduler_matches_naive_oracle(seed, max_revisits, split):
+    rng = random.Random(seed)
+    records, fuzzers = helpers.random_graph_records(rng, max_nodes=40)
+    graph = helpers.graph_from_records(records)
+    dirs = random_directions(rng, [r["id"] for r in records])
+    first = round(split * len(dirs))
+    got = interleaved_drain(DirectionScheduler, graph, fuzzers[0], dirs, first, max_revisits, seed)
+    want = interleaved_drain(helpers.NaiveScheduler, graph, fuzzers[0], dirs, first, max_revisits, seed)
+    assert got == want
+
+
+class CountingAnalyzedSet(GlobalAnalyzedSet):
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def __contains__(self, function_id):
+        self.checks += 1
+        return super().__contains__(function_id)
+
+
+def drain_work(cls, monkeypatch):
+    """Membership checks plus heap pushes over a full drain of a 400-function
+    chain with five directions of 12 core functions, and its pool entries."""
+    n = 400
+    records = [rec(f"f{i:03d}", [f"f{i + 1:03d}"] if i + 1 < n else [], entry=i == 0)
+               for i in range(n)]
+    graph = helpers.graph_from_records(records)
+    rng = random.Random(4)
+    analyzed = CountingAnalyzedSet()
+    sched = cls(graph, FZ, analyzed, max_revisits=1)
+    entries = 0
+    for k in range(5):
+        core = rng.sample(sorted(graph.functions), 12)
+        assert sched.register_direction(Direction(
+            name=f"dir{k}", entry_functions=["f000"], core_functions=core,
+            risk_level="high", risk_reason="r")).accepted
+        entries += n
+    pushes = []
+    push = directions.heappush
+
+    def counting_push(heap, item):
+        pushes.append(item)
+        push(heap, item)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(directions, "heappush", counting_push)
+        assert len(drain(sched)) == 2 * n
+    return analyzed.checks + len(pushes), entries
+
+
+def test_drain_work_is_linear_in_pool_entries(monkeypatch):
+    work, entries = drain_work(DirectionScheduler, monkeypatch)
+    assert work <= 4 * entries
+    # The same guard catches a scheduler that rescans every pool per pick.
+    naive_work, _ = drain_work(helpers.NaiveScheduler, monkeypatch)
+    assert naive_work > 100 * entries

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import fixture_data as fd
+import vulnhunt.pipeline as pipeline
 from conftest import Workspace
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.config import Config
@@ -240,6 +242,26 @@ class TestBudgets:
         result = run_scan(e2e_workspace.config(budget_dollars=0.0))
         assert [t.state for t in result.tasks] == ["timeout"] * 3
         assert all(t.metrics.tokens == 0 for t in result.tasks)
+
+    def test_final_drain_stops_within_one_slice(self, magic_workspace, monkeypatch):
+        """The worker's clock advances one second per target run, so the
+        budget runs out during the final global fuzz drain."""
+        runs = [0]
+        run = SimTargetRunner.run
+
+        def counting(self, blob):
+            runs[0] += 1
+            return run(self, blob)
+
+        monkeypatch.setattr(SimTargetRunner, "run", counting)
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: float(runs[0])))
+        config = magic_workspace.config(
+            scenario_path="", global_fuzz_iterations=3000, budget_minutes=20.0
+        )
+        (task,) = run_scan(config).tasks
+        assert task.state == "timeout"
+        assert config.budget_seconds <= runs[0] <= config.budget_seconds + config.fuzz_slice
+        assert task.metrics.executions == runs[0]
 
     def test_dollar_defaults_convert_exactly(self):
         # Independent oracle in exact arithmetic: dollars / (price per token).

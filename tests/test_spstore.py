@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
+import time
 
 import pytest
+import helpers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,8 @@ from vulnhunt.errors import (
     ValidationError,
 )
 from vulnhunt.spstore import (
+    DEFAULT_SIMILARITY_THRESHOLD,
+    DedupOutcome,
     SPStore,
     description_similarity,
     is_sanitizer_compatible,
@@ -269,6 +274,159 @@ def test_dedup_order_independence_property(seed):
     order = list(range(len(specs)))
     rng.shuffle(order)
     assert canonical(run_order(specs, order)) == canonical(run_order(specs, list(range(len(specs)))))
+
+
+# ---------------------------------------------------------------------------
+# Indexed dedup against a linear scan over every point
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       judged=st.sampled_from(["none", "random", "abstains"]))
+def test_indexed_dedup_matches_linear_scan(seed, judged):
+    rng = random.Random(seed)
+    store_calls, oracle_calls = [], []
+
+    def judge_for(calls):
+        def judge(candidate, existing):
+            calls.append((candidate.id, existing.id))
+            if judged == "abstains":
+                return None
+            answer = random.Random(f"{seed}|{candidate.id}|{existing.id}").random()
+            return None if answer < 0.5 else answer < 0.6
+        return None if judged == "none" else judge
+
+    s = store(duplicate_judge=judge_for(store_calls))
+    oracle_judge = judge_for(oracle_calls)
+    words = ["memcpy()", "length", "bound", "header", "copies", "table", "free()", "twice"]
+    for _ in range(rng.randint(1, 40)):
+        cand = make(s, function=rng.choice(sorted(FUNCS)),
+                    vuln_type=rng.choice(("heap-buffer-overflow", "double-free")),
+                    description=" ".join(rng.sample(words, rng.randint(2, 5))),
+                    score=rng.choice((0.4, 0.7, 0.9)))
+        if rng.random() < 0.1:
+            s.create_sp(cand.function_id, SRC, cand.description, cand.vuln_type, cand.score)
+            continue
+        want = helpers.naive_duplicate_of(
+            s.all(), cand, oracle_judge, DEFAULT_SIMILARITY_THRESHOLD)
+        out = s.deduplicate(cand)
+        assert out.merged == (want is not None)
+        assert out.sp_id == (want if want is not None else cand.id)
+        assert store_calls == oracle_calls
+    for function_id in FUNCS:
+        assert s.for_function(function_id) == [sp for sp in s.all() if sp.function_id == function_id]
+
+
+# ---------------------------------------------------------------------------
+# A slow duplicate judge holds no lock
+# ---------------------------------------------------------------------------
+
+
+def start_blocked_dedup(s, candidate, entered):
+    """Deduplicate ``candidate`` on a thread; returns the thread and its
+    outcome list once the judge has been entered."""
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(s.deduplicate(candidate)))
+    worker.start()
+    assert entered.wait(timeout=10)
+    return worker, outcome
+
+
+def test_other_callers_proceed_while_the_judge_is_blocked():
+    entered, release = threading.Event(), threading.Event()
+
+    def judge(candidate, existing):
+        entered.set()
+        release.wait(timeout=10)
+        return False
+
+    s = store(duplicate_judge=judge)
+    first = s.create_sp("parse", SRC, "memcpy() length is unchecked", "heap-buffer-overflow", 0.5)
+    worker, _ = start_blocked_dedup(s, make(s), entered)
+    other_done = threading.Event()
+
+    def other():
+        s.get(first)
+        s.create_sp("decode", SRC, "free() is reached twice", "double-free", 0.5)
+        other_done.set()
+
+    threading.Thread(target=other, daemon=True).start()
+    try:
+        assert other_done.wait(timeout=5), "get/create_sp waited for the judge"
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert len(s.all()) == 3
+
+
+def test_point_inserted_during_a_blocked_judge_is_compared_before_insert():
+    entered, release = threading.Event(), threading.Event()
+    ids = {}
+
+    def judge(candidate, existing):
+        if candidate.id != ids.get("cand"):
+            return False
+        if existing.id == ids["p1"]:
+            entered.set()
+            release.wait(timeout=10)
+            return False  # distinct from P1
+        return True  # a duplicate of anything else
+
+    s = store(duplicate_judge=judge)
+    ids["p1"] = s.create_sp("parse", SRC, "memcpy() length is unchecked", "heap-buffer-overflow", 0.5)
+    cand = make(s, description="the header copy calls memcpy() with a raw length")
+    ids["cand"] = cand.id
+    worker, outcome = start_blocked_dedup(s, cand, entered)
+    p2 = make(s, description="strcpy() into the fixed name buffer")
+    inserter = threading.Thread(target=s.deduplicate, args=(p2,), daemon=True)
+    inserter.start()
+    inserter.join(timeout=5)
+    release.set()
+    worker.join(timeout=10)
+    inserter.join(timeout=10)
+    assert not worker.is_alive() and not inserter.is_alive()
+    assert outcome == [DedupOutcome(sp_id=p2.id, merged=True)]
+    assert [sp.id for sp in s.all()] == [ids["p1"], p2.id]
+
+
+def test_concurrent_identical_candidates_leave_one_point_each():
+    """Eight threads race a copy of each of 40 distinct candidates, in the
+    same order, through a judge that yields the interpreter: a point inserted
+    without comparing the points that joined meanwhile would leave two
+    copies of one candidate."""
+    texts = [f"memcpy() copies family{k} alpha{k} beta{k}" for k in range(40)]
+
+    def judge(candidate, existing):
+        time.sleep(0)  # let another thread in mid-comparison
+        return None
+
+    s = store(duplicate_judge=judge)
+    errors = []
+
+    def race(worker):
+        try:
+            for text in texts:
+                s.deduplicate(make(s, description=text, source=(f"fz{worker}", "address")))
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=race, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(sp.description for sp in s.all()) == sorted(texts)
+    assert all(sp.sources == {(f"fz{w}", "address") for w in range(8)} for sp in s.all())
+    assert s.counts()["sp_total"] == 8 * len(texts)
 
 
 # ---------------------------------------------------------------------------
