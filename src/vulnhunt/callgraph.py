@@ -63,6 +63,10 @@ class FunctionRecord:
     is_entry_for: list[str] = field(default_factory=list)
     call_depth: dict[str, int] = field(default_factory=dict)
     is_external: bool = False
+    # The source's literal tokens, scraped by the fuzzing seeders the first
+    # time they need them and kept for the record's life (a subgraph's
+    # copies start without them).
+    literal_tokens: list[bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass

@@ -12,6 +12,16 @@ Loops are resumable objects pumped in deterministic slices: given the same
 rng seed, corpus history, and target, the execution stream is identical
 run-to-run, which is what lets end-to-end tests pin exact iteration counts.
 
+Each iteration picks a parent seed with probability proportional to its
+energy, written out the way CPython 3.10 to 3.12 computes
+``random.choices(range(n), weights=energies, k=1)``:
+``bisect(list(accumulate(energies)), random() * total, 0, n - 1)``.  That is
+the same single ``random()`` call landing on the same index, without the
+general path's argument checks and its one-element list, so the stream is
+the one ``random.choices`` gives.  The total needs no float conversion:
+energies are already floats, ``HOT_ENERGY`` halved down to ``MIN_ENERGY``,
+and their sums are exact.
+
 Reproduction implements the operational crash contract: an input proves a
 location vulnerable only if every one of N runs crashes at the same location
 with the same vulnerability type (default quorum 10).
@@ -20,9 +30,11 @@ with the same vulnerability type (default quorum 10).
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .corpus import Corpus, Seed
+from .corpus import Corpus
 from .mutate import Mutator
 from .target import ExecutionResult, TargetRunner
 
@@ -72,14 +84,6 @@ class FuzzLoop:
     def budget_left(self) -> int:
         return max(0, self.iteration_budget - self.iterations_done)
 
-    def _pick_seed(self) -> Seed:
-        seeds = self.corpus.seeds
-        weights = [seed.energy for seed in seeds]
-        choice = self.rng.choices(range(len(seeds)), weights=weights, k=1)[0]
-        seed = seeds[choice]
-        self.corpus.cool(seed)
-        return seed
-
     def run(self, iterations: int) -> list[CrashFinding]:
         """Pump the loop for up to ``iterations`` (bounded by the budget).
 
@@ -87,33 +91,29 @@ class FuzzLoop:
         inputs with novel coverage do, resetting their parent seed to hot.
         """
         crashes: list[CrashFinding] = []
-        if not self.corpus.seeds:
+        corpus, stats, rng = self.corpus, self.stats, self.rng
+        if not corpus.seeds:
             # A cold start still needs something to mutate.
             result = self.runner.run(b"")
-            self.stats.executions += 1
-            self.corpus.add(b"", result.coverage, origin="empty")
-        steps = min(iterations, self.budget_left)
-        for _ in range(steps):
+            stats.executions += 1
+            corpus.add(b"", result.coverage, origin="empty")
+        seeds, blobs = corpus.seeds, corpus.blobs
+        draw, mutate, execute = rng.random, self.mutator.mutate, self.runner.run
+        for _ in range(min(iterations, self.budget_left)):
             self.iterations_done += 1
-            parent = self._pick_seed()
-            blob = self.mutator.mutate(parent.blob, self.rng, self.corpus.blobs)
-            result = self.runner.run(blob)
-            self.stats.executions += 1
+            cum = list(accumulate([seed.energy for seed in seeds]))
+            parent = seeds[bisect(cum, draw() * cum[-1], 0, len(cum) - 1)]
+            corpus.cool(parent)
+            blob = mutate(parent.blob, rng, blobs)
+            result = execute(blob)
+            stats.executions += 1
             if result.outcome == "crash":
-                self.stats.crashes += 1
-                crashes.append(
-                    CrashFinding(
-                        blob=blob,
-                        result=result,
-                        origin=self.origin,
-                        iteration=self.iterations_done,
-                    )
-                )
-                continue
-            if not self.corpus.has_coverage(result.coverage):
-                self.corpus.add(blob, result.coverage, origin=self.origin)
-                self.corpus.heat(parent)
-                self.stats.corpus_adds += 1
+                stats.crashes += 1
+                crashes.append(CrashFinding(blob, result, self.origin, self.iterations_done))
+            elif not corpus.has_coverage(result.coverage):
+                corpus.add(blob, result.coverage, origin=self.origin)
+                corpus.heat(parent)
+                stats.corpus_adds += 1
         return crashes
 
 

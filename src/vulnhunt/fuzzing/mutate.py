@@ -5,6 +5,12 @@ byte set, insert, delete, block duplicate, splice with another corpus blob,
 or dictionary token insert.  Results always stay within [0, max_len] bytes.
 Degenerate inputs are handled without fuss (mutating an empty blob with a
 shrinking operator yields an empty blob).
+
+The operator is drawn with ``rng.choice`` over a table of the operator
+methods built once per Mutator in ``OPERATORS`` order.  ``choice`` draws only
+an index below the sequence's length, so choosing from the table consumes
+the same random numbers, and picks the same operator, as choosing its name
+from ``OPERATORS`` and looking the method up would.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ class Mutator:
     def __init__(self, max_len: int = DEFAULT_MAX_LEN, dictionary: Sequence[bytes] = ()):
         self.max_len = max_len
         self.dictionary: list[bytes] = [tok for tok in dictionary if tok]
+        # Unbound, so the table holds no reference back to the instance.
+        self._ops = tuple(getattr(type(self), f"_{op}") for op in OPERATORS)
 
     def add_token(self, token: bytes) -> None:
         if token and token not in self.dictionary:
@@ -42,9 +50,7 @@ class Mutator:
         rng: random.Random,
         corpus_blobs: Sequence[bytes] = (),
     ) -> bytes:
-        op = rng.choice(OPERATORS)
-        out = getattr(self, f"_{op}")(blob, rng, corpus_blobs)
-        return out[: self.max_len]
+        return rng.choice(self._ops)(self, blob, rng, corpus_blobs)[: self.max_len]
 
     # ----- operators -----
 

@@ -110,7 +110,9 @@ def _seeds_from_functions(function_ids: list[str], subgraph: CallGraph) -> tuple
         rec = subgraph.functions.get(fid)
         if rec is None:
             continue
-        for token in extract_literal_tokens(rec.source_text):
+        if rec.literal_tokens is None:
+            rec.literal_tokens = extract_literal_tokens(rec.source_text)
+        for token in rec.literal_tokens:
             if token not in tokens:
                 tokens.append(token)
     seeds = list(tokens)

@@ -331,25 +331,7 @@ def execute(
     Raises:
         OversizeBlobError: blob larger than the limit.
     """
-    if len(blob) > limits.max_blob:
-        raise OversizeBlobError(f"blob of {len(blob)} bytes exceeds limit {limits.max_blob}")
-    trace: list[str] = []
-    crash: CrashSpec | None = None
-    for rule in target.rules:
-        if not rule.test(blob):
-            continue
-        trace.extend(rule.enter)
-        if rule.crash is not None and (sanitizer is None or rule.crash.sanitizer == sanitizer):
-            crash = rule.crash
-            break
-    return ExecutionResult(
-        outcome="crash" if crash is not None else "ok",
-        coverage=frozenset(trace),
-        trace=tuple(trace),
-        target_name=target.name,
-        size=len(blob),
-        crash=crash,
-    )
+    return SimTargetRunner(target, sanitizer, limits).run(blob)
 
 
 class TargetRunner:
@@ -365,6 +347,13 @@ class TargetRunner:
 
 
 class SimTargetRunner(TargetRunner):
+    """A SimTarget bound to one sanitizer: the one rule interpreter.
+
+    The rules are resolved once, here, into steps of (guard test, entered
+    functions, the crash the rule raises under this sanitizer or None), so
+    an execution neither re-checks sanitizers nor copies ``enter`` lists.
+    """
+
     def __init__(
         self,
         target: SimTarget,
@@ -374,6 +363,29 @@ class SimTargetRunner(TargetRunner):
         self.target = target
         self.sanitizer = sanitizer
         self.limits = limits
+        self._steps = tuple(
+            (
+                rule.test,
+                tuple(rule.enter),
+                rule.crash
+                if rule.crash is not None and (sanitizer is None or rule.crash.sanitizer == sanitizer)
+                else None,
+            )
+            for rule in target.rules
+        )
 
     def run(self, blob: bytes) -> ExecutionResult:
-        return execute(self.target, blob, self.limits, self.sanitizer)
+        """Walk the rules in order; the first one that matches and fires
+        under this sanitizer ends the run with its crash."""
+        size = len(blob)
+        if size > self.limits.max_blob:
+            raise OversizeBlobError(f"blob of {size} bytes exceeds limit {self.limits.max_blob}")
+        trace: list[str] = []
+        for test, enter, crash in self._steps:
+            if test(blob):
+                trace += enter
+                if crash is not None:
+                    return ExecutionResult(
+                        "crash", frozenset(trace), tuple(trace), self.target.name, size, crash
+                    )
+        return ExecutionResult("ok", frozenset(trace), tuple(trace), self.target.name, size)

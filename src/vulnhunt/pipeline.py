@@ -67,6 +67,10 @@ from .store import FileStore, MemoryStore, StoreBackend
 log = logging.getLogger("vulnhunt.pipeline")
 
 FAILURE_HINT_CHARS = 2000
+# Coverage queries compare fuzzers over the whole program, so they see the
+# full graph; every other code query reads only what the worker's fuzzer
+# reaches.
+WHOLE_GRAPH_QUERIES = frozenset({"get_reachable_functions", "get_unreached_functions"})
 
 
 @dataclass
@@ -258,12 +262,17 @@ class Worker:
     def _code_tool_factories(self) -> dict:
         factories = {}
         for kind in QUERY_KINDS:
-            def make(kind=kind):
+            if kind in WHOLE_GRAPH_QUERIES:
+                graph, scope = self.graph, "full call graph"
+            else:
+                graph, scope = self.subgraph, "reachable subgraph"
+
+            def make(kind=kind, graph=graph, scope=scope):
                 def fn(**args):
-                    return query(self.subgraph, kind, args)
+                    return query(graph, kind, args)
 
                 fn.__name__ = kind
-                fn.__doc__ = f"Read-only code query '{kind}' over the reachable subgraph."
+                fn.__doc__ = f"Read-only code query '{kind}' over the {scope}."
                 return fn
 
             factories[kind] = make

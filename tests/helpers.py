@@ -12,6 +12,9 @@ import re
 
 from vulnhunt.callgraph import load_call_graph
 from vulnhunt.directions import DirectionScheduler, Pick
+from vulnhunt.errors import OversizeBlobError
+from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
+from vulnhunt.fuzzing.target import ExecLimits, ExecutionResult
 
 
 def export_lines(records):
@@ -148,6 +151,50 @@ def naive_eval_predicate(node, blob):
     if kind == "not":
         return not naive_eval_predicate(node["term"], blob)
     raise ValueError(f"unknown predicate kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz hot-path oracles (for the seed draw, the operator table and the rule
+# steps)
+# ---------------------------------------------------------------------------
+
+
+def naive_pick_index(rng, energies):
+    """Energy-weighted parent index, drawn through ``random.choices``."""
+    return rng.choices(range(len(energies)), weights=energies, k=1)[0]
+
+
+class NaiveMutator(Mutator):
+    """Looks each drawn operator up by name on every call."""
+
+    def mutate(self, blob, rng, corpus_blobs=()):
+        op = rng.choice(OPERATORS)
+        out = getattr(self, f"_{op}")(blob, rng, corpus_blobs)
+        return out[: self.max_len]
+
+
+def naive_execute(target, blob, limits=ExecLimits(), sanitizer=None):
+    """Walk the target's rules, checking each crash's sanitizer as it fires,
+    and build the result by keyword."""
+    if len(blob) > limits.max_blob:
+        raise OversizeBlobError(f"blob of {len(blob)} bytes exceeds limit {limits.max_blob}")
+    trace = []
+    crash = None
+    for rule in target.rules:
+        if not naive_eval_predicate(rule.guard, blob):
+            continue
+        trace.extend(rule.enter)
+        if rule.crash is not None and (sanitizer is None or rule.crash.sanitizer == sanitizer):
+            crash = rule.crash
+            break
+    return ExecutionResult(
+        outcome="crash" if crash is not None else "ok",
+        coverage=frozenset(trace),
+        trace=tuple(trace),
+        target_name=target.name,
+        size=len(blob),
+        crash=crash,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from vulnhunt.fuzzing.seeds import (
 )
 from vulnhunt.fuzzing.target import (
     ExecLimits,
+    ExecutionResult,
     SimTargetRunner,
     compile_predicate,
     execute,
@@ -446,6 +447,22 @@ def test_seed_from_direction_agent_blobs_replace_seeds():
     assert b"IMGX" in tokens                 # dictionary still scraped
 
 
+def test_literals_scraped_once_per_function(monkeypatch):
+    import vulnhunt.fuzzing.seeds as seeds_mod
+    scraped = []
+    scrape = seeds_mod.extract_literal_tokens
+    monkeypatch.setattr(seeds_mod, "extract_literal_tokens",
+                        lambda source: scraped.append(source) or scrape(source))
+    graph = helpers.graph_from_records(fd.E2E_EXPORT_RECORDS)
+    sub = reachable_subgraph(graph, "img_fuzzer")
+    first = seed_from_direction(img_direction(), sub)
+    assert seed_from_direction(img_direction(), sub) == first
+    assert len(scraped) == len(set(scraped)) == 5
+    # A fresh subgraph copy scrapes again; the cache lives with the records.
+    seed_from_direction(img_direction(), reachable_subgraph(graph, "img_fuzzer"))
+    assert len(scraped) == 10
+
+
 def test_seed_from_fp_requires_fp_verdict():
     graph = helpers.graph_from_records(fd.E2E_EXPORT_RECORDS)
     sub = reachable_subgraph(graph, "meta_fuzzer")
@@ -558,3 +575,132 @@ def test_sp_background_loop_seeds_from_failed_attempts():
     loop.run(100)
     assert loop.iterations_done == 100
     assert loop.stats.executions == 102
+
+
+# ---------------------------------------------------------------------------
+# Hot-path oracles: the in-place seed draw, the operator table and the rule
+# steps against random.choices, getattr dispatch and a naive rule walk
+# ---------------------------------------------------------------------------
+
+# Energies a seed can hold: HOT_ENERGY halved down to the floor of 1.
+_ENERGIES = st.lists(st.sampled_from([4.0, 2.0, 1.0]), min_size=1, max_size=40)
+_RNG_SEEDS = st.integers(0, 2**32 - 1)
+_SANITIZERS = st.sampled_from([None, "address", "undefined"])
+
+
+class _Echo:
+    """Mutator and runner in one: records each parent and runs it unchanged,
+    with that seed's own coverage, so the corpus never grows."""
+
+    def __init__(self):
+        self.parents = []
+
+    def mutate(self, blob, rng, corpus_blobs):
+        self.parents.append(int(blob))
+        return blob
+
+    def run(self, blob):
+        return ExecutionResult("ok", frozenset({blob.decode()}), (), "echo", len(blob))
+
+
+@settings(max_examples=200, deadline=None)
+@given(energies=_ENERGIES, seed=_RNG_SEEDS, steps=st.integers(1, 30))
+def test_seed_draw_matches_random_choices(energies, seed, steps):
+    corpus = Corpus()
+    for i, energy in enumerate(energies):
+        corpus.add(b"%d" % i, frozenset({str(i)}), origin="seed").energy = energy
+    echo = _Echo()
+    loop = FuzzLoop(echo, corpus, echo, random.Random(seed), "global", steps)
+    loop.run(steps)
+
+    rng, weights, picks = random.Random(seed), list(energies), []
+    for _ in range(steps):
+        i = helpers.naive_pick_index(rng, weights)
+        picks.append(i)
+        weights[i] = max(1.0, weights[i] / 2.0)
+    assert echo.parents == picks
+    assert [s.energy for s in corpus.seeds] == weights
+    assert loop.rng.getstate() == rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.binary(max_size=48), corpus=st.lists(st.binary(max_size=16), max_size=5),
+       dictionary=st.lists(st.binary(max_size=6), max_size=3), seed=_RNG_SEEDS,
+       max_len=st.integers(1, 64))
+def test_operator_table_matches_getattr_dispatch(blob, corpus, dictionary, seed, max_len):
+    fast = Mutator(max_len=max_len, dictionary=dictionary)
+    naive = helpers.NaiveMutator(max_len=max_len, dictionary=dictionary)
+    rng_fast, rng_naive = random.Random(seed), random.Random(seed)
+    a = b = blob
+    for _ in range(20):
+        a = fast.mutate(a, rng_fast, corpus)
+        b = naive.mutate(b, rng_naive, corpus)
+        assert a == b
+    assert rng_fast.getstate() == rng_naive.getstate()
+
+
+def _all_targets():
+    return [parse_target(obj) for obj in fd.E2E_TARGET_OBJECTS + [fd.MAGIC_TARGET]]
+
+
+def _guard_atoms(node):
+    """Byte strings that can satisfy a guard's leaves."""
+    if node["kind"] in ("prefix", "contains"):
+        yield bytes.fromhex(node["hex"]) if "hex" in node else node["text"].encode()
+    elif node["kind"] == "u32-le-field-cmp":
+        yield node["value"].to_bytes(4, "little")
+    elif node["kind"] == "offset-equals":
+        yield bytes([node["value"]])
+    for child in node.get("terms", []) + ([node["term"]] if "term" in node else []):
+        yield from _guard_atoms(child)
+
+
+_ATOMS = sorted({atom for target in _all_targets() for rule in target.rules
+                 for atom in _guard_atoms(rule.guard)})
+_RULE_BLOBS = st.lists(st.one_of(st.sampled_from(_ATOMS), st.binary(max_size=8)),
+                       max_size=8).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_RULE_BLOBS, sanitizer=_SANITIZERS)
+def test_rule_steps_match_naive_execute(blob, sanitizer):
+    for target in _all_targets():
+        want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
+        for got in (SimTargetRunner(target, sanitizer).run(blob),
+                    execute(target, blob, sanitizer=sanitizer)):
+            assert got == want
+            assert got.output == want.output
+
+
+def _naive_fuzz(runner_target, sanitizer, dictionary, seed, iterations):
+    """The fuzz loop spelled out with the three oracles."""
+    rng, mutator = random.Random(seed), helpers.NaiveMutator(dictionary=dictionary)
+    corpus, crashes = Corpus(), []
+    corpus.add(b"", helpers.naive_execute(runner_target, b"", sanitizer=sanitizer).coverage,
+               origin="empty")
+    for iteration in range(1, iterations + 1):
+        i = helpers.naive_pick_index(rng, [s.energy for s in corpus.seeds])
+        parent = corpus.seeds[i]
+        parent.energy = max(1.0, parent.energy / 2.0)
+        blob = mutator.mutate(parent.blob, rng, corpus.blobs)
+        result = helpers.naive_execute(runner_target, blob, sanitizer=sanitizer)
+        if result.outcome == "crash":
+            crashes.append((iteration, blob, result))
+        elif corpus.add(blob, result.coverage, origin="global") is not None:
+            parent.energy = 4.0
+    return crashes, corpus, rng
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=_RNG_SEEDS, sanitizer=_SANITIZERS,
+       target_obj=st.sampled_from([fd.IMG_TARGET, fd.MAGIC_TARGET]))
+def test_fuzz_loop_matches_naive_loop(seed, sanitizer, target_obj):
+    target = parse_target(target_obj)
+    dictionary = [b"IMGX", b"CMPR", fd.PALETTE_MAGIC.to_bytes(4, "little")]
+    crashes, loop = run_global_fuzzer(SimTargetRunner(target, sanitizer), Corpus(), 1500, seed,
+                                      Mutator(dictionary=dictionary))
+    want_crashes, want_corpus, want_rng = _naive_fuzz(target, sanitizer, dictionary, seed, 1500)
+    assert [(c.iteration, c.blob, c.result) for c in crashes] == want_crashes
+    assert [(s.blob, s.energy) for s in loop.corpus.seeds] == [
+        (s.blob, s.energy) for s in want_corpus.seeds]
+    assert loop.rng.getstate() == want_rng.getstate()

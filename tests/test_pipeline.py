@@ -11,8 +11,10 @@ import pytest
 import fixture_data as fd
 import vulnhunt.pipeline as pipeline
 from conftest import Workspace
+from helpers import naive_node_universe, naive_reachable
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.config import Config
+from vulnhunt.directions import GlobalAnalyzedSet
 from vulnhunt.errors import ConfigError, UnknownFuzzerError
 from vulnhunt.fuzzing import SimTargetRunner
 from vulnhunt.pipeline import (
@@ -200,6 +202,37 @@ def test_executions_count_every_target_run(magic_workspace, monkeypatch):
     result = run_scan(magic_workspace.config(scenario_path="", global_fuzz_iterations=300))
     assert blobs[0] == b""
     assert sum(t.metrics.executions for t in result.tasks) == len(blobs)
+
+
+# ===== agent code tools =====
+
+
+class TestCodeTools:
+    def _tools(self, ws: Workspace, fuzzer: str) -> dict:
+        graph = load_call_graph(ws.export_path)
+        config = ws.config()
+        task = next(t for t in plan_workers(graph, config) if t.fuzzer == fuzzer)
+        worker = pipeline.Worker(task, graph, config, None, GlobalAnalyzedSet(), None,
+                                 MemoryStore())
+        return {kind: make() for kind, make in worker._code_tool_factories().items()}
+
+    def test_unreached_functions_are_the_ones_the_fuzzer_misses(self, e2e_workspace):
+        tools = self._tools(e2e_workspace, "img_fuzzer")
+        records = fd.E2E_EXPORT_RECORDS
+        unreached = naive_node_universe(records) - naive_reachable(records, "img_fuzzer")
+        assert unreached
+        assert tools["get_unreached_functions"](fuzzer="img_fuzzer").splitlines() == sorted(unreached)
+
+    def test_reachable_functions_of_another_fuzzer(self, e2e_workspace):
+        tools = self._tools(e2e_workspace, "img_fuzzer")
+        reached = naive_reachable(fd.E2E_EXPORT_RECORDS, "net_fuzzer")
+        assert tools["get_reachable_functions"](fuzzer="net_fuzzer").splitlines() == sorted(reached)
+
+    def test_source_reads_stay_in_the_reachable_subgraph(self, e2e_workspace):
+        tools = self._tools(e2e_workspace, "img_fuzzer")
+        outside = sorted(naive_reachable(fd.E2E_EXPORT_RECORDS, "net_fuzzer")
+                         - naive_reachable(fd.E2E_EXPORT_RECORDS, "img_fuzzer"))
+        assert tools["get_function_source"](function=outside[0]).startswith("not found")
 
 
 # ===== delta mode =====
