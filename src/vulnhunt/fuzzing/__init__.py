@@ -9,7 +9,6 @@ from .engine import (
     VerifyOutcome,
     make_sp_background_loop,
     reproduce,
-    run_global_fuzzer,
     sp_fuzzer_verify,
 )
 from .mutate import Mutator, OPERATORS
@@ -24,7 +23,6 @@ from .target import (
     TargetRule,
     TargetRunner,
     compile_predicate,
-    execute,
     load_target,
     load_targets_dir,
     parse_target,
@@ -51,14 +49,12 @@ __all__ = [
     "VerifyOutcome",
     "compile_predicate",
     "coverage_fingerprint",
-    "execute",
     "extract_literal_tokens",
     "load_target",
     "load_targets_dir",
     "make_sp_background_loop",
     "parse_target",
     "reproduce",
-    "run_global_fuzzer",
     "seed_from_direction",
     "seed_from_fp",
     "sp_fuzzer_verify",

@@ -20,7 +20,12 @@ the same single ``random()`` call landing on the same index, without the
 general path's argument checks and its one-element list, so the stream is
 the one ``random.choices`` gives.  The total needs no float conversion:
 energies are already floats, ``HOT_ENERGY`` halved down to ``MIN_ENERGY``,
-and their sums are exact.
+and their sums are exact.  The accumulated list is rebuilt, the same way,
+only when an energy may have changed: at the start of each ``run`` slice
+(anything may write energies between slices), after a pick whose cooling
+lowered the parent's energy, and after an admission heats the parent.  Once
+every seed has cooled to the floor, picks stop changing energies, so most
+iterations reuse the list.
 
 Reproduction implements the operational crash contract: an input proves a
 location vulnerable only if every one of N runs crashes at the same location
@@ -89,21 +94,33 @@ class FuzzLoop:
 
         Crashing inputs are returned immediately and never enter the corpus;
         inputs with novel coverage do, resetting their parent seed to hot.
+        The one exception is a cold start: with an empty corpus the empty
+        blob runs first, a crash there is returned at iteration 0, and the
+        empty blob becomes the only parent either way, since the loop needs
+        something to mutate.
         """
         crashes: list[CrashFinding] = []
         corpus, stats, rng = self.corpus, self.stats, self.rng
         if not corpus.seeds:
-            # A cold start still needs something to mutate.
             result = self.runner.run(b"")
             stats.executions += 1
+            if result.outcome == "crash":
+                stats.crashes += 1
+                crashes.append(CrashFinding(b"", result, self.origin, 0))
             corpus.add(b"", result.coverage, origin="empty")
         seeds, blobs = corpus.seeds, corpus.blobs
         draw, mutate, execute = rng.random, self.mutator.mutate, self.runner.run
+        cum = None
         for _ in range(min(iterations, self.budget_left)):
             self.iterations_done += 1
-            cum = list(accumulate([seed.energy for seed in seeds]))
-            parent = seeds[bisect(cum, draw() * cum[-1], 0, len(cum) - 1)]
+            if cum is None:
+                cum = list(accumulate([seed.energy for seed in seeds]))
+                total, hi = cum[-1], len(cum) - 1
+            parent = seeds[bisect(cum, draw() * total, 0, hi)]
+            energy = parent.energy
             corpus.cool(parent)
+            if parent.energy != energy:
+                cum = None
             blob = mutate(parent.blob, rng, blobs)
             result = execute(blob)
             stats.executions += 1
@@ -114,6 +131,7 @@ class FuzzLoop:
                 corpus.add(blob, result.coverage, origin=self.origin)
                 corpus.heat(parent)
                 stats.corpus_adds += 1
+                cum = None
         return crashes
 
 
@@ -122,23 +140,15 @@ def run_global_fuzzer(
     corpus: Corpus,
     iteration_budget: int,
     rng_seed: int | str,
-    mutator: Mutator | None = None,
 ) -> tuple[list[CrashFinding], FuzzLoop]:
-    """Run the coverage-guided background fuzzer for a full budget.
+    """Run a global loop for its full budget in one slice.
 
-    An empty corpus is kicked off with the empty blob.  Returns all crash
-    findings plus the (exhausted) loop for stats inspection.
+    Returns all crash findings plus the exhausted loop.  Scans pump their
+    loops in slices instead; this one-shot form stays for the acceptance
+    check C08, which pins the crash iterations of a seeded run through it.
     """
-    loop = FuzzLoop(
-        runner=runner,
-        corpus=corpus,
-        mutator=mutator or Mutator(),
-        rng=random.Random(rng_seed),
-        origin="global",
-        iteration_budget=iteration_budget,
-    )
-    crashes = loop.run(iteration_budget)
-    return crashes, loop
+    loop = FuzzLoop(runner, corpus, Mutator(), random.Random(rng_seed), "global", iteration_budget)
+    return loop.run(iteration_budget), loop
 
 
 @dataclass

@@ -20,7 +20,6 @@ from vulnhunt.fuzzing.engine import (
     FuzzLoop,
     make_sp_background_loop,
     reproduce,
-    run_global_fuzzer,
     sp_fuzzer_verify,
 )
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
@@ -34,7 +33,6 @@ from vulnhunt.fuzzing.target import (
     ExecutionResult,
     SimTargetRunner,
     compile_predicate,
-    execute,
     load_targets_dir,
     parse_target,
     validate_predicate,
@@ -48,8 +46,17 @@ def img_target():
     return parse_target(fd.IMG_TARGET)
 
 
+def img_run(blob, sanitizer=None, limits=ExecLimits()):
+    return SimTargetRunner(img_target(), sanitizer, limits).run(blob)
+
+
 def magic_runner(sanitizer="address"):
     return SimTargetRunner(parse_target(fd.MAGIC_TARGET), sanitizer=sanitizer)
+
+
+def global_loop(runner, budget, seed, mutator=None):
+    """A global loop on a fresh corpus, as a worker builds one."""
+    return FuzzLoop(runner, Corpus(), mutator or Mutator(), random.Random(seed), "global", budget)
 
 
 def palette_blob(total_len: int) -> bytes:
@@ -202,7 +209,7 @@ def test_load_targets_dir_rejects_duplicate_fuzzer(tmp_path):
 
 
 def test_execute_ok_output_shape():
-    result = execute(img_target(), b"")
+    result = img_run(b"")
     assert result.outcome == "ok"
     assert result.coverage == frozenset({"img_fuzzer_entry"})
     assert result.output.splitlines() == [
@@ -213,7 +220,7 @@ def test_execute_ok_output_shape():
 
 
 def test_execute_crash_output_and_trace():
-    result = execute(img_target(), palette_blob(32))
+    result = img_run(palette_blob(32))
     assert result.outcome == "crash"
     assert result.crash.location == "img_apply_palette"
     assert result.crash.vuln_type == "heap-buffer-overflow"
@@ -226,7 +233,7 @@ def test_execute_crash_output_and_trace():
 
 def test_execute_trace_keeps_duplicate_enters():
     blob = b"IMGX\x00\x00\x00\x00CMPR" + b"B" * 12   # 24 bytes, CMPR at 8
-    result = execute(img_target(), blob)
+    result = img_run(blob)
     assert result.outcome == "crash"
     assert result.crash.location == "img_decompress"
     assert result.trace.count("img_decompress") == 2  # plain rule + crash rule
@@ -245,21 +252,21 @@ def test_output_text_of_crashing_and_sanitizer_filtered_runs():
         "enter img_parse_header",
     ]
     # The crash rule is entered but built for another sanitizer: no crash.
-    filtered = execute(img_target(), npd_blob, sanitizer="address")
+    filtered = img_run(npd_blob, "address")
     assert filtered.output == "\n".join(entered + ["exit ok"])
-    crashed = execute(img_target(), npd_blob, sanitizer="undefined")
+    crashed = img_run(npd_blob, "undefined")
     assert crashed.output == "\n".join(entered + [
         "== ERROR: undefined sanitizer: null-pointer-dereference in img_parse_header =="])
 
 
 def test_sanitizer_binding_controls_crash_visibility():
     npd_blob = b"IMGX\xff\x00\x00\x00"
-    addr = execute(img_target(), npd_blob, sanitizer="address")
+    addr = img_run(npd_blob, "address")
     assert addr.outcome == "ok"          # undefined-sanitizer bug is invisible
-    ubsan = execute(img_target(), npd_blob, sanitizer="undefined")
+    ubsan = img_run(npd_blob, "undefined")
     assert ubsan.outcome == "crash"
     assert ubsan.crash.location == "img_parse_header"
-    any_san = execute(img_target(), npd_blob)   # None detects everything
+    any_san = img_run(npd_blob)   # None detects everything
     assert any_san.outcome == "crash"
 
 
@@ -268,13 +275,13 @@ def test_non_firing_crash_rule_continues_execution():
     # address sanitizer a long palette blob must pass through untouched by
     # the undefined-only header rule and crash in the palette.
     blob = palette_blob(40)
-    result = execute(img_target(), blob, sanitizer="address")
+    result = img_run(blob, "address")
     assert result.crash.location == "img_apply_palette"
 
 
 def test_oversize_blob_rejected():
     with pytest.raises(OversizeBlobError):
-        execute(img_target(), b"x" * 9, ExecLimits(max_blob=8))
+        img_run(b"x" * 9, limits=ExecLimits(max_blob=8))
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +505,26 @@ def test_cold_start_and_budget_clamp():
     assert loop.iterations_done == 50
 
 
+def test_cold_start_crash_is_reported_at_iteration_zero():
+    target = parse_target({
+        "version": 1, "name": "boom_target", "fuzzer": "boom_fuzzer",
+        "rules": [{"guard": fd.ALWAYS, "enter": ["b_entry"],
+                   "crash": {"location": "b_entry", "vuln_type": "heap-buffer-overflow",
+                             "sanitizer": "address"}}],
+    })
+    loop = global_loop(SimTargetRunner(target, "address"), 3, 0)
+    crashes = loop.run(3)
+    assert [c.iteration for c in crashes] == [0, 1, 2, 3]
+    first = crashes[0]
+    assert (first.blob, first.origin, first.result.crash.location) == (b"", "global", "b_entry")
+    assert loop.stats.crashes == 4 and loop.stats.executions == 4
+    # The empty blob stays the only parent: the loop needs something to mutate.
+    assert [(s.blob, s.origin) for s in loop.corpus.seeds] == [(b"", "empty")]
+
+
 def test_crashes_are_returned_never_corpused():
-    corpus = Corpus()
-    crashes, loop = run_global_fuzzer(magic_runner(), corpus,
-                                      iteration_budget=3000, rng_seed=42)
+    loop = global_loop(magic_runner(), 3000, 42)
+    crashes, corpus = loop.run(3000), loop.corpus
     assert crashes, "seed 42 must find the single-byte magic crash"
     first = crashes[0]
     assert first.blob[0] == 0x7F
@@ -517,8 +540,8 @@ def test_crashes_are_returned_never_corpused():
 def test_fuzz_loop_determinism():
     runs = []
     for _ in range(2):
-        crashes, loop = run_global_fuzzer(magic_runner(), Corpus(),
-                                          iteration_budget=3000, rng_seed=42)
+        loop = global_loop(magic_runner(), 3000, 42)
+        crashes = loop.run(3000)
         runs.append((
             [(c.iteration, c.blob) for c in crashes],
             [s.fingerprint for s in loop.corpus.seeds],
@@ -666,29 +689,117 @@ _RULE_BLOBS = st.lists(st.one_of(st.sampled_from(_ATOMS), st.binary(max_size=8))
 def test_rule_steps_match_naive_execute(blob, sanitizer):
     for target in _all_targets():
         want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
-        for got in (SimTargetRunner(target, sanitizer).run(blob),
-                    execute(target, blob, sanitizer=sanitizer)):
+        runner = SimTargetRunner(target, sanitizer)
+        for got in (runner.run(blob), runner.run(blob)):
             assert got == want
             assert got.output == want.output
 
 
-def _naive_fuzz(runner_target, sanitizer, dictionary, seed, iterations):
-    """The fuzz loop spelled out with the three oracles."""
+_ATOM_BYTES = sorted({byte for atom in _ATOMS for byte in atom})
+_CMP_OPS = st.sampled_from(["lt", "le", "eq", "ne", "ge", "gt"])
+_LEAF_GUARDS = st.one_of(
+    st.builds(lambda atom: {"kind": "contains", "hex": atom.hex()}, st.sampled_from(_ATOMS)),
+    st.builds(lambda atom: {"kind": "prefix", "hex": atom.hex()}, st.sampled_from(_ATOMS)),
+    st.builds(lambda off, byte: {"kind": "offset-equals", "offset": off, "value": byte},
+              st.integers(0, 6), st.sampled_from(_ATOM_BYTES)),
+    st.builds(lambda op, n: {"kind": "length-cmp", "op": op, "value": n},
+              _CMP_OPS, st.integers(0, 24)),
+    st.builds(lambda off, op, atom: {"kind": "u32-le-field-cmp", "offset": off, "op": op,
+                                     "value": int.from_bytes(atom[:4], "little")},
+              st.integers(0, 8), _CMP_OPS, st.sampled_from(_ATOMS)),
+)
+_GUARDS = st.recursive(
+    _LEAF_GUARDS,
+    lambda inner: st.one_of(
+        st.builds(lambda terms: {"kind": "and", "terms": terms}, st.lists(inner, min_size=1,
+                                                                          max_size=3)),
+        st.builds(lambda terms: {"kind": "or", "terms": terms}, st.lists(inner, min_size=1,
+                                                                         max_size=3)),
+        st.builds(lambda term: {"kind": "not", "term": term}, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _rules(draw):
+    enter = draw(st.lists(st.sampled_from([f"f{i}" for i in range(12)]), max_size=3))
+    rule = {"guard": draw(_GUARDS), "enter": enter}
+    if enter and draw(st.integers(0, 3)) == 0:
+        rule["crash"] = {"location": draw(st.sampled_from(enter)),
+                         "vuln_type": draw(st.sampled_from(["heap-buffer-overflow",
+                                                            "use-after-free",
+                                                            "null-pointer-dereference"])),
+                         "sanitizer": draw(st.sampled_from(["address", "undefined", "memory"]))}
+    return rule
+
+
+def _naive_path(target, blob, sanitizer):
+    """Indices of the rules an execution passes through."""
+    matched = []
+    for i, rule in enumerate(target.rules):
+        if helpers.naive_eval_predicate(rule.guard, blob):
+            matched.append(i)
+            if rule.crash is not None and sanitizer in (None, rule.crash.sanitizer):
+                break
+    return tuple(matched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rules=st.integers(1, 80).flatmap(lambda n: st.lists(_rules(), min_size=n, max_size=n)),
+       blobs=st.lists(_RULE_BLOBS, min_size=1, max_size=6))
+def test_interned_paths_match_naive_execute(rules, blobs):
+    target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
+                           "rules": rules})
+    for sanitizer in ("address", "undefined", None):
+        runner, coverages = SimTargetRunner(target, sanitizer), {}
+        for blob in blobs:
+            want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
+            first, again = runner.run(blob), runner.run(blob)
+            for got in (first, again):
+                assert got == want
+                assert got.output == want.output
+            # One coverage object per path, however many executions take it.
+            shared = coverages.setdefault(_naive_path(target, blob, sanitizer), first.coverage)
+            assert first.coverage is shared and again.coverage is shared
+
+
+def _write_energy(corpus, index, energy):
+    """An outside energy write between slices: ``heat`` when ``energy`` is
+    None, else a direct assignment."""
+    seed = corpus.seeds[index % len(corpus.seeds)]
+    if energy is None:
+        corpus.heat(seed)
+    else:
+        seed.energy = energy
+
+
+def _naive_fuzz(runner_target, sanitizer, dictionary, seed, slices):
+    """The fuzz loop spelled out with the three oracles, run for each
+    ``(iterations, write)`` slice in turn; ``write`` is None or the
+    ``(index, energy)`` arguments of an ``_write_energy`` after the slice."""
     rng, mutator = random.Random(seed), helpers.NaiveMutator(dictionary=dictionary)
-    corpus, crashes = Corpus(), []
+    corpus, crashes, iteration = Corpus(), [], 0
     corpus.add(b"", helpers.naive_execute(runner_target, b"", sanitizer=sanitizer).coverage,
                origin="empty")
-    for iteration in range(1, iterations + 1):
-        i = helpers.naive_pick_index(rng, [s.energy for s in corpus.seeds])
-        parent = corpus.seeds[i]
-        parent.energy = max(1.0, parent.energy / 2.0)
-        blob = mutator.mutate(parent.blob, rng, corpus.blobs)
-        result = helpers.naive_execute(runner_target, blob, sanitizer=sanitizer)
-        if result.outcome == "crash":
-            crashes.append((iteration, blob, result))
-        elif corpus.add(blob, result.coverage, origin="global") is not None:
-            parent.energy = 4.0
+    for iterations, write in slices:
+        for _ in range(iterations):
+            iteration += 1
+            i = helpers.naive_pick_index(rng, [s.energy for s in corpus.seeds])
+            parent = corpus.seeds[i]
+            parent.energy = max(1.0, parent.energy / 2.0)
+            blob = mutator.mutate(parent.blob, rng, corpus.blobs)
+            result = helpers.naive_execute(runner_target, blob, sanitizer=sanitizer)
+            if result.outcome == "crash":
+                crashes.append((iteration, blob, result))
+            elif corpus.add(blob, result.coverage, origin="global") is not None:
+                parent.energy = 4.0
+        if write is not None:
+            _write_energy(corpus, *write)
     return crashes, corpus, rng
+
+
+_DICTIONARY = [b"IMGX", b"CMPR", fd.PALETTE_MAGIC.to_bytes(4, "little")]
 
 
 @settings(max_examples=8, deadline=None)
@@ -696,10 +807,38 @@ def _naive_fuzz(runner_target, sanitizer, dictionary, seed, iterations):
        target_obj=st.sampled_from([fd.IMG_TARGET, fd.MAGIC_TARGET]))
 def test_fuzz_loop_matches_naive_loop(seed, sanitizer, target_obj):
     target = parse_target(target_obj)
-    dictionary = [b"IMGX", b"CMPR", fd.PALETTE_MAGIC.to_bytes(4, "little")]
-    crashes, loop = run_global_fuzzer(SimTargetRunner(target, sanitizer), Corpus(), 1500, seed,
-                                      Mutator(dictionary=dictionary))
-    want_crashes, want_corpus, want_rng = _naive_fuzz(target, sanitizer, dictionary, seed, 1500)
+    loop = global_loop(SimTargetRunner(target, sanitizer), 1500, seed, Mutator(dictionary=_DICTIONARY))
+    crashes = loop.run(1500)
+    want_crashes, want_corpus, want_rng = _naive_fuzz(target, sanitizer, _DICTIONARY, seed,
+                                                      [(1500, None)])
+    assert [(c.iteration, c.blob, c.result) for c in crashes] == want_crashes
+    assert [(s.blob, s.energy) for s in loop.corpus.seeds] == [
+        (s.blob, s.energy) for s in want_corpus.seeds]
+    assert loop.rng.getstate() == want_rng.getstate()
+
+
+_WRITES = st.none() | st.tuples(st.integers(0, 2**16),
+                                st.none() | st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 7.25]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_RNG_SEEDS, sanitizer=_SANITIZERS,
+       target_obj=st.sampled_from([fd.IMG_TARGET, fd.MAGIC_TARGET]),
+       slices=st.lists(st.tuples(st.integers(1, 50), _WRITES), min_size=1, max_size=12))
+def test_weight_cache_across_slices_matches_naive_loop(seed, sanitizer, target_obj, slices):
+    """Slices pumped as a worker pumps them, with energies written between
+    them by ``heat`` or by assignment, draw what the naive loop draws."""
+    target = parse_target(target_obj)
+    budget = sum(n for n, _ in slices)
+    loop = global_loop(SimTargetRunner(target, sanitizer), budget, seed,
+                       Mutator(dictionary=_DICTIONARY))
+    crashes = []
+    for iterations, write in slices:
+        crashes += loop.run(iterations)
+        if write is not None:
+            _write_energy(loop.corpus, *write)
+    want_crashes, want_corpus, want_rng = _naive_fuzz(target, sanitizer, _DICTIONARY, seed,
+                                                      slices)
     assert [(c.iteration, c.blob, c.result) for c in crashes] == want_crashes
     assert [(s.blob, s.energy) for s in loop.corpus.seeds] == [
         (s.blob, s.energy) for s in want_corpus.seeds]
