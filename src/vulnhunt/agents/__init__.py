@@ -10,7 +10,7 @@ from .providers import (
     ScriptedProvider,
     load_scenario,
 )
-from .registry import Tool, ToolRegistry, make_registry
+from .registry import Tool, ToolRegistry
 from .prompts import PROMPT_VERSION, render_prompt
 from .types import (
     AgentSpec,
@@ -51,7 +51,6 @@ __all__ = [
     "compress_context",
     "estimate_tokens",
     "load_scenario",
-    "make_registry",
     "make_spec",
     "render_prompt",
     "run_agent",

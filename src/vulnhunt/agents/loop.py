@@ -62,9 +62,11 @@ def run_agent(
     """Run one agent to completion under its budgets.
 
     Args:
-        spec: role, tier, model chain, tool names, budgets.
+        spec: role, tier, model chain, budgets.
         seed_context: the initial user message.
-        registry: this instance's freshly built tool registry.
+        registry: this run's tool registry; its call counters enforce the
+            spec's tool-call limits, while its tools may be shared between
+            runs.
         pool: provider pool used for fallback dispatch.
         system_prompt: rendered system prompt for the role.
         run_id: stable id for scripted-run selection and logging.

@@ -1,11 +1,11 @@
-"""Per-agent tool registries with factory semantics.
+"""Per-agent-run tool registries.
 
-Each agent instance gets a freshly built registry so tool closures never
-share mutable state between concurrently running agents.  A registry knows
-exactly the tools named by the agent's spec; asking for anything else at
-construction time is an error.  Tool failures are captured and returned as
-error text results (the loop feeds them back to the model), never raised
-through the agent loop.
+Each agent run gets its own registry over a list of tools.  The tools may be
+shared between runs (a worker builds its read-only code tools once); the
+registry's per-tool call counters are not, so each run's tool-call limits
+start from zero.  Tool names are unique within a registry.  Tool failures are
+captured and returned as error text results (the loop feeds them back to the
+model), never raised through the agent loop.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Callable
 from ..errors import ValidationError
 
 ToolFn = Callable[..., Any]
-ToolFactory = Callable[[], "Tool"]
 
 
 @dataclass
@@ -85,30 +84,3 @@ class ToolRegistry:
         except Exception as exc:  # noqa: BLE001 - fed back to the model as text
             return f"tool error: {name}: {exc}", False
         return _serialize_result(result), True
-
-
-def make_registry(tool_names: tuple[str, ...], factories: dict[str, ToolFactory]) -> ToolRegistry:
-    """Build a fresh registry holding exactly ``tool_names``.
-
-    Each factory is invoked anew, so returned tools carry fresh closures.  A
-    factory may return a :class:`Tool` or a bare callable (wrapped using its
-    ``__name__`` and the first docstring line).
-
-    Raises:
-        ValidationError: when a requested tool has no factory or the built
-            tool's name does not match.
-    """
-    tools: list[Tool] = []
-    for name in tool_names:
-        factory = factories.get(name)
-        if factory is None:
-            raise ValidationError(f"no factory for tool '{name}'")
-        tool = factory()
-        if not isinstance(tool, Tool):
-            fn = tool
-            doc = (fn.__doc__ or "").strip().splitlines()
-            tool = Tool(name=fn.__name__, fn=fn, description=doc[0] if doc else "")
-        if tool.name != name:
-            raise ValidationError(f"factory for '{name}' built tool named '{tool.name}'")
-        tools.append(tool)
-    return ToolRegistry(tools)

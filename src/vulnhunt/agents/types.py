@@ -50,12 +50,11 @@ class Budgets:
 
 @dataclass
 class AgentSpec:
-    """An agent role bound to a model chain, tool names, and budgets."""
+    """An agent role bound to a model chain and budgets."""
 
     role: str
     tier: str
     model_chain: list[str]
-    tool_names: tuple[str, ...] = ()
     budgets: Budgets = field(default_factory=Budgets)
 
     def __post_init__(self) -> None:
@@ -72,7 +71,6 @@ class AgentSpec:
 def make_spec(
     role: str,
     model_chains: dict[str, list[str]],
-    tool_names: tuple[str, ...] = (),
     budgets: Budgets | None = None,
 ) -> AgentSpec:
     """Build a spec for a role using the configured per-tier model chains."""
@@ -84,7 +82,6 @@ def make_spec(
         role=role,
         tier=tier,
         model_chain=chain,
-        tool_names=tool_names,
         budgets=budgets or Budgets(),
     )
 

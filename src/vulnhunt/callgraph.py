@@ -64,8 +64,9 @@ class FunctionRecord:
     call_depth: dict[str, int] = field(default_factory=dict)
     is_external: bool = False
     # The source's literal tokens, scraped by the fuzzing seeders the first
-    # time they need them and kept for the record's life (a subgraph's
-    # copies start without them).
+    # time they need them and kept for the record's life.  Reachable
+    # subgraphs share the loaded records, so this runs once per scan; two
+    # workers racing on one record compute equal lists.
     literal_tokens: list[bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -94,6 +95,10 @@ class CallGraph:
 
     def callers_of(self, function_id: str) -> list[str]:
         return list(self._callers.get(function_id, []))
+
+    def callees_of(self, function_id: str) -> list[str]:
+        """The function's callees that are members of this graph, in call order."""
+        return [c for c in self.functions[function_id].callees if c in self.functions]
 
     def resolve(self, name_or_id: str) -> FunctionRecord | None:
         """Look up a function by id, falling back to a unique name match."""
@@ -251,8 +256,12 @@ def reachable_subgraph(graph: CallGraph, fuzzer: str) -> CallGraph:
     """The subgraph of functions reachable by ``fuzzer``.
 
     Contains exactly the functions with ``fuzzer`` in ``reached_by_fuzzers``,
-    with call edges restricted to members.  A fuzzer with no entry points
-    yields an empty subgraph and a warning.  Applying this twice is a no-op.
+    sorted by id.  The members are the loaded records themselves, shared with
+    ``graph`` and never copied, so a record's ``callees`` may name
+    non-members: read edges through :meth:`CallGraph.callers_of` and
+    :meth:`CallGraph.callees_of`, which keep to members.  A fuzzer with no
+    entry points yields an empty subgraph and a warning.  Applying this twice
+    is a no-op.
 
     Raises:
         UnknownFuzzerError: if the graph has no entry list for ``fuzzer``.
@@ -264,24 +273,11 @@ def reachable_subgraph(graph: CallGraph, fuzzer: str) -> CallGraph:
     if not entries:
         warnings.append(f"fuzzer '{fuzzer}' has no entry points; subgraph is empty")
         logger.warning("%s", warnings[-1])
-        member_ids: set[str] = set()
+        members: dict[str, FunctionRecord] = {}
     else:
-        member_ids = {fid for fid, rec in graph.functions.items() if fuzzer in rec.reached_by_fuzzers}
-    members: dict[str, FunctionRecord] = {}
-    for fid in sorted(member_ids):
-        rec = graph.functions[fid]
-        members[fid] = FunctionRecord(
-            id=rec.id,
-            name=rec.name,
-            file_path=rec.file_path,
-            source_text=rec.source_text,
-            callees=[c for c in rec.callees if c in member_ids],
-            reached_by_fuzzers=set(rec.reached_by_fuzzers),
-            is_entry_for=list(rec.is_entry_for),
-            call_depth=dict(rec.call_depth),
-            is_external=rec.is_external,
-        )
-    sub_entries = {fuzzer: [e for e in entries if e in member_ids]}
+        members = {fid: graph.functions[fid] for fid in sorted(graph.functions)
+                   if fuzzer in graph.functions[fid].reached_by_fuzzers}
+    sub_entries = {fuzzer: [e for e in entries if e in members]}
     return CallGraph(functions=members, fuzzer_entries=sub_entries, warnings=warnings)
 
 
@@ -315,10 +311,11 @@ def _q_callees(graph: CallGraph, args: dict) -> str:
     rec = graph.resolve(str(args.get("function", "")))
     if rec is None:
         return _not_found("function", str(args.get("function", "")))
-    if not rec.callees:
+    callees = graph.callees_of(rec.id)
+    if not callees:
         return "(no callees)"
     lines = []
-    for callee in sorted(rec.callees):
+    for callee in sorted(callees):
         target = graph.functions.get(callee)
         suffix = " [external]" if target is not None and target.is_external else ""
         lines.append(callee + suffix)

@@ -89,7 +89,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    store = FileStore(args.store)
+    store = FileStore(args.store, create=False)
     print(status_snapshot(store))
     return 0
 
@@ -108,7 +108,7 @@ def _write_report(record: dict, store, out_dir: str) -> list[str]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store = FileStore(args.store)
+    store = FileStore(args.store, create=False)
     if args.all:
         records = store.list("reports")
         if not records:

@@ -27,8 +27,9 @@ from .agents import (
     ProviderPool,
     ScriptedProvider,
     HttpChatProvider,
+    Tool,
+    ToolRegistry,
     load_scenario,
-    make_registry,
     make_spec,
     render_prompt,
     run_agent,
@@ -198,6 +199,7 @@ class Worker:
         self.out_dir = out_dir
 
         self.subgraph = reachable_subgraph(graph, task.fuzzer)
+        self.code_tools = [self._code_tool(kind) for kind in QUERY_KINDS]
         self.scheduler = DirectionScheduler(
             self.subgraph,
             task.fuzzer,
@@ -259,43 +261,36 @@ class Worker:
 
     # -- agent plumbing ----------------------------------------------------
 
-    def _code_tool_factories(self) -> dict:
-        factories = {}
-        for kind in QUERY_KINDS:
-            if kind in WHOLE_GRAPH_QUERIES:
-                graph, scope = self.graph, "full call graph"
-            else:
-                graph, scope = self.subgraph, "reachable subgraph"
-
-            def make(kind=kind, graph=graph, scope=scope):
-                def fn(**args):
-                    return query(graph, kind, args)
-
-                fn.__name__ = kind
-                fn.__doc__ = f"Read-only code query '{kind}' over the {scope}."
-                return fn
-
-            factories[kind] = make
-        return factories
+    def _code_tool(self, kind: str) -> Tool:
+        if kind in WHOLE_GRAPH_QUERIES:
+            graph, scope = self.graph, "full call graph"
+        else:
+            graph, scope = self.subgraph, "reachable subgraph"
+        # ``query`` is looked up at call time, so wrapping the module global
+        # (as the benchmark tracer does) sees every code query.
+        return Tool(
+            name=kind,
+            fn=lambda **args: query(graph, kind, args),
+            description=f"Read-only code query '{kind}' over the {scope}.",
+        )
 
     def _run_role(
         self,
         role: str,
         seed_context: str,
-        extra_factories: dict | None = None,
+        extra_tools: tuple = (),
         tool_limits: dict | None = None,
         prompt_context: dict | None = None,
     ) -> AgentOutcome:
-        factories = self._code_tool_factories()
-        if extra_factories:
-            factories.update(extra_factories)
-        tool_names = tuple(factories)
+        """One agent run with the worker's code tools plus ``extra_tools``
+        (plain functions, each exposed under its ``__name__``)."""
         budgets = Budgets(
             max_total_tokens=self._remaining_tokens(),
             tool_call_limits=dict(tool_limits or {}),
         )
-        spec = make_spec(role, self.config.model_chains, tool_names, budgets)
-        registry = make_registry(tool_names, factories)
+        spec = make_spec(role, self.config.model_chains, budgets)
+        # A fresh registry per run: its call counts enforce this run's limits.
+        registry = ToolRegistry(self.code_tools + [Tool(fn.__name__, fn) for fn in extra_tools])
         self._run_seq += 1
         outcome = run_agent(
             spec,
@@ -353,7 +348,7 @@ class Worker:
             self._run_role(
                 "direction-generator",
                 seed,
-                extra_factories={"create_direction": lambda: create_direction},
+                extra_tools=(create_direction,),
                 prompt_context={"max_directions": self.config.max_directions},
             )
         except ChainExhaustedError as exc:
@@ -384,7 +379,7 @@ class Worker:
             ]
         )
         try:
-            self._run_role("seed-generator", seed, extra_factories={"add_seed": lambda: add_seed})
+            self._run_role("seed-generator", seed, extra_tools=(add_seed,))
         except ChainExhaustedError as exc:
             self.task.warnings.append(f"seed generation failed: {exc}")
             return None
@@ -438,7 +433,7 @@ class Worker:
             f"function: {function_id}",
             f"file: {rec.file_path}",
             f"callers: {', '.join(self.subgraph.callers_of(function_id)) or '(none)'}",
-            f"callees: {', '.join(rec.callees) or '(none)'}",
+            f"callees: {', '.join(self.subgraph.callees_of(function_id)) or '(none)'}",
         ]
         if self.delta is not None:
             lines.append("")
@@ -477,7 +472,7 @@ class Worker:
             self._run_role(
                 "sp-generator",
                 seed,
-                extra_factories={"create_suspicious_point": lambda: create_suspicious_point},
+                extra_tools=(create_suspicious_point,),
             )
         except ChainExhaustedError as exc:
             self.task.warnings.append(f"sp generation failed for {function_id}: {exc}")
@@ -553,7 +548,7 @@ class Worker:
             self._run_role(
                 "sp-verifier",
                 seed,
-                extra_factories={"update_suspicious_point": lambda: update_suspicious_point},
+                extra_tools=(update_suspicious_point,),
             )
         except ChainExhaustedError:
             if sp.id not in self.verify_retried:
@@ -717,10 +712,7 @@ class Worker:
             self._run_role(
                 "poc-generator",
                 seed,
-                extra_factories={
-                    "create_pov": lambda: create_pov,
-                    "trace_pov": lambda: trace_pov,
-                },
+                extra_tools=(create_pov, trace_pov),
                 tool_limits={"create_pov": self.config.max_poc_attempts},
                 prompt_context={
                     "variants": self.config.variants_per_attempt,
@@ -1007,14 +999,12 @@ def _make_duplicate_judge(config: Config, pool: ProviderPool, active: set[str]):
                 "Answer 'duplicate' or 'distinct'.",
             ]
         )
-        budgets = Budgets()
-        spec = make_spec("sp-deduplicator", config.model_chains, (), budgets)
-        registry = make_registry((), {})
+        spec = make_spec("sp-deduplicator", config.model_chains)
         try:
             outcome = run_agent(
                 spec,
                 seed,
-                registry,
+                ToolRegistry([]),
                 pool,
                 system_prompt=render_prompt("sp-deduplicator"),
                 run_id=run_id,

@@ -50,10 +50,6 @@ class VulnReport:
         record["id"] = self.report_id
         return record
 
-    @classmethod
-    def from_record(cls, record: dict) -> "VulnReport":
-        return cls(report_id=record["id"], **{field: record[field] for field in REPORT_FIELDS})
-
 
 def render_markdown(report: dict, pov: dict | None = None) -> str:
     """Render one stored report record (plus its PoV) to Markdown text."""

@@ -77,12 +77,19 @@ class MemoryStore(StoreBackend):
 
 
 class FileStore(StoreBackend):
-    """One JSON file per record under ``<root>/<collection>/<id>.json``."""
+    """One JSON file per record under ``<root>/<collection>/<id>.json``.
 
-    def __init__(self, root: str | Path):
+    ``create=False`` opens an existing store for reading: a missing ``root``
+    raises :class:`StoreError` and nothing is created.
+    """
+
+    def __init__(self, root: str | Path, create: bool = True):
         self.root = Path(root)
-        for collection in COLLECTIONS:
-            (self.root / collection).mkdir(parents=True, exist_ok=True)
+        if create:
+            for collection in COLLECTIONS:
+                (self.root / collection).mkdir(parents=True, exist_ok=True)
+        elif not self.root.is_dir():
+            raise StoreError(f"no store at '{root}'")
         self._lock = threading.RLock()
 
     def _path(self, collection: str, record_id: str) -> Path:

@@ -10,7 +10,7 @@ import json
 import random
 import re
 
-from vulnhunt.callgraph import load_call_graph
+from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.directions import DirectionScheduler, Pick
 from vulnhunt.errors import OversizeBlobError
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
@@ -83,6 +83,35 @@ def naive_reachable(records, fuzzer):
         if fuzzer in rec.get("reached_by_fuzzers", ())
     }
     return naive_closure(records, fuzzer) | annotated
+
+
+def naive_reachable_subgraph(graph, fuzzer):
+    """The reachable subgraph as a deep copy: fresh records whose callees are
+    cut down to members (oracle for the shared-record view)."""
+    entries = graph.fuzzer_entries[fuzzer]
+    warnings = []
+    member_ids = set()
+    if entries:
+        member_ids = {fid for fid, rec in graph.functions.items()
+                      if fuzzer in rec.reached_by_fuzzers}
+    else:
+        warnings.append(f"fuzzer '{fuzzer}' has no entry points; subgraph is empty")
+    members = {}
+    for fid in sorted(member_ids):
+        rec = graph.functions[fid]
+        members[fid] = FunctionRecord(
+            id=rec.id,
+            name=rec.name,
+            file_path=rec.file_path,
+            source_text=rec.source_text,
+            callees=[c for c in rec.callees if c in member_ids],
+            reached_by_fuzzers=set(rec.reached_by_fuzzers),
+            is_entry_for=list(rec.is_entry_for),
+            call_depth=dict(rec.call_depth),
+            is_external=rec.is_external,
+        )
+    sub_entries = {fuzzer: [e for e in entries if e in member_ids]}
+    return CallGraph(functions=members, fuzzer_entries=sub_entries, warnings=warnings)
 
 
 def naive_depths(records, fuzzer):

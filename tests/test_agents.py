@@ -29,7 +29,6 @@ from vulnhunt.agents import (
     compress_context,
     estimate_tokens,
     load_scenario,
-    make_registry,
     make_spec,
     render_prompt,
     run_agent,
@@ -86,10 +85,9 @@ class TestSpecs:
 
     def test_make_spec_uses_tier_chain(self):
         chains = {"T1": ["big-a", "big-b"], "T2": ["mid"], "T3": ["small"]}
-        spec = make_spec("sp-verifier", chains, tool_names=("read_function",))
+        spec = make_spec("sp-verifier", chains)
         assert spec.tier == "T1"
         assert spec.model_chain == ["big-a", "big-b"]
-        assert spec.tool_names == ("read_function",)
         assert make_spec("sp-deduplicator", chains).model_chain == ["small"]
 
     def test_make_spec_missing_tier_chain_rejected(self):
@@ -226,46 +224,16 @@ class TestToolRegistry:
         assert reg.call_counts == {"echo": 2, "boom": 1, "structured": 0}
         assert sum(reg.call_counts.values()) == 3
 
+    def test_registries_share_tools_but_not_call_counts(self):
+        tools = [Tool(name="echo", fn=_echo)]
+        first, second = ToolRegistry(tools), ToolRegistry(tools)
+        first.invoke("echo", {})
+        assert first.call_counts == {"echo": 1}
+        assert second.call_counts == {"echo": 0}
+
     def test_result_digest_is_truncated_sha256(self):
         expected = hashlib.sha256(b"payload").hexdigest()[:12]
         assert result_digest("payload") == expected
-
-
-class TestMakeRegistry:
-    def test_missing_factory_rejected(self):
-        with pytest.raises(ValidationError, match="no factory for tool 'echo'"):
-            make_registry(("echo",), {})
-
-    def test_bare_callable_is_wrapped(self):
-        reg = make_registry(("_echo",), {"_echo": lambda: _echo})
-        schema = reg.schemas()[0]
-        assert schema["name"] == "_echo"
-        assert schema["description"] == "Echo the given value."
-        assert reg.invoke("_echo", {}) == ("ok", True)
-
-    def test_factory_name_mismatch_rejected(self):
-        def factory():
-            return Tool(name="other", fn=_echo)
-
-        with pytest.raises(ValidationError, match="built tool named 'other'"):
-            make_registry(("echo",), {"echo": factory})
-
-    def test_each_registry_gets_fresh_closures(self):
-        def factory():
-            calls: list[int] = []
-
-            def counter():
-                """Count invocations of this instance."""
-                calls.append(1)
-                return str(len(calls))
-
-            return counter
-
-        first = make_registry(("counter",), {"counter": factory})
-        second = make_registry(("counter",), {"counter": factory})
-        assert first.invoke("counter", {}) == ("1", True)
-        assert first.invoke("counter", {}) == ("2", True)
-        assert second.invoke("counter", {}) == ("1", True)
 
 
 # ===== providers =====
@@ -534,10 +502,8 @@ def _scripted_pool(scenario: dict) -> ProviderPool:
     return pool
 
 
-def _spec(budgets: Budgets | None = None, tools: tuple[str, ...] = ()) -> AgentSpec:
-    return make_spec(
-        "sp-generator", {"T2": ["scripted"]}, tool_names=tools, budgets=budgets or Budgets()
-    )
+def _spec(budgets: Budgets | None = None) -> AgentSpec:
+    return make_spec("sp-generator", {"T2": ["scripted"]}, budgets=budgets or Budgets())
 
 
 def _loop_registry(calls: list[str] | None = None) -> ToolRegistry:
@@ -571,7 +537,7 @@ class TestRunAgent:
         }
         calls: list[str] = []
         outcome = run_agent(
-            spec=_spec(tools=("probe",)),
+            spec=_spec(),
             seed_context="function: f1",
             registry=_loop_registry(calls),
             pool=_scripted_pool(scenario),

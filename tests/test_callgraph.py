@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture_data as fd
 import helpers
@@ -16,6 +18,7 @@ from vulnhunt.callgraph import (
     query,
     reachable_subgraph,
 )
+from vulnhunt.directions import Direction, build_pools
 from vulnhunt.errors import ExportParseError, UnknownFuzzerError
 
 
@@ -178,18 +181,89 @@ def test_subgraph_is_idempotent():
     graph = load_call_graph(helpers.export_lines(records))
     once = reachable_subgraph(graph, fuzzers[0])
     twice = reachable_subgraph(once, fuzzers[0])
-    assert set(twice.functions) == set(once.functions)
+    assert list(twice.functions) == list(once.functions)
+    assert twice.fuzzer_entries == once.fuzzer_entries
     for fid in once.functions:
-        assert twice.functions[fid].callees == once.functions[fid].callees
+        assert twice.functions[fid] is once.functions[fid] is graph.functions[fid]
+        assert twice.callees_of(fid) == once.callees_of(fid)
+        assert twice.callers_of(fid) == once.callers_of(fid)
 
 
 def test_subgraph_restricts_edges_to_members():
     graph = e2e_graph()
     sub = reachable_subgraph(graph, "img_fuzzer")
     assert "img_debug_dump" not in sub.functions
-    for rec in sub.functions.values():
-        for callee in rec.callees:
-            assert callee in sub.functions
+    for fid in sub.functions:
+        assert all(callee in sub.functions for callee in sub.callees_of(fid))
+        assert all(caller in sub.functions for caller in sub.callers_of(fid))
+        # Members are the loaded records, shared rather than copied.
+        assert sub.functions[fid] is graph.functions[fid]
+
+
+def _colliding_graph(seed: int):
+    """A random export whose function names repeat every seven records, plus
+    one fuzzer known only from an annotation (no entry points)."""
+    records, fuzzers = helpers.random_graph_records(random.Random(seed), max_nodes=40)
+    for i, rec in enumerate(records):
+        rec["name"] = f"n{i % 7}"
+    records[0]["reached_by_fuzzers"].append("fz_ghost")
+    return records, fuzzers + ["fz_ghost"]
+
+
+_SEEN_NON_MEMBER_CALLEE = []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), draw=st.randoms(use_true_random=False))
+def _check_view_matches_copy(seed, draw):
+    records, fuzzers = _colliding_graph(seed)
+    graph = load_call_graph(helpers.export_lines(records))
+    names = sorted({rec.name for rec in graph.functions.values()})
+    files = sorted({rec.file_path for rec in graph.functions.values()})
+    probes = sorted(graph.functions) + names + files + fuzzers + ["ghost", "return 1", "("]
+    for fuzzer in fuzzers:
+        view = reachable_subgraph(graph, fuzzer)
+        copy = helpers.naive_reachable_subgraph(graph, fuzzer)
+        assert list(view.functions) == list(copy.functions)
+        assert view.fuzzer_entries == copy.fuzzer_entries
+        assert view.warnings == copy.warnings
+        for kind in QUERY_KINDS:
+            for probe in probes:
+                for regex in (False, True):
+                    args = {"function": probe, "fuzzer": probe, "file": probe,
+                            "pattern": probe, "regex": regex}
+                    assert query(view, kind, args) == query(copy, kind, args), (kind, probe)
+        for fid in view.functions:
+            assert view.functions[fid] is graph.functions[fid]
+            assert view.callers_of(fid) == copy.callers_of(fid)
+            assert view.callees_of(fid) == copy.callees_of(fid) == copy.functions[fid].callees
+            if view.callees_of(fid) != view.functions[fid].callees:
+                _SEEN_NON_MEMBER_CALLEE.append(fid)
+        for probe in probes:
+            got, want = view.resolve(probe), copy.resolve(probe)
+            assert (got and got.id) == (want and want.id), probe
+        entries = view.fuzzer_entries[fuzzer]
+        assert bfs_parents(view.functions, entries) == bfs_parents(copy.functions, entries)
+        picks = sorted(graph.functions) + names
+        direction = Direction(
+            name="drawn",
+            entry_functions=draw.sample(picks, min(2, len(picks))),
+            core_functions=draw.sample(picks, min(3, len(picks))),
+            risk_level="high",
+            risk_reason="drawn",
+        )
+        assert build_pools(direction, view) == build_pools(direction, copy)
+
+
+def test_reachable_view_matches_deep_copy_oracle():
+    """The shared-record view answers every read exactly as the old
+    deep-copied subgraph did, including name lookups that are unique only
+    among reachable functions."""
+    _SEEN_NON_MEMBER_CALLEE.clear()
+    _check_view_matches_copy()
+    # Some drawn view had a member calling outside it, so the edge filter
+    # in callees_of was exercised.
+    assert _SEEN_NON_MEMBER_CALLEE
 
 
 # ---------------------------------------------------------------------------

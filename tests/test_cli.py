@@ -125,6 +125,13 @@ class TestStatus:
             assert task_id in out
         assert "report_count=5" in out
 
+    def test_missing_store_exits_2_and_creates_nothing(self, tmp_path, capsys):
+        store_dir = tmp_path / "typo"
+        rc = main(["status", "--store", str(store_dir)])
+        assert rc == 2
+        assert f"error: no store at '{store_dir}'" in capsys.readouterr().err
+        assert not store_dir.exists()
+
 
 class TestReport:
     def test_render_one_report(self, scanned_ws, tmp_path, capsys):
@@ -174,6 +181,14 @@ class TestReport:
         captured = capsys.readouterr()
         assert rc == 0
         assert "no reports in store; nothing rendered" in captured.out
+
+    def test_missing_store_exits_2_and_creates_nothing(self, tmp_path, capsys):
+        store_dir = tmp_path / "typo"
+        rc = main(["report", "--store", str(store_dir), "--out", str(tmp_path / "o"), "--all"])
+        assert rc == 2
+        assert f"error: no store at '{store_dir}'" in capsys.readouterr().err
+        assert not store_dir.exists()
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_id_exits_1(self, scanned_ws, tmp_path, capsys):
         rc = main(

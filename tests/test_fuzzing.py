@@ -465,9 +465,35 @@ def test_literals_scraped_once_per_function(monkeypatch):
     first = seed_from_direction(img_direction(), sub)
     assert seed_from_direction(img_direction(), sub) == first
     assert len(scraped) == len(set(scraped)) == 5
-    # A fresh subgraph copy scrapes again; the cache lives with the records.
-    seed_from_direction(img_direction(), reachable_subgraph(graph, "img_fuzzer"))
-    assert len(scraped) == 10
+    # Views share the loaded records, which carry the cache: a second view
+    # of the same fuzzer scrapes nothing again.
+    assert seed_from_direction(img_direction(), reachable_subgraph(graph, "img_fuzzer")) == first
+    assert len(scraped) == 5
+
+
+def test_fuzzers_sharing_a_function_scrape_it_once(monkeypatch):
+    import vulnhunt.fuzzing.seeds as seeds_mod
+    scraped = []
+    scrape = seeds_mod.extract_literal_tokens
+    monkeypatch.setattr(seeds_mod, "extract_literal_tokens",
+                        lambda source: scraped.append(source) or scrape(source))
+
+    def record(fid, source, callees=(), entry_for=()):
+        return {"id": fid, "name": fid, "file": "s.c", "source": source,
+                "callees": list(callees), "reached_by_fuzzers": [],
+                "is_entry_for": list(entry_for)}
+
+    graph = helpers.graph_from_records([
+        record("a_entry", "void a_entry(void) { shared(); }", ["shared"], ["fz_a"]),
+        record("b_entry", "void b_entry(void) { shared(); }", ["shared"], ["fz_b"]),
+        record("shared", 'int shared(void) { return memcmp(p, "MAGI", 4); }'),
+    ])
+    direction = Direction(name="shared", entry_functions=[], core_functions=["shared"],
+                          risk_level="high", risk_reason="magic compare")
+    views = [reachable_subgraph(graph, fuzzer) for fuzzer in ("fz_a", "fz_b")]
+    results = [seed_from_direction(direction, view) for view in views]
+    assert results[0] == results[1] and b"MAGI" in results[0][1]
+    assert len(scraped) == 1
 
 
 def test_seed_from_fp_requires_fp_verdict():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +13,8 @@ import pytest
 import fixture_data as fd
 import vulnhunt.pipeline as pipeline
 from conftest import Workspace
-from helpers import naive_node_universe, naive_reachable
+from helpers import export_lines, naive_node_universe, naive_reachable
+from vulnhunt.agents import ScriptedProvider
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.config import Config
 from vulnhunt.directions import GlobalAnalyzedSet
@@ -188,6 +191,68 @@ class TestEndToEnd:
         assert "(no tasks recorded)" in status_snapshot(MemoryStore())
 
 
+# ===== golden outputs =====
+
+
+def _scan_digest(ws: Workspace, monkeypatch, **overrides) -> str:
+    """SHA-256 over everything a scan writes and every request the models see.
+
+    Covers reports, PoVs, points, task records (less ``wall_clock_s``), run
+    totals, and per provider request its role, run id, tool schemas and
+    messages.  The workspace path is masked so the digest is
+    location-independent.
+    """
+    requests = []
+    complete = ScriptedProvider.complete
+
+    def capture(self, request):
+        requests.append({
+            "agent_role": request.agent_role,
+            "run_id": request.run_id,
+            "tools": request.tools,
+            "messages": [
+                [m.role, m.content, m.tool_call_id,
+                 [[tc.name, tc.arguments, tc.call_id] for tc in m.tool_calls]]
+                for m in request.messages
+            ],
+        })
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", capture)
+    result = run_scan(ws.config(**overrides))
+    tasks = result.store.list("tasks")
+    for task in tasks:
+        del task["metrics"]["wall_clock_s"]
+    payload = {
+        "reports": result.store.list("reports"),
+        "povs": result.store.list("povs"),
+        "sps": result.store.list("sps"),
+        "tasks": tasks,
+        "run": result.store.get("metrics", "run"),
+        "requests": requests,
+    }
+    text = json.dumps(payload, sort_keys=True).replace(str(ws.root), "<ws>")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Seed-0 scans hash to digests recorded before the reachable-view and
+    code-tool refactor; any change to outputs or model requests shows here."""
+
+    def test_full_scan_digest(self, e2e_workspace, monkeypatch):
+        assert _scan_digest(e2e_workspace, monkeypatch) == GOLDEN_FULL_SCAN
+
+    def test_delta_scan_digest(self, e2e_workspace, monkeypatch):
+        digest = _scan_digest(
+            e2e_workspace, monkeypatch, mode="delta", diff_path=str(e2e_workspace.diff_path)
+        )
+        assert digest == GOLDEN_DELTA_SCAN
+
+
+GOLDEN_FULL_SCAN = "1a59408d12040f33a4cf019896433c589f3efead3023b50862678ff4894dda20"
+GOLDEN_DELTA_SCAN = "32bbbd6635d43f90d012bd8839f7024f801eb1d445e09e50926db10e7a6a628b"
+
+
 def test_executions_count_every_target_run(magic_workspace, monkeypatch):
     """With no seeds the global loop cold-starts from b"", and that run is an
     execution like any other."""
@@ -214,7 +279,7 @@ class TestCodeTools:
         task = next(t for t in plan_workers(graph, config) if t.fuzzer == fuzzer)
         worker = pipeline.Worker(task, graph, config, None, GlobalAnalyzedSet(), None,
                                  MemoryStore())
-        return {kind: make() for kind, make in worker._code_tool_factories().items()}
+        return {tool.name: tool.fn for tool in worker.code_tools}
 
     def test_unreached_functions_are_the_ones_the_fuzzer_misses(self, e2e_workspace):
         tools = self._tools(e2e_workspace, "img_fuzzer")
@@ -233,6 +298,31 @@ class TestCodeTools:
         outside = sorted(naive_reachable(fd.E2E_EXPORT_RECORDS, "net_fuzzer")
                          - naive_reachable(fd.E2E_EXPORT_RECORDS, "img_fuzzer"))
         assert tools["get_function_source"](function=outside[0]).startswith("not found")
+
+    def test_callees_outside_the_fuzzer_stay_hidden(self):
+        """A function reached only by annotation may call code its fuzzer
+        never reaches; the worker's view shows neither that edge nor the
+        callee."""
+        def record(fid, callees=(), entry_for=(), reached_by=()):
+            return {"id": fid, "name": fid, "file": "s.c", "source": f"void {fid}(void) {{}}",
+                    "callees": list(callees), "reached_by_fuzzers": list(reached_by),
+                    "is_entry_for": list(entry_for)}
+
+        graph = load_call_graph(export_lines([
+            record("a_entry", entry_for=["fz_a"]),
+            record("hook", callees=["b_only"], reached_by=["fz_a"]),
+            record("b_entry", callees=["b_only"], entry_for=["fz_b"]),
+            record("b_only"),
+        ]))
+        config = Config(fuzzers=["fz_a"])
+        (task,) = plan_workers(graph, config)
+        worker = pipeline.Worker(task, graph, config, None, GlobalAnalyzedSet(), None,
+                                 MemoryStore())
+        assert graph.functions["hook"].callees == ["b_only"]
+        assert "\ncallees: (none)\n" in worker._function_context("hook", "heading")
+        tools = {tool.name: tool.fn for tool in worker.code_tools}
+        assert tools["get_callees"](function="hook") == "(no callees)"
+        assert tools["get_callers"](function="b_only") == "not found: function 'b_only'"
 
 
 # ===== delta mode =====
