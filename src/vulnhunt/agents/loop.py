@@ -138,11 +138,9 @@ def run_agent(
                 outcome.final_text = response.text
                 break
             continue
+        # A text response ends the run, with or without stop; the loop only
+        # continues on tool activity.
         outcome.final_text = response.text
-        if response.stop or not response.text:
-            break
-        # A plain text response without stop still ends the run; the loop
-        # only continues on tool activity.
         break
     else:
         outcome.budget_exhausted = True

@@ -61,9 +61,6 @@ class ToolRegistry:
             self._tools[tool.name] = tool
         self.call_counts: dict[str, int] = {name: 0 for name in self._tools}
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._tools)
-
     def schemas(self) -> list[dict]:
         return [tool.schema() for tool in self._tools.values()]
 

@@ -14,8 +14,6 @@ from ..errors import ValidationError
 
 TEMPERATURE = 0.1
 
-TIERS = ("T1", "T2", "T3")
-
 # Role -> tier assignments are fixed; constructing a spec with a mismatched
 # tier raises.
 ROLE_TIERS: dict[str, str] = {
@@ -28,8 +26,6 @@ ROLE_TIERS: dict[str, str] = {
     "seed-generator": "T2",
     "context-compressor": "T3",
 }
-
-ROLES = tuple(ROLE_TIERS)
 
 
 def estimate_tokens(text: str) -> int:

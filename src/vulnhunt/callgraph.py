@@ -89,10 +89,6 @@ class CallGraph:
         for lst in self._callers.values():
             lst.sort()
 
-    @property
-    def fuzzers(self) -> list[str]:
-        return sorted(self.fuzzer_entries)
-
     def callers_of(self, function_id: str) -> list[str]:
         return list(self._callers.get(function_id, []))
 

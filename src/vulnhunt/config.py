@@ -35,6 +35,8 @@ DEFAULT_PRICE_TABLE = {
     "scripted-t3": 0.0005,
 }
 
+PROVIDER_KEYS = {"kind", "base_url", "api_key", "timeout_s"}
+
 
 @dataclass
 class Config:
@@ -80,6 +82,22 @@ class Config:
         for sanitizer in self.sanitizers:
             if sanitizer not in ("address", "memory", "undefined"):
                 raise ConfigError(f"unknown sanitizer '{sanitizer}'")
+        unknown = set(self.provider) - PROVIDER_KEYS
+        if unknown:
+            raise ConfigError(f"unknown provider keys: {', '.join(sorted(unknown))}")
+        kind = self.provider.get("kind", "scripted")
+        if kind not in ("scripted", "http"):
+            raise ConfigError(f"unknown provider kind: {kind!r}")
+        # A zero slice never advances the final fuzz drain, 1-3 variants is
+        # what sp_fuzzer_verify runs, and a crash needs one run to confirm.
+        if self.fuzz_slice < 1:
+            raise ConfigError(f"fuzz_slice must be at least 1, got {self.fuzz_slice}")
+        if not 1 <= self.variants_per_attempt <= 3:
+            raise ConfigError(
+                f"variants_per_attempt must be 1 to 3, got {self.variants_per_attempt}"
+            )
+        if self.quorum < 1:
+            raise ConfigError(f"quorum must be at least 1, got {self.quorum}")
 
     @property
     def token_ceiling(self) -> int:

@@ -1,13 +1,12 @@
 """Dual-layer fuzzing: simulated targets, corpora, mutation, loops, reproduction."""
 
-from .corpus import Corpus, Seed, coverage_fingerprint
+from .corpus import Corpus, Seed
 from .engine import (
     CrashFinding,
     DEFAULT_QUORUM,
     FuzzLoop,
     ReproduceOutcome,
     VerifyOutcome,
-    make_sp_background_loop,
     reproduce,
     sp_fuzzer_verify,
 )
@@ -16,7 +15,6 @@ from .seeds import extract_literal_tokens, seed_from_direction, seed_from_fp
 from .target import (
     CrashSpec,
     DEFAULT_MAX_BLOB,
-    ExecLimits,
     ExecutionResult,
     SimTarget,
     SimTargetRunner,
@@ -35,7 +33,6 @@ __all__ = [
     "CrashSpec",
     "DEFAULT_MAX_BLOB",
     "DEFAULT_QUORUM",
-    "ExecLimits",
     "ExecutionResult",
     "FuzzLoop",
     "Mutator",
@@ -48,11 +45,9 @@ __all__ = [
     "TargetRunner",
     "VerifyOutcome",
     "compile_predicate",
-    "coverage_fingerprint",
     "extract_literal_tokens",
     "load_target",
     "load_targets_dir",
-    "make_sp_background_loop",
     "parse_target",
     "reproduce",
     "seed_from_direction",

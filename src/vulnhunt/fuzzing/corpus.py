@@ -1,8 +1,7 @@
 """Coverage-deduplicated seed corpora.
 
 A corpus admits a blob only when its coverage (the executed-function set)
-is new, so no two seeds ever share a coverage set or its fingerprint (a hash
-of the set, computed once per admitted seed).
+is new, so no two seeds ever share a coverage set.
 Seeds carry an energy weight used by the fuzzing loops: fresh seeds and
 seeds whose latest mutation unlocked new coverage run hot (4x), cooling by
 half on every pick with a floor of 1.
@@ -10,23 +9,16 @@ half on every pick with a floor of 1.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 HOT_ENERGY = 4.0
 MIN_ENERGY = 1.0
 
 
-def coverage_fingerprint(coverage: frozenset[str]) -> str:
-    encoded = json.dumps(sorted(coverage))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class Seed:
     blob: bytes
-    fingerprint: str
+    coverage: frozenset[str]
     origin: str
     energy: float = HOT_ENERGY
 
@@ -49,7 +41,7 @@ class Corpus:
         """Admit a blob if its coverage set is new; returns the seed or None."""
         if coverage in self._coverages:
             return None
-        seed = Seed(blob=blob, fingerprint=coverage_fingerprint(coverage), origin=origin)
+        seed = Seed(blob=blob, coverage=coverage, origin=origin)
         self.seeds.append(seed)
         self.blobs.append(blob)
         self._coverages.add(coverage)

@@ -135,22 +135,6 @@ class FuzzLoop:
         return crashes
 
 
-def run_global_fuzzer(
-    runner: TargetRunner,
-    corpus: Corpus,
-    iteration_budget: int,
-    rng_seed: int | str,
-) -> tuple[list[CrashFinding], FuzzLoop]:
-    """Run a global loop for its full budget in one slice.
-
-    Returns all crash findings plus the exhausted loop.  Scans pump their
-    loops in slices instead; this one-shot form stays for the acceptance
-    check C08, which pins the crash iterations of a seeded run through it.
-    """
-    loop = FuzzLoop(runner, corpus, Mutator(), random.Random(rng_seed), "global", iteration_budget)
-    return loop.run(iteration_budget), loop
-
-
 @dataclass
 class VerifyOutcome:
     """Result of executing up to three PoC blobs against the target."""
@@ -185,34 +169,6 @@ def sp_fuzzer_verify(blobs: list[bytes], runner: TargetRunner) -> VerifyOutcome:
         if result.outcome == "crash":
             outcome.crashed_index = i
     return outcome
-
-
-def make_sp_background_loop(
-    failed_blobs: list[bytes],
-    runner: TargetRunner,
-    rng_seed: int | str,
-    iteration_budget: int,
-    mutator: Mutator | None = None,
-) -> FuzzLoop:
-    """Background loop scoped to one SP, seeded from its failed PoC attempts.
-
-    Each failed blob runs once to seed the corpus; the loop's stats count
-    those runs as executions.
-    """
-    corpus = Corpus()
-    for blob in failed_blobs:
-        result = runner.run(blob)
-        corpus.add(blob, result.coverage, origin="poc-attempt")
-    loop = FuzzLoop(
-        runner=runner,
-        corpus=corpus,
-        mutator=mutator or Mutator(),
-        rng=random.Random(rng_seed),
-        origin="sp-background",
-        iteration_budget=iteration_budget,
-    )
-    loop.stats.executions = len(failed_blobs)
-    return loop
 
 
 @dataclass(frozen=True)

@@ -145,11 +145,7 @@ def seed_from_direction(
     return seeds, tokens
 
 
-def seed_from_fp(
-    sp: SuspiciousPoint,
-    subgraph: CallGraph,
-    agent_blobs: list[bytes] | None = None,
-) -> tuple[list[bytes], list[bytes]]:
+def seed_from_fp(sp: SuspiciousPoint, subgraph: CallGraph) -> tuple[list[bytes], list[bytes]]:
     """Seeds scoped to a false-positive SP's function.
 
     Even rejected reports often point at interesting code, so their
@@ -160,7 +156,4 @@ def seed_from_fp(
     """
     if sp.verdict != "fp":
         raise LifecycleError(f"{sp.id}: seed_from_fp requires an fp verdict, got '{sp.verdict}'")
-    seeds, tokens = _seeds_from_functions([sp.function_id], subgraph)
-    if agent_blobs:
-        seeds = [b for b in agent_blobs if b]
-    return seeds, tokens
+    return _seeds_from_functions([sp.function_id], subgraph)

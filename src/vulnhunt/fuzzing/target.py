@@ -201,12 +201,6 @@ class SimTarget:
     name: str
     fuzzer: str
     rules: list[TargetRule]
-    version: int = TARGET_SCHEMA_VERSION
-
-
-@dataclass(frozen=True)
-class ExecLimits:
-    max_blob: int = DEFAULT_MAX_BLOB
 
 
 class ExecutionResult(NamedTuple):
@@ -293,7 +287,7 @@ def parse_target(obj: dict, where: str = "target") -> SimTarget:
                 )
             crash = CrashSpec(location=location, vuln_type=vuln_type, sanitizer=sanitizer)
         rules.append(TargetRule(guard=guard, enter=list(enter), crash=crash))
-    return SimTarget(name=name, fuzzer=fuzzer, rules=rules, version=version)
+    return SimTarget(name=name, fuzzer=fuzzer, rules=rules)
 
 
 def load_target(path: str | Path) -> SimTarget:
@@ -347,11 +341,11 @@ class SimTargetRunner(TargetRunner):
         self,
         target: SimTarget,
         sanitizer: str | None = None,
-        limits: ExecLimits = ExecLimits(),
+        max_blob: int = DEFAULT_MAX_BLOB,
     ):
         self.target = target
         self.sanitizer = sanitizer
-        self.limits = limits
+        self.max_blob = max_blob
         self._steps = tuple(
             (
                 1 << i,
@@ -366,8 +360,8 @@ class SimTargetRunner(TargetRunner):
         """Walk the rules in order; the first one that matches and fires
         under this sanitizer ends the run with its crash."""
         size = len(blob)
-        if size > self.limits.max_blob:
-            raise OversizeBlobError(f"blob of {size} bytes exceeds limit {self.limits.max_blob}")
+        if size > self.max_blob:
+            raise OversizeBlobError(f"blob of {size} bytes exceeds limit {self.max_blob}")
         mask = 0
         for bit, test, fires in self._steps:
             if test(blob):

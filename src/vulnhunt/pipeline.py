@@ -49,19 +49,17 @@ from .directions import Direction, DirectionScheduler, GlobalAnalyzedSet
 from .errors import ChainExhaustedError, ConfigError, UnknownFuzzerError
 from .fuzzing import (
     Corpus,
-    ExecLimits,
+    CrashSpec,
     FuzzLoop,
     Mutator,
     SimTargetRunner,
     load_targets_dir,
-    make_sp_background_loop,
     reproduce,
     seed_from_direction,
     seed_from_fp,
     sp_fuzzer_verify,
 )
 from .recipes import RecipeBlobFactory, RecipeError
-from .reporting import VulnReport
 from .spstore import SPStore, SuspiciousPoint, is_sanitizer_compatible
 from .store import FileStore, MemoryStore, StoreBackend
 
@@ -186,7 +184,6 @@ class Worker:
         target=None,
         delta: DeltaSpec | None = None,
         active_roles: set[str] | None = None,
-        out_dir: str | None = None,
     ):
         self.task = task
         self.graph = graph
@@ -196,7 +193,6 @@ class Worker:
         self.store = store
         self.delta = delta
         self.active_roles = active_roles if active_roles is not None else set()
-        self.out_dir = out_dir
 
         self.subgraph = reachable_subgraph(graph, task.fuzzer)
         self.code_tools = [self._code_tool(kind) for kind in QUERY_KINDS]
@@ -207,19 +203,11 @@ class Worker:
             max_directions=config.max_directions,
             max_revisits=config.max_revisits,
         )
-        limits = ExecLimits(max_blob=config.max_blob)
-        self.runner = SimTargetRunner(target, task.sanitizer, limits) if target else None
+        self.runner = SimTargetRunner(target, task.sanitizer, config.max_blob) if target else None
         self.mutator = Mutator(max_len=config.max_blob)
         self.corpus = Corpus()
         self.global_loop = (
-            FuzzLoop(
-                self.runner,
-                self.corpus,
-                self.mutator,
-                random.Random(f"{config.rng_seed}|{task.id}|global"),
-                origin="global",
-                iteration_budget=config.global_fuzz_iterations,
-            )
+            self._fuzz_loop(self.corpus, "global", "global", config.global_fuzz_iterations)
             if self.runner is not None
             else None
         )
@@ -231,8 +219,8 @@ class Worker:
         self.poc_done: set[str] = set()
         self.verify_retry: list[str] = []
         self.verify_retried: set[str] = set()
-        self.reported_keys: dict[tuple, str] = {}
-        self.crash_repeats: dict[tuple, int] = {}
+        # The crash table: each crash this worker reported -> times seen.
+        self.crash_repeats: dict[CrashSpec, int] = {}
 
         self._pov_seq = 0
         self._report_seq = 0
@@ -388,6 +376,12 @@ class Worker:
     def _admit_seed(self, blob: bytes, origin: str) -> None:
         if self.runner is None:
             return
+        if len(blob) > self.runner.max_blob:
+            self.task.warnings.append(
+                f"seed of {len(blob)} bytes from {origin} exceeds max_blob "
+                f"{self.runner.max_blob}; skipped"
+            )
+            return
         result = self.runner.run(blob)
         self.task.metrics.executions += 1
         if result.outcome == "crash":
@@ -412,6 +406,12 @@ class Worker:
             self._admit_seed(blob, f"fp:{sp.id}")
 
     # -- background fuzzing -------------------------------------------------
+
+    def _fuzz_loop(self, corpus: Corpus, tag: str, origin: str, budget: int) -> FuzzLoop:
+        """A loop over ``corpus`` with the worker's shared mutator and an rng
+        seeded from the scan seed, the task and ``tag``."""
+        rng = random.Random(f"{self.config.rng_seed}|{self.task.id}|{tag}")
+        return FuzzLoop(self.runner, corpus, self.mutator, rng, origin, budget)
 
     def _pump(self, loop: FuzzLoop | None) -> None:
         """Run one ``fuzz_slice`` of ``loop``, counting its executions and
@@ -602,15 +602,16 @@ class Worker:
             # Seeded once, from the attempts failed so far; later failures
             # only feed the global corpus.
             if sp_bg["loop"] is None and sp_bg["failed"]:
-                sp_bg["loop"] = make_sp_background_loop(
-                    sp_bg["failed"],
-                    self.runner,
-                    f"{self.config.rng_seed}|{self.task.id}|sp|{sp.id}",
+                corpus = Corpus()
+                for blob in sp_bg["failed"]:
+                    corpus.add(blob, self.runner.run(blob).coverage, "poc-attempt")
+                    self.task.metrics.executions += 1
+                sp_bg["loop"] = self._fuzz_loop(
+                    corpus,
+                    f"sp|{sp.id}",
+                    f"sp-background:{sp.id}",
                     self.config.sp_fuzz_iterations,
-                    self.mutator,
                 )
-                sp_bg["loop"].origin = f"sp-background:{sp.id}"
-                self.task.metrics.executions += sp_bg["loop"].stats.executions
             self._pump(sp_bg["loop"])
 
         def create_pov(recipe: dict):
@@ -761,11 +762,16 @@ class Worker:
         self.importance.setdefault(sp_id, 1)
         return self.spstore.get(sp_id)
 
+    def _counted_as_repeat(self, crash: CrashSpec) -> bool:
+        """Whether this worker already reported ``crash``; a repeat is counted."""
+        if crash not in self.crash_repeats:
+            return False
+        self.crash_repeats[crash] += 1
+        return True
+
     def _handle_fuzzer_crash(self, blob: bytes, result, origin: str) -> None:
         crash = result.crash
-        key = (crash.location, crash.vuln_type, crash.sanitizer, self.task.fuzzer)
-        if key in self.reported_keys:
-            self.crash_repeats[key] = self.crash_repeats.get(key, 0) + 1
+        if self._counted_as_repeat(crash):
             return
         repro = reproduce(blob, self.runner, quorum=self.config.quorum)
         self.task.metrics.executions += repro.runs
@@ -786,8 +792,8 @@ class Worker:
         self._pov_seq += 1
         pov_id = f"pov-{self.task.id}-{self._pov_seq:03d}"
         blob_path = ""
-        if self.out_dir:
-            pov_dir = os.path.join(self.out_dir, "povs")
+        if self.config.out_dir:
+            pov_dir = os.path.join(self.config.out_dir, "povs")
             os.makedirs(pov_dir, exist_ok=True)
             blob_path = os.path.join(pov_dir, f"{pov_id}.bin")
             with open(blob_path, "wb") as fh:
@@ -841,37 +847,34 @@ class Worker:
         attempts: int,
         reproduced_count: int,
     ) -> None:
-        key = (crash.location, crash.vuln_type, crash.sanitizer, self.task.fuzzer)
-        if key in self.reported_keys:
-            self.crash_repeats[key] = self.crash_repeats.get(key, 0) + 1
+        if self._counted_as_repeat(crash):
             return
         self._report_seq += 1
         report_id = f"rpt-{self.task.id}-{self._report_seq:03d}"
         rec = self.subgraph.functions.get(crash.location)
-        report = VulnReport(
-            report_id=report_id,
-            sp_id=sp.id,
-            function=crash.location,
-            file=rec.file_path if rec else "",
-            vuln_type=crash.vuln_type,
-            sanitizer=crash.sanitizer,
-            fuzzer=self.task.fuzzer,
-            discovery_method=method,
-            description=self._report_description(sp, crash, reproduced_count),
-            poc_blob_path=pov["blob_path"] or f"store:povs/{pov['id']}",
-            reproduced_count=reproduced_count,
-            attempts=attempts,
-            timestamps={
+        # The REPORT_FIELDS schema, then the record's own id and its PoV's.
+        record = {
+            "sp_id": sp.id,
+            "function": crash.location,
+            "file": rec.file_path if rec else "",
+            "vuln_type": crash.vuln_type,
+            "sanitizer": crash.sanitizer,
+            "fuzzer": self.task.fuzzer,
+            "discovery_method": method,
+            "description": self._report_description(sp, crash, reproduced_count),
+            "poc_blob_path": pov["blob_path"] or f"store:povs/{pov['id']}",
+            "reproduced_count": reproduced_count,
+            "attempts": attempts,
+            "timestamps": {
                 "created": sp.created_stage,
                 "verified": sp.verified_stage,
                 "poc": sp.poc_stage,
             },
-        )
-        record = report.to_record()
-        record["pov_id"] = pov["id"]
+            "id": report_id,
+            "pov_id": pov["id"],
+        }
         self.store.put("reports", report_id, record)
-        self.reported_keys[key] = report_id
-        self.crash_repeats.setdefault(key, 1)
+        self.crash_repeats[crash] = 1
         self.task.metrics.report_count += 1
 
     # -- top-level flows -----------------------------------------------------
@@ -970,15 +973,13 @@ def _build_pool(config: Config, scenario=None) -> tuple[ProviderPool, set[str]]:
                 data = load_scenario(config.scenario_path)
         provider = ScriptedProvider(data)
         active = set(provider.roles())
-    elif kind == "http":
+    else:  # "http"; Config rejects any other kind
         provider = HttpChatProvider(
             base_url=config.provider.get("base_url", ""),
             api_key=config.provider.get("api_key", ""),
             timeout_s=float(config.provider.get("timeout_s", 120.0)),
         )
         active = {"seed-generator", "report", "sp-deduplicator"}
-    else:
-        raise ConfigError(f"unknown provider kind: {kind!r}")
     for model in models:
         pool.register(model, provider)
     return pool, active
@@ -1067,7 +1068,6 @@ def run_scan(
             target=targets.get(task.fuzzer),
             delta=delta,
             active_roles=active_roles,
-            out_dir=config.out_dir or None,
         )
         for task in tasks
     ]

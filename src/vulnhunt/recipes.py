@@ -15,8 +15,7 @@ Instruction grammar (JSON)::
     {"op": "concat",  "parts": [instruction, ...]}
 
 Any numeric field may be written as ``{"param": "name"}`` and resolved from
-the variant's bindings.  An external executor hook with the same
-``make_variants`` contract may replace recipe evaluation wholesale.
+the variant's bindings.
 """
 
 from __future__ import annotations
@@ -162,14 +161,7 @@ def evaluate_all(recipe: BlobRecipe) -> list[bytes]:
     return [evaluate_variant(recipe, i) for i in range(len(recipe.variants))]
 
 
-class BlobFactory:
-    """Hook: anything with ``make_variants(payload, count) -> list[bytes]``."""
-
-    def make_variants(self, payload: dict, count: int) -> list[bytes]:
-        raise NotImplementedError
-
-
-class RecipeBlobFactory(BlobFactory):
+class RecipeBlobFactory:
     """Default factory: payload is a recipe object."""
 
     def make_variants(self, payload: dict, count: int) -> list[bytes]:

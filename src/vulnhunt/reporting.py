@@ -7,8 +7,6 @@ report stays lean.  Rendering the same records twice yields identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 REPORT_FIELDS = (
     "sp_id",
     "function",
@@ -23,32 +21,6 @@ REPORT_FIELDS = (
     "attempts",
     "timestamps",
 )
-
-DISCOVERY_METHODS = ("G", "S")
-
-
-@dataclass
-class VulnReport:
-    """One confirmed, reproduced vulnerability."""
-
-    report_id: str
-    sp_id: str
-    function: str
-    file: str
-    vuln_type: str
-    sanitizer: str
-    fuzzer: str
-    discovery_method: str
-    description: str
-    poc_blob_path: str
-    reproduced_count: int
-    attempts: int
-    timestamps: dict
-
-    def to_record(self) -> dict:
-        record = {field: getattr(self, field) for field in REPORT_FIELDS}
-        record["id"] = self.report_id
-        return record
 
 
 def render_markdown(report: dict, pov: dict | None = None) -> str:

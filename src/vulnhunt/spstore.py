@@ -110,8 +110,6 @@ def _has_bare_line_locator(description: str) -> bool:
 
 # ===== Records =====
 
-VERDICTS = ("unknown", "tp", "fp")
-
 
 @dataclass
 class SuspiciousPoint:
@@ -206,8 +204,7 @@ class SPStore:
         self._threshold = similarity_threshold
         self._judge = duplicate_judge
         self._lock = threading.RLock()
-        self._sps: dict[str, SuspiciousPoint] = {}
-        self._order: list[str] = []
+        self._sps: dict[str, SuspiciousPoint] = {}  # in insertion order
         self._by_function: dict[str, list[str]] = {}
         self._next_id = 1
         self._clock = 0
@@ -226,7 +223,6 @@ class SPStore:
 
     def _insert(self, sp: SuspiciousPoint) -> None:
         self._sps[sp.id] = sp
-        self._order.append(sp.id)
         self._by_function.setdefault(sp.function_id, []).append(sp.id)
 
     # ----- creation -----
@@ -440,7 +436,7 @@ class SPStore:
 
     def all(self) -> list[SuspiciousPoint]:
         with self._lock:
-            return [self._sps[sp_id] for sp_id in self._order]
+            return list(self._sps.values())
 
     def for_function(self, function_id: str) -> list[SuspiciousPoint]:
         with self._lock:

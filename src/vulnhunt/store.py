@@ -4,8 +4,7 @@ Collections are fixed: tasks, sps, povs, reports, metrics.  Records are
 plain JSON-serializable dicts keyed by string id.  The file backend writes a
 temp file and renames it into place so a crash never leaves a half-written
 record; the in-memory backend serves tests and dry runs.  Both are
-thread-safe, and ``atomic_update`` applies read-modify-write under the store
-lock.
+thread-safe.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import copy
 import json
 import threading
 from pathlib import Path
-from typing import Callable
 
 from .errors import StoreError
 
@@ -31,11 +29,6 @@ class StoreBackend:
         raise NotImplementedError
 
     def list(self, collection: str) -> list[dict]:
-        raise NotImplementedError
-
-    def atomic_update(
-        self, collection: str, record_id: str, update: Callable[[dict | None], dict]
-    ) -> dict:
         raise NotImplementedError
 
     @staticmethod
@@ -64,16 +57,6 @@ class MemoryStore(StoreBackend):
         self._check_collection(collection)
         with self._lock:
             return [copy.deepcopy(self._data[collection][k]) for k in sorted(self._data[collection])]
-
-    def atomic_update(
-        self, collection: str, record_id: str, update: Callable[[dict | None], dict]
-    ) -> dict:
-        self._check_collection(collection)
-        with self._lock:
-            current = self._data[collection].get(record_id)
-            updated = update(copy.deepcopy(current) if current is not None else None)
-            self._data[collection][record_id] = copy.deepcopy(updated)
-            return updated
 
 
 class FileStore(StoreBackend):
@@ -121,13 +104,3 @@ class FileStore(StoreBackend):
             for path in sorted((self.root / collection).glob("*.json")):
                 records.append(json.loads(path.read_text(encoding="utf-8")))
             return records
-
-    def atomic_update(
-        self, collection: str, record_id: str, update: Callable[[dict | None], dict]
-    ) -> dict:
-        self._check_collection(collection)
-        with self._lock:
-            current = self.get(collection, record_id)
-            updated = update(current)
-            self.put(collection, record_id, updated)
-            return updated

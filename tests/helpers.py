@@ -14,7 +14,7 @@ from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.directions import DirectionScheduler, Pick
 from vulnhunt.errors import OversizeBlobError
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
-from vulnhunt.fuzzing.target import ExecLimits, ExecutionResult
+from vulnhunt.fuzzing.target import DEFAULT_MAX_BLOB, ExecutionResult
 
 
 def export_lines(records):
@@ -202,11 +202,11 @@ class NaiveMutator(Mutator):
         return out[: self.max_len]
 
 
-def naive_execute(target, blob, limits=ExecLimits(), sanitizer=None):
+def naive_execute(target, blob, max_blob=DEFAULT_MAX_BLOB, sanitizer=None):
     """Walk the target's rules, checking each crash's sanitizer as it fires,
     and build the result by keyword."""
-    if len(blob) > limits.max_blob:
-        raise OversizeBlobError(f"blob of {len(blob)} bytes exceeds limit {limits.max_blob}")
+    if len(blob) > max_blob:
+        raise OversizeBlobError(f"blob of {len(blob)} bytes exceeds limit {max_blob}")
     trace = []
     crash = None
     for rule in target.rules:

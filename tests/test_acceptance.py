@@ -41,7 +41,8 @@ from vulnhunt.delta import load_delta
 from vulnhunt.directions import GlobalAnalyzedSet
 from vulnhunt.errors import ConfigError
 from vulnhunt.fuzzing.corpus import Corpus
-from vulnhunt.fuzzing.engine import reproduce, run_global_fuzzer
+from vulnhunt.fuzzing.engine import FuzzLoop, reproduce
+from vulnhunt.fuzzing.mutate import Mutator
 from vulnhunt.fuzzing.target import SimTargetRunner, load_targets_dir
 from vulnhunt.pipeline import Worker, plan_workers, run_scan
 from vulnhunt.spstore import SPStore, description_similarity
@@ -524,10 +525,13 @@ def test_c08_background_fuzzer_regression_constants(announce, tmp_path):
         fd.write_targets([fd.MAGIC_TARGET], targets_dir)
         target = load_targets_dir(targets_dir)["magic_fuzzer"]
 
+        def global_run(corpus):
+            runner = SimTargetRunner(target, "address")
+            loop = FuzzLoop(runner, corpus, Mutator(), random.Random(42), "global", 5000)
+            return loop.run(5000)
+
         corpus = Corpus()
-        crashes, _ = run_global_fuzzer(
-            SimTargetRunner(target, "address"), corpus, 5000, 42
-        )
+        crashes = global_run(corpus)
         # Regression constants pinned from the first derivation run.
         assert [c.iteration for c in crashes] == [76, 129, 581, 1084, 1146, 1578, 3198, 4467]
         assert crashes[0].iteration == 76
@@ -536,12 +540,10 @@ def test_c08_background_fuzzer_regression_constants(announce, tmp_path):
             assert crash.result.crash.location == "m_handler"
             assert crash.result.crash.vuln_type == "heap-buffer-overflow"
 
-        fingerprints = [s.fingerprint for s in corpus.seeds]
-        assert len(fingerprints) == len(set(fingerprints))
+        coverages = [s.coverage for s in corpus.seeds]
+        assert len(coverages) == len(set(coverages))
 
-        rerun, _ = run_global_fuzzer(
-            SimTargetRunner(target, "address"), Corpus(), 5000, 42
-        )
+        rerun = global_run(Corpus())
         assert [(c.iteration, c.blob) for c in rerun] == [
             (c.iteration, c.blob) for c in crashes
         ]
@@ -584,12 +586,12 @@ def test_c09_planning_and_concurrency(announce, ws, first_scan, parallel_scan):
         assert parallel.spstore.counts() == serial.spstore.counts()
         parallel.spstore.check_invariants()
 
-        # Per-worker corpora never share a coverage fingerprint.
-        fingerprint_sets = [
-            {s.fingerprint for s in w.corpus.seeds} for w in parallel.workers
+        # Per-worker corpora never share a coverage set.
+        coverage_sets = [
+            {s.coverage for s in w.corpus.seeds} for w in parallel.workers
         ]
-        assert all(fps for fps in fingerprint_sets)
-        for a, b in itertools.combinations(fingerprint_sets, 2):
+        assert all(covs for covs in coverage_sets)
+        for a, b in itertools.combinations(coverage_sets, 2):
             assert not (a & b)
 
         # No lost updates: four threads push 1,000 candidates into one store

@@ -34,7 +34,7 @@ def e2e_graph():
 def test_load_e2e_graph_shape():
     graph = e2e_graph()
     assert len(graph.functions) == len(fd.E2E_EXPORT_RECORDS)
-    assert graph.fuzzers == ["img_fuzzer", "meta_fuzzer", "net_fuzzer"]
+    assert sorted(graph.fuzzer_entries) == ["img_fuzzer", "meta_fuzzer", "net_fuzzer"]
     assert graph.fuzzer_entries["img_fuzzer"] == ["img_fuzzer_entry"]
     assert not any(rec.is_external for rec in graph.functions.values())
     assert graph.warnings == []

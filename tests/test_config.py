@@ -77,6 +77,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"model_chains\[T2\]"):
             Config(model_chains={"T1": ["a"], "T2": [], "T3": ["c"]})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"fuzz_slice": 0}, "fuzz_slice must be at least 1"),
+            ({"fuzz_slice": -5}, "fuzz_slice must be at least 1"),
+            ({"variants_per_attempt": 0}, "variants_per_attempt must be 1 to 3"),
+            ({"variants_per_attempt": 4}, "variants_per_attempt must be 1 to 3"),
+            ({"quorum": 0}, "quorum must be at least 1"),
+            ({"provider": {"kind": "http", "base-url": "http://x"}},
+             "unknown provider keys: base-url"),
+            ({"provider": {"kind": "telepathy"}}, "unknown provider kind: 'telepathy'"),
+        ],
+    )
+    def test_values_that_break_a_scan_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            Config(**overrides)
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=overrides)
+
 
 class TestTokenCeiling:
     def test_uses_priciest_configured_model(self):

@@ -15,13 +15,8 @@ from vulnhunt.errors import (
 )
 from vulnhunt.callgraph import reachable_subgraph
 from vulnhunt.directions import Direction
-from vulnhunt.fuzzing.corpus import Corpus, coverage_fingerprint
-from vulnhunt.fuzzing.engine import (
-    FuzzLoop,
-    make_sp_background_loop,
-    reproduce,
-    sp_fuzzer_verify,
-)
+from vulnhunt.fuzzing.corpus import Corpus
+from vulnhunt.fuzzing.engine import FuzzLoop, reproduce, sp_fuzzer_verify
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
 from vulnhunt.fuzzing.seeds import (
     extract_literal_tokens,
@@ -29,7 +24,7 @@ from vulnhunt.fuzzing.seeds import (
     seed_from_fp,
 )
 from vulnhunt.fuzzing.target import (
-    ExecLimits,
+    DEFAULT_MAX_BLOB,
     ExecutionResult,
     SimTargetRunner,
     compile_predicate,
@@ -46,8 +41,8 @@ def img_target():
     return parse_target(fd.IMG_TARGET)
 
 
-def img_run(blob, sanitizer=None, limits=ExecLimits()):
-    return SimTargetRunner(img_target(), sanitizer, limits).run(blob)
+def img_run(blob, sanitizer=None, max_blob=DEFAULT_MAX_BLOB):
+    return SimTargetRunner(img_target(), sanitizer, max_blob).run(blob)
 
 
 def magic_runner(sanitizer="address"):
@@ -281,7 +276,7 @@ def test_non_firing_crash_rule_continues_execution():
 
 def test_oversize_blob_rejected():
     with pytest.raises(OversizeBlobError):
-        img_run(b"x" * 9, limits=ExecLimits(max_blob=8))
+        img_run(b"x" * 9, max_blob=8)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +342,8 @@ def test_corpus_admission_by_coverage_novelty():
     assert corpus.add(b"two", cov_a, origin="seed") is None     # same coverage
     assert corpus.add(b"three", frozenset({"e"}), origin="seed") is not None
     assert len(corpus) == 2
-    fingerprints = [s.fingerprint for s in corpus.seeds]
-    assert len(set(fingerprints)) == len(fingerprints)
+    coverages = [s.coverage for s in corpus.seeds]
+    assert coverages == [cov_a, frozenset({"e"})]
     assert corpus.has_coverage(cov_a)
     assert not corpus.has_coverage(frozenset({"p"}))
 
@@ -365,11 +360,11 @@ def test_corpus_blobs_and_coverage_bookkeeping(adds):
         corpus.add(blob, coverage, origin="seed")
         probes.add(coverage)
     assert corpus.blobs == [s.blob for s in corpus.seeds]
-    fingerprints = {s.fingerprint for s in corpus.seeds}
-    assert len(fingerprints) == len(corpus.seeds)
+    coverages = {s.coverage for s in corpus.seeds}
+    assert len(coverages) == len(corpus.seeds)
     probes |= {frozenset({"a", "b"}), frozenset({"a,b"}), frozenset()}
     for coverage in probes:
-        assert corpus.has_coverage(coverage) == (coverage_fingerprint(coverage) in fingerprints)
+        assert corpus.has_coverage(coverage) == (coverage in coverages)
 
 
 def test_energy_schedule():
@@ -559,8 +554,8 @@ def test_crashes_are_returned_never_corpused():
     assert 1 <= first.iteration <= loop.iterations_done
     for seed in corpus.seeds:
         assert seed.blob not in [c.blob for c in crashes]
-    fingerprints = [s.fingerprint for s in corpus.seeds]
-    assert len(set(fingerprints)) == len(fingerprints)
+    coverages = [s.coverage for s in corpus.seeds]
+    assert len(set(coverages)) == len(coverages)
 
 
 def test_fuzz_loop_determinism():
@@ -570,7 +565,7 @@ def test_fuzz_loop_determinism():
         crashes = loop.run(3000)
         runs.append((
             [(c.iteration, c.blob) for c in crashes],
-            [s.fingerprint for s in loop.corpus.seeds],
+            [s.coverage for s in loop.corpus.seeds],
             loop.stats.executions,
         ))
     assert runs[0] == runs[1]
@@ -611,19 +606,6 @@ def test_sp_fuzzer_verify_stop_on_first_crash():
         sp_fuzzer_verify([], runner)
     with pytest.raises(ValueError):
         sp_fuzzer_verify([b"a"] * 4, runner)
-
-
-def test_sp_background_loop_seeds_from_failed_attempts():
-    loop = make_sp_background_loop(
-        failed_blobs=[b"\x00", b"\x01"], runner=magic_runner(),
-        rng_seed=7, iteration_budget=100)
-    # Both failed blobs share {m_entry} coverage: only the first is admitted.
-    assert [s.origin for s in loop.corpus.seeds] == ["poc-attempt"]
-    assert loop.origin == "sp-background"
-    assert loop.stats.executions == 2       # both seeding runs count
-    loop.run(100)
-    assert loop.iterations_done == 100
-    assert loop.stats.executions == 102
 
 
 # ---------------------------------------------------------------------------

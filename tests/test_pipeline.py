@@ -19,7 +19,7 @@ from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.config import Config
 from vulnhunt.directions import GlobalAnalyzedSet
 from vulnhunt.errors import ConfigError, UnknownFuzzerError
-from vulnhunt.fuzzing import SimTargetRunner
+from vulnhunt.fuzzing import FuzzLoop, SimTargetRunner
 from vulnhunt.pipeline import (
     _build_pool,
     _make_duplicate_judge,
@@ -173,11 +173,11 @@ class TestEndToEnd:
 
     def test_repeat_crashes_counted_not_rereported(self, scan_result):
         for worker in scan_result.workers:
-            assert len(worker.reported_keys) == worker.task.metrics.report_count
+            assert len(worker.crash_repeats) == worker.task.metrics.report_count
             assert all(count >= 1 for count in worker.crash_repeats.values())
         net = next(w for w in scan_result.workers if w.task.fuzzer == "net_fuzzer")
-        (key,) = net.reported_keys
-        assert net.crash_repeats[key] > 1
+        (count,) = net.crash_repeats.values()
+        assert count > 1
 
     def test_status_snapshot_renders(self, scan_result):
         snap = status_snapshot(scan_result.store)
@@ -267,6 +267,62 @@ def test_executions_count_every_target_run(magic_workspace, monkeypatch):
     result = run_scan(magic_workspace.config(scenario_path="", global_fuzz_iterations=300))
     assert blobs[0] == b""
     assert sum(t.metrics.executions for t in result.tasks) == len(blobs)
+
+
+def test_sp_background_loop_seeds_from_failed_attempts(e2e_workspace, monkeypatch):
+    """A failed PoC attempt starts a per-point loop seeded with the failed
+    blobs; each seeding run is an execution of the task."""
+    runs: dict[int, int] = {}  # runner id -> SimTargetRunner.run calls
+    run = SimTargetRunner.run
+
+    def counting(self, blob):
+        runs[id(self)] = runs.get(id(self), 0) + 1
+        return run(self, blob)
+
+    first_seeds = []
+    loop_run = FuzzLoop.run
+
+    def capture(loop, iterations):
+        if loop.origin.startswith("sp-background:") and loop.iterations_done == 0:
+            first_seeds.append((loop.origin, [s.origin for s in loop.corpus.seeds]))
+        return loop_run(loop, iterations)
+
+    monkeypatch.setattr(SimTargetRunner, "run", counting)
+    monkeypatch.setattr(FuzzLoop, "run", capture)
+    result = run_scan(e2e_workspace.config())
+    assert first_seeds
+    for origin, seed_origins in first_seeds:
+        result.spstore.get(origin.removeprefix("sp-background:"))  # a known point
+        assert seed_origins and set(seed_origins) == {"poc-attempt"}
+    for worker in result.workers:
+        assert worker.task.metrics.executions == runs[id(worker.runner)]
+
+
+def test_oversize_agent_seed_is_skipped(e2e_workspace, monkeypatch):
+    """An agent seed longer than ``max_blob`` is skipped with a warning and
+    runs nowhere; the scan goes on."""
+    scenario = copy.deepcopy(fd.E2E_SCENARIO)
+    scenario["agents"]["seed-generator"] = [{
+        "match": "",
+        "reusable": True,
+        "steps": [
+            {"tool_calls": [{"name": "add_seed", "args": {"hex": "41" * 64}}]},
+            {"text": "one seed"},
+        ],
+    }]
+    seen = []
+    run = SimTargetRunner.run
+
+    def recording(self, blob):
+        seen.append(blob)
+        return run(self, blob)
+
+    monkeypatch.setattr(SimTargetRunner, "run", recording)
+    result = run_scan(e2e_workspace.config(max_blob=32), scenario=scenario)
+    assert b"A" * 64 not in seen
+    for task in result.tasks:
+        assert task.state == "done"
+        assert any("seed of 64 bytes" in w and "skipped" in w for w in task.warnings)
 
 
 # ===== agent code tools =====
@@ -450,6 +506,5 @@ class TestDuplicateJudge:
         assert judge(a, b) is None
 
     def test_unknown_provider_kind_rejected(self):
-        config = Config(provider={"kind": "telepathy"})
         with pytest.raises(ConfigError, match="unknown provider kind"):
-            _build_pool(config, scenario=None)
+            _build_pool(Config(provider={"kind": "telepathy"}), scenario=None)

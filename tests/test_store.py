@@ -1,7 +1,5 @@
-"""Record stores: round-trips, isolation, atomic updates, concurrency."""
+"""Record stores: round-trips, isolation, file layout."""
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -42,8 +40,6 @@ def test_unknown_collection_rejected(backend):
         backend.get("misc", "x")
     with pytest.raises(StoreError):
         backend.list("misc")
-    with pytest.raises(StoreError):
-        backend.atomic_update("misc", "x", lambda cur: {})
 
 
 def test_mutating_returned_record_does_not_leak(backend):
@@ -52,29 +48,6 @@ def test_mutating_returned_record_does_not_leak(backend):
     got["state"] = "hacked"
     got["tags"].append("b")
     assert backend.get("tasks", "t") == {"state": "running", "tags": ["a"]}
-
-
-def test_atomic_update_creates_and_modifies(backend):
-    created = backend.atomic_update("metrics", "run", lambda cur: {"n": 1} if cur is None else cur)
-    assert created == {"n": 1}
-    bumped = backend.atomic_update("metrics", "run", lambda cur: {"n": cur["n"] + 1})
-    assert bumped == {"n": 2}
-    assert backend.get("metrics", "run") == {"n": 2}
-
-
-def test_concurrent_atomic_updates_lose_nothing(backend):
-    backend.put("metrics", "ctr", {"n": 0})
-
-    def bump():
-        for _ in range(50):
-            backend.atomic_update("metrics", "ctr", lambda cur: {"n": cur["n"] + 1})
-
-    threads = [threading.Thread(target=bump) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert backend.get("metrics", "ctr") == {"n": 200}
 
 
 def test_file_store_layout_and_tmp_cleanup(tmp_path):
