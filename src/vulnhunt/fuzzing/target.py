@@ -20,23 +20,24 @@ Predicate grammar (JSON), with byte literals given as ``hex`` or ``text``::
 
 Out-of-range reads are simply false (an offset past the end never matches).
 The idiom for an unconditional rule is ``{"kind": "length-cmp", "op": "ge",
-"value": 0}``.
+"value": 0}``; a runner never tests it.
 
-Guards are compiled once, when a rule is built at parse time, into nested
-closures with their literals decoded and operators resolved, so an execution
-only calls them.  A runner interns the paths it has taken: an execution
-computes which rules matched as a bit mask and takes its coverage, trace and
-crash from a per-runner table keyed by that mask, so it allocates only its
-``ExecutionResult``, a named tuple.  An execution's ``output`` text is
-rendered when read, from the trace and crash it records; most executions are
-never read that way.
+Guards are compiled once per runner, when ``SimTargetRunner`` is built, into
+a trie of conjunct tests: closures with their literals decoded and operators
+resolved, one per distinct conjunct prefix, so a conjunct that several
+rules' guards start with is tested once per execution.  A runner interns
+the paths it has taken: an execution computes which rules matched as a bit
+mask and takes its coverage, trace and crash from a per-runner table keyed
+by that mask, so it allocates only its ``ExecutionResult``, a named tuple.
+An execution's ``output`` text is rendered when read, from the trace and
+crash it records; most executions are never read that way.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -45,6 +46,7 @@ from ..spstore import SANITIZERS, is_valid_vuln_type
 
 TARGET_SCHEMA_VERSION = 1
 DEFAULT_MAX_BLOB = 1 << 20  # 1 MiB
+_ALWAYS = {"kind": "length-cmp", "op": "ge", "value": 0}  # the unconditional idiom
 
 _OPS = {
     "lt": operator.lt,
@@ -188,10 +190,6 @@ class TargetRule:
     guard: dict
     enter: list[str]
     crash: CrashSpec | None = None
-    test: Callable[[bytes], bool] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.test = compile_predicate(self.guard)
 
 
 @dataclass
@@ -323,18 +321,53 @@ class TargetRunner:
         raise NotImplementedError
 
 
+def _conjuncts(guard: dict):
+    """A guard's top-level conjuncts in written order, nested ``and``s
+    flattened; ``or``, ``not`` and leaves are opaque."""
+    if guard["kind"] == "and":
+        for term in guard["terms"]:
+            yield from _conjuncts(term)
+    else:
+        yield guard
+
+
+def _freeze(level: dict) -> tuple:
+    """Trie nodes as nested ``(test, bits, children)`` tuples."""
+    return tuple((test, bits, _freeze(children)) for test, bits, children in level.values())
+
+
+def _walk(level: tuple, blob: bytes, mask: int) -> int:
+    """OR into ``mask`` the bits of every node under ``level`` whose test,
+    and whose ancestors' tests, hold for ``blob``."""
+    for test, bits, children in level:
+        if test(blob):
+            mask |= bits
+            if children:
+                mask = _walk(children, blob, mask)
+    return mask
+
+
 class SimTargetRunner(TargetRunner):
     """A SimTarget bound to one sanitizer: the one rule interpreter.
 
-    The rules are resolved once, here, into steps of (the rule's bit in a
-    path mask, its guard test, whether its crash fires under this
-    sanitizer).  An execution only ORs together the bits of the rules whose
-    guards hold, up to the first that fires, and looks that mask up in a
-    path table: mask -> (outcome, coverage, trace, crash), built from the
-    rules on the first execution that takes the path.  Executions on the
-    same path therefore share one coverage set, whose hash ``frozenset``
-    caches.  The table holds one entry per distinct path a runner has taken,
-    which is tens on the benchmark workloads.
+    The rules' guards are compiled once, here, into a conjunct trie: each
+    guard is split into its top-level conjuncts, and rules whose conjunct
+    lists share a prefix share the trie nodes of that prefix, so a conjunct
+    test that several rules start with runs once per execution.  A node is
+    keyed by its conjunct's canonical JSON and holds the bits (``1 << rule
+    index``) of the rules whose guards end there.  Conjuncts equal to the
+    unconditional idiom are dropped, and rules left with none sit in a
+    constant base mask.  An execution starts from the base mask and walks
+    the trie, ORing in the bits of each node whose test holds and skipping
+    the subtree of each that fails.  It then cuts the mask after the first
+    matching rule whose crash fires under this sanitizer: guards are pure
+    and total, so this is the mask an in-order walk that stops there gets.
+    The mask is looked up in a path table: mask -> (outcome, coverage,
+    trace, crash), built from the rules on the first execution that takes
+    the path.  Executions on the same path therefore share one coverage
+    set, whose hash ``frozenset`` caches.  The table holds one entry per
+    distinct path a runner has taken, which is tens on the benchmark
+    workloads.
     """
 
     def __init__(
@@ -346,28 +379,38 @@ class SimTargetRunner(TargetRunner):
         self.target = target
         self.sanitizer = sanitizer
         self.max_blob = max_blob
-        self._steps = tuple(
-            (
-                1 << i,
-                rule.test,
-                rule.crash is not None and (sanitizer is None or rule.crash.sanitizer == sanitizer),
-            )
-            for i, rule in enumerate(target.rules)
-        )
+        self._base = self._fires = 0
+        root: dict[str, list] = {}  # conjunct key -> [test, bits, children]
+        for i, rule in enumerate(target.rules):
+            bit = 1 << i
+            if rule.crash is not None and (sanitizer is None or rule.crash.sanitizer == sanitizer):
+                self._fires |= bit
+            level, node = root, None
+            for conjunct in _conjuncts(rule.guard):
+                if conjunct == _ALWAYS:
+                    continue
+                key = json.dumps(conjunct, sort_keys=True)
+                node = level.get(key)
+                if node is None:
+                    node = level[key] = [compile_predicate(conjunct), 0, {}]
+                level = node[2]
+            if node is None:
+                self._base |= bit
+            else:
+                node[1] |= bit
+        self._trie = _freeze(root)
         self._paths: dict[int, tuple] = {}  # mask -> what _path returns
 
     def run(self, blob: bytes) -> ExecutionResult:
-        """Walk the rules in order; the first one that matches and fires
-        under this sanitizer ends the run with its crash."""
+        """Match the rules through the trie; the first matching rule that
+        fires under this sanitizer ends the run with its crash."""
         size = len(blob)
         if size > self.max_blob:
             raise OversizeBlobError(f"blob of {size} bytes exceeds limit {self.max_blob}")
-        mask = 0
-        for bit, test, fires in self._steps:
-            if test(blob):
-                mask |= bit
-                if fires:
-                    break
+        mask = _walk(self._trie, blob, self._base)
+        fired = mask & self._fires
+        if fired:  # keep the bits up to the lowest firing one
+            mask &= ((fired & -fired) << 1) - 1
         path = self._paths.get(mask)
         if path is None:
             path = self._paths[mask] = self._path(mask)
@@ -380,6 +423,6 @@ class SimTargetRunner(TargetRunner):
         rules = self.target.rules
         trace = tuple(fn for i, rule in enumerate(rules) if mask >> i & 1 for fn in rule.enter)
         last = mask.bit_length() - 1
-        if last >= 0 and self._steps[last][2]:
+        if last >= 0 and self._fires >> last & 1:
             return "crash", frozenset(trace), trace, rules[last].crash
         return "ok", frozenset(trace), trace, None

@@ -625,18 +625,30 @@ class Worker:
                     "attempt": attempt,
                     "error": f"recipe error: {exc}",
                 }
-            outcome = sp_fuzzer_verify(blobs, self.runner)
+            # Oversize variants are skipped before anything runs, as
+            # _admit_seed skips oversize seeds, so the rest run and count.
+            limit = self.runner.max_blob
+            fits = [index for index, blob in enumerate(blobs) if len(blob) <= limit]
+            if not fits:
+                return {
+                    "success": False,
+                    "attempt": attempt,
+                    "error": f"every variant exceeds max_blob {limit} "
+                    f"({', '.join(f'{len(blob)} bytes' for blob in blobs)}); nothing ran",
+                }
+            outcome = sp_fuzzer_verify([blobs[index] for index in fits], self.runner)
+            results = dict(zip(fits, outcome.results))  # variant index -> result
             executed = [r for r in outcome.results if r is not None]
             self.task.metrics.executions += len(executed)
-            for index, result in enumerate(outcome.results):
+            for index, result in results.items():
                 if result is None or result.outcome == "crash":
                     continue
                 self.corpus.add(blobs[index], result.coverage, f"poc:{sp.id}")
                 sp_bg["failed"].append(blobs[index])
             state["last_blobs"] = blobs
             if outcome.crashed:
-                index = outcome.crashed_index
-                blob, result = blobs[index], outcome.results[index]
+                index = fits[outcome.crashed_index]
+                blob, result = blobs[index], results[index]
                 handled = self._confirm_poc_crash(sp, blob, result, attempt)
                 if handled:
                     state["solved"] = True
@@ -654,8 +666,13 @@ class Worker:
                 }
             pump_sp_background()
             tails = []
-            for index, result in enumerate(outcome.results):
-                if result is None:
+            for index, blob in enumerate(blobs):
+                result = results.get(index)
+                if len(blob) > limit:
+                    tails.append(
+                        f"variant {index}: skipped ({len(blob)} bytes exceeds max_blob {limit})"
+                    )
+                elif result is None:
                     tails.append(f"variant {index}: skipped ({outcome.skip_policy})")
                 else:
                     tails.append(

@@ -609,8 +609,8 @@ def test_sp_fuzzer_verify_stop_on_first_crash():
 
 
 # ---------------------------------------------------------------------------
-# Hot-path oracles: the in-place seed draw, the operator table and the rule
-# steps against random.choices, getattr dispatch and a naive rule walk
+# Hot-path oracles: the in-place seed draw, the operator table and the guard
+# trie against random.choices, getattr dispatch and a naive rule walk
 # ---------------------------------------------------------------------------
 
 # Energies a seed can hold: HOT_ENERGY halved down to the floor of 1.
@@ -770,6 +770,74 @@ def test_interned_paths_match_naive_execute(rules, blobs):
             # One coverage object per path, however many executions take it.
             shared = coverages.setdefault(_naive_path(target, blob, sanitizer), first.coverage)
             assert first.coverage is shared and again.coverage is shared
+
+
+# Conjuncts on a short alphabet, so drawn guards collide on their leading
+# conjuncts: same kind with other literals, the unconditional idiom beside
+# other length comparisons against 0, and opaque ``or``/``not`` terms.
+_SHARED_CONJUNCTS = [
+    {"kind": "prefix", "text": "A"},
+    {"kind": "prefix", "text": "AB"},
+    {"kind": "prefix", "hex": "43"},
+    {"kind": "contains", "text": "B"},
+    {"kind": "contains", "text": "CD"},
+    {"kind": "offset-equals", "offset": 1, "value": ord("B")},
+    {"kind": "offset-equals", "offset": 1, "value": ord("D")},
+    {"kind": "u32-le-field-cmp", "offset": 0, "op": "eq",
+     "value": int.from_bytes(b"ABCD", "little")},
+    {"kind": "length-cmp", "op": "ge", "value": 0},
+    {"kind": "length-cmp", "op": "ge", "value": 0},
+    {"kind": "length-cmp", "op": "ge", "value": 2},
+    {"kind": "length-cmp", "op": "gt", "value": 0},
+    {"kind": "length-cmp", "op": "le", "value": 0},
+    {"kind": "length-cmp", "op": "lt", "value": 3},
+    {"kind": "or", "terms": [{"kind": "prefix", "text": "C"}, {"kind": "contains", "text": "AB"}]},
+    {"kind": "not", "term": {"kind": "contains", "text": "B"}},
+]
+_SHARED_BLOBS = st.lists(st.sampled_from([b"A", b"B", b"AB", b"C", b"CD", b"D", b"ABCD", b"x"]),
+                         max_size=4).map(b"".join)
+
+
+def _nested_and(conjuncts):
+    """A guard of ``conjuncts`` in written order, grouped by ``and``s of a
+    drawn shape; a lone conjunct may stand bare."""
+    if len(conjuncts) == 1:
+        return st.sampled_from([conjuncts[0], {"kind": "and", "terms": conjuncts}])
+    return st.integers(1, len(conjuncts) - 1).flatmap(lambda cut: st.builds(
+        lambda head, tail: {"kind": "and", "terms": [head, tail]},
+        _nested_and(conjuncts[:cut]), _nested_and(conjuncts[cut:])))
+
+
+@st.composite
+def _shared_prefix_rules(draw):
+    guards = draw(st.lists(st.lists(st.sampled_from(_SHARED_CONJUNCTS), min_size=1, max_size=4)
+                           .flatmap(_nested_and), min_size=1, max_size=4))
+    rules = []
+    for _ in range(draw(st.integers(1, 12))):
+        enter = draw(st.lists(st.sampled_from([f"f{i}" for i in range(6)]), min_size=1,
+                              max_size=2))
+        rule = {"guard": draw(st.sampled_from(guards)), "enter": enter}
+        if draw(st.integers(0, 2)) == 0:
+            rule["crash"] = {"location": enter[0], "vuln_type": "heap-buffer-overflow",
+                             "sanitizer": draw(st.sampled_from(["address", "undefined"]))}
+        rules.append(rule)
+    return rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=_shared_prefix_rules(), blobs=st.lists(_SHARED_BLOBS, min_size=1, max_size=8))
+def test_guard_trie_matches_naive_execute_on_shared_prefixes(rules, blobs):
+    """Guards drawn from a few conjuncts share trie prefixes and whole
+    guards; the trie matches the rules an in-order walk matches."""
+    target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
+                           "rules": rules})
+    for sanitizer in (None, "address", "undefined"):
+        runner = SimTargetRunner(target, sanitizer)
+        for blob in [b""] + blobs:
+            want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
+            for got in (runner.run(blob), runner.run(blob)):
+                assert got == want
+                assert got.output == want.output
 
 
 def _write_energy(corpus, index, energy):

@@ -325,6 +325,38 @@ def test_oversize_agent_seed_is_skipped(e2e_workspace, monkeypatch):
         assert any("seed of 64 bytes" in w and "skipped" in w for w in task.warnings)
 
 
+@pytest.mark.parametrize("max_blob, told", [
+    (32, "variant 1: skipped (40 bytes exceeds max_blob 32)"),
+    (16, "every variant exceeds max_blob 16 (20 bytes, 40 bytes, 70 bytes); nothing ran"),
+], ids=["some-fit", "none-fit"])
+def test_oversize_poc_variants_are_skipped_and_the_rest_counted(e2e_workspace, monkeypatch,
+                                                                max_blob, told):
+    """A PoC variant longer than ``max_blob`` is skipped before anything
+    runs and the agent is told so; every completed target run of a task is
+    one of its ``executions``."""
+    runs: dict[int, int] = {}  # runner id -> completed SimTargetRunner.run calls
+    run = SimTargetRunner.run
+
+    def counting(self, blob):
+        result = run(self, blob)
+        runs[id(self)] = runs.get(id(self), 0) + 1
+        return result
+
+    tool_results = []
+    complete = ScriptedProvider.complete
+
+    def capture(self, request):
+        tool_results.extend(m.content for m in request.messages if m.role == "tool")
+        return complete(self, request)
+
+    monkeypatch.setattr(SimTargetRunner, "run", counting)
+    monkeypatch.setattr(ScriptedProvider, "complete", capture)
+    result = run_scan(e2e_workspace.config(max_blob=max_blob))
+    assert any(told in content for content in tool_results)
+    for worker in result.workers:
+        assert worker.task.metrics.executions == runs[id(worker.runner)]
+
+
 # ===== agent code tools =====
 
 
