@@ -99,11 +99,13 @@ class Message:
     content: str
     tool_calls: tuple[ToolCall, ...] = ()
     tool_call_id: str = ""
+    # Computed once, at construction: every provider call sums it over the
+    # whole conversation.  Nothing reassigns a message's content or calls.
+    token_estimate: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def token_estimate(self) -> int:
+    def __post_init__(self) -> None:
         extra = sum(estimate_tokens(repr(tc.arguments)) for tc in self.tool_calls)
-        return estimate_tokens(self.content) + extra
+        self.token_estimate = estimate_tokens(self.content) + extra
 
 
 class Conversation:

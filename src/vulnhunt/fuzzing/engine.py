@@ -22,10 +22,17 @@ the one ``random.choices`` gives.  The total needs no float conversion:
 energies are already floats, ``HOT_ENERGY`` halved down to ``MIN_ENERGY``,
 and their sums are exact.  The accumulated list is rebuilt, the same way,
 only when an energy may have changed: at the start of each ``run`` slice
-(anything may write energies between slices), after a pick whose cooling
-lowered the parent's energy, and after an admission heats the parent.  Once
-every seed has cooled to the floor, picks stop changing energies, so most
-iterations reuse the list.
+(anything may write energies between slices), after a pick that cooled its
+parent, and after an admission heats the parent.  A parent already at
+``MIN_ENERGY`` is not cooled at all, since cooling at the floor is a no-op;
+any other energy, including one written below the floor, changes when
+cooled.  Once every seed has cooled to the floor, picks stop changing
+energies, so most iterations reuse the list.
+
+Within a slice the iteration and execution counts live in locals and are
+written back to ``iterations_done`` and ``stats.executions`` when the slice
+ends, also when the runner or mutator raises.  They then hold what counting
+in place would: every iteration started, and every execution that returned.
 
 Reproduction implements the operational crash contract: an input proves a
 location vulnerable only if every one of N runs crashes at the same location
@@ -39,7 +46,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .corpus import Corpus
+from .corpus import MIN_ENERGY, Corpus
 from .mutate import Mutator
 from .target import ExecutionResult, TargetRunner
 
@@ -110,28 +117,32 @@ class FuzzLoop:
             corpus.add(b"", result.coverage, origin="empty")
         seeds, blobs = corpus.seeds, corpus.blobs
         draw, mutate, execute = rng.random, self.mutator.mutate, self.runner.run
+        cool, has_coverage = corpus.cool, corpus.has_coverage
+        done, executions = self.iterations_done, stats.executions
         cum = None
-        for _ in range(min(iterations, self.budget_left)):
-            self.iterations_done += 1
-            if cum is None:
-                cum = list(accumulate([seed.energy for seed in seeds]))
-                total, hi = cum[-1], len(cum) - 1
-            parent = seeds[bisect(cum, draw() * total, 0, hi)]
-            energy = parent.energy
-            corpus.cool(parent)
-            if parent.energy != energy:
-                cum = None
-            blob = mutate(parent.blob, rng, blobs)
-            result = execute(blob)
-            stats.executions += 1
-            if result.outcome == "crash":
-                stats.crashes += 1
-                crashes.append(CrashFinding(blob, result, self.origin, self.iterations_done))
-            elif not corpus.has_coverage(result.coverage):
-                corpus.add(blob, result.coverage, origin=self.origin)
-                corpus.heat(parent)
-                stats.corpus_adds += 1
-                cum = None
+        try:
+            # ``done`` counts the iterations started; an empty range leaves it.
+            for done in range(done + 1, done + 1 + min(iterations, self.budget_left)):
+                if cum is None:
+                    cum = list(accumulate([seed.energy for seed in seeds]))
+                    total, hi = cum[-1], len(cum) - 1
+                parent = seeds[bisect(cum, draw() * total, 0, hi)]
+                if parent.energy != MIN_ENERGY:
+                    cool(parent)
+                    cum = None
+                blob = mutate(parent.blob, rng, blobs)
+                result = execute(blob)
+                executions += 1
+                if result.outcome == "crash":
+                    stats.crashes += 1
+                    crashes.append(CrashFinding(blob, result, self.origin, done))
+                elif not has_coverage(result.coverage):
+                    corpus.add(blob, result.coverage, origin=self.origin)
+                    corpus.heat(parent)
+                    stats.corpus_adds += 1
+                    cum = None
+        finally:
+            self.iterations_done, stats.executions = done, executions
         return crashes
 
 

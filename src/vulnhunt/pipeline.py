@@ -222,6 +222,8 @@ class Worker:
         # The crash table: each crash this worker reported -> times seen.
         self.crash_repeats: dict[CrashSpec, int] = {}
 
+        # The BFS parents behind trace_pov's static routes, built on first use.
+        self._route_parents: dict[str, str | None] | None = None
         self._pov_seq = 0
         self._report_seq = 0
         self._run_seq = 0
@@ -700,8 +702,7 @@ class Worker:
             variant = max(0, min(int(variant), len(state["last_blobs"]) - 1))
             result = self.runner.run(state["last_blobs"][variant])
             self.task.metrics.executions += 1
-            entries = sorted(self.subgraph.fuzzer_entries.get(self.task.fuzzer, ()))
-            want = bfs_path(bfs_parents(self.subgraph.functions, entries), sp.function_id)
+            want = self._static_route(sp.function_id)
             executed = set(result.coverage)
             divergence = next((f for f in want if f not in executed), None)
             lines = ["executed path:"]
@@ -742,6 +743,17 @@ class Worker:
             self.task.warnings.append(f"poc generation failed for {sp.id}: {exc}")
         if not state["solved"]:
             self.spstore.record_poc_result(sp.id, self.task.fuzzer, crashed=False)
+
+    def _static_route(self, function_id: str) -> list[str]:
+        """The BFS route from the fuzzer's entries to a function; [] if unreached.
+
+        The subgraph and its entries are fixed per worker, so one BFS serves
+        every call.
+        """
+        if self._route_parents is None:
+            entries = sorted(self.subgraph.fuzzer_entries.get(self.task.fuzzer, ()))
+            self._route_parents = bfs_parents(self.subgraph.functions, entries)
+        return bfs_path(self._route_parents, function_id)
 
     # -- crash handling ---------------------------------------------------------
 

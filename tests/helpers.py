@@ -194,12 +194,63 @@ def naive_pick_index(rng, energies):
 
 
 class NaiveMutator(Mutator):
-    """Looks each drawn operator up by name on every call."""
+    """Looks each drawn operator up by name on every call, and draws through
+    ``rng.choice`` and ``rng.randrange`` rather than ``getrandbits``."""
 
     def mutate(self, blob, rng, corpus_blobs=()):
         op = rng.choice(OPERATORS)
         out = getattr(self, f"_{op}")(blob, rng, corpus_blobs)
         return out[: self.max_len]
+
+    def _bit_flip(self, blob, rng, _corpus):
+        if not blob:
+            return blob
+        data = bytearray(blob)
+        pos = rng.randrange(len(data))
+        data[pos] ^= 1 << rng.randrange(8)
+        return bytes(data)
+
+    def _byte_set(self, blob, rng, _corpus):
+        if not blob:
+            return bytes([rng.randrange(256)])
+        data = bytearray(blob)
+        data[rng.randrange(len(data))] = rng.randrange(256)
+        return bytes(data)
+
+    def _insert(self, blob, rng, _corpus):
+        pos = rng.randrange(len(blob) + 1)
+        return blob[:pos] + bytes([rng.randrange(256)]) + blob[pos:]
+
+    def _delete(self, blob, rng, _corpus):
+        if not blob:
+            return blob
+        pos = rng.randrange(len(blob))
+        return blob[:pos] + blob[pos + 1 :]
+
+    def _block_duplicate(self, blob, rng, _corpus):
+        if not blob:
+            return blob
+        start = rng.randrange(len(blob))
+        length = rng.randrange(1, len(blob) - start + 1)
+        block = blob[start : start + length]
+        pos = rng.randrange(len(blob) + 1)
+        return blob[:pos] + block + blob[pos:]
+
+    def _splice(self, blob, rng, corpus_blobs):
+        partners = [b for b in corpus_blobs if b]
+        if not partners:
+            return self._insert(blob, rng, corpus_blobs)
+        partner = partners[rng.randrange(len(partners))]
+        cut_a = rng.randrange(len(blob) + 1)
+        cut_b = rng.randrange(len(partner) + 1)
+        return blob[:cut_a] + partner[cut_b:]
+
+    def _dict_insert(self, blob, rng, corpus_blobs):
+        if not self.dictionary:
+            return self._insert(blob, rng, corpus_blobs)
+        token = self.dictionary[rng.randrange(len(self.dictionary))]
+        pos = rng.randrange(len(blob) + 1)
+        return blob[:pos] + token + blob[pos:]
 
 
 def naive_execute(target, blob, max_blob=DEFAULT_MAX_BLOB, sanitizer=None):

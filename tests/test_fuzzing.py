@@ -17,7 +17,7 @@ from vulnhunt.callgraph import reachable_subgraph
 from vulnhunt.directions import Direction
 from vulnhunt.fuzzing.corpus import Corpus
 from vulnhunt.fuzzing.engine import FuzzLoop, reproduce, sp_fuzzer_verify
-from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
+from vulnhunt.fuzzing.mutate import OPERATORS, Mutator, _below
 from vulnhunt.fuzzing.seeds import (
     extract_literal_tokens,
     seed_from_direction,
@@ -609,8 +609,9 @@ def test_sp_fuzzer_verify_stop_on_first_crash():
 
 
 # ---------------------------------------------------------------------------
-# Hot-path oracles: the in-place seed draw, the operator table and the guard
-# trie against random.choices, getattr dispatch and a naive rule walk
+# Hot-path oracles: the in-place seed draw, the operator table with its
+# getrandbits draws and the guard trie against random.choices, getattr
+# dispatch with randrange draws and a naive rule walk
 # ---------------------------------------------------------------------------
 
 # Energies a seed can hold: HOT_ENERGY halved down to the floor of 1.
@@ -668,6 +669,55 @@ def test_operator_table_matches_getattr_dispatch(blob, corpus, dictionary, seed,
         b = naive.mutate(b, rng_naive, corpus)
         assert a == b
     assert rng_fast.getstate() == rng_naive.getstate()
+
+
+# Powers of two (1, 8 and 256 among them), where ``n.bit_length()`` is one
+# more than ``(n - 1).bit_length()``, and 7, where every 3-bit draw but one
+# is accepted.
+_EDGE_BOUNDS = [7] + [2**i for i in range(21)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_RNG_SEEDS,
+       bounds=st.lists(st.one_of(st.integers(1, 2**20), st.sampled_from(_EDGE_BOUNDS)),
+                       min_size=1, max_size=8))
+def test_below_draws_what_randrange_draws(seed, bounds):
+    r1, r2 = random.Random(seed), random.Random(seed)
+    for n in bounds:
+        assert _below(r1.getrandbits, n) == r2.randrange(n)
+        assert r1.getstate() == r2.getstate()
+
+
+class _FailingRunner:
+    """Runs through a real runner and raises on its ``fail_at``-th call."""
+
+    def __init__(self, runner, fail_at):
+        self.runner, self.fail_at, self.calls = runner, fail_at, 0
+
+    def run(self, blob):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("runner fault")
+        return self.runner.run(blob)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_RNG_SEEDS, first=st.integers(0, 40), fail_at=st.integers(1, 60))
+def test_counts_after_a_runner_fault(seed, first, fail_at):
+    """A fault mid-slice leaves every started iteration and every returned
+    execution counted, and the next slice carries on from there."""
+    failing = _FailingRunner(magic_runner(), 0)
+    loop = global_loop(failing, 200, seed)
+    loop.run(first)  # includes the cold start's execution
+    iterations, executions = loop.iterations_done, loop.stats.executions
+    failing.fail_at = failing.calls + fail_at
+    with pytest.raises(RuntimeError, match="runner fault"):
+        loop.run(100)
+    assert loop.iterations_done == iterations + fail_at
+    assert loop.stats.executions == executions + fail_at - 1
+    loop.run(5)
+    assert loop.iterations_done == iterations + fail_at + 5
+    assert loop.stats.executions == executions + fail_at + 4
 
 
 def _all_targets():
