@@ -2,9 +2,15 @@
 
 A worker walks its fuzzer's reachable subgraph, asks agents for exploration
 directions and suspicious points, verifies them, attempts crafted
-proof-of-crash inputs for confirmed points, and keeps background fuzzing
+proof-of-crash inputs for confirmed points (one ``PocAttempt`` per point,
+whose methods are the PoC agent's tools), and keeps background fuzzing
 loops fed with literal-derived and false-positive-derived seeds.  Confirmed,
 reproduced crashes become vulnerability reports.
+
+Every agent run goes through ``Worker._run_role``, which bounds its context
+at ``CONTEXT_TOKEN_BUDGET`` tokens.  A stage whose model chain is exhausted
+leaves a task warning and the scan goes on; the verifier retries the point
+once and the report falls back to its template.
 
 Everything is deterministic at desk scale: fuzzing runs in cooperative
 slices on the worker thread (no wall-clock races), ids come from counters,
@@ -19,7 +25,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .agents import (
     AgentOutcome,
@@ -66,6 +72,10 @@ from .store import FileStore, MemoryStore, StoreBackend
 log = logging.getLogger("vulnhunt.pipeline")
 
 FAILURE_HINT_CHARS = 2000
+# Each agent run's conversation is compressed before a step whose request
+# would exceed this many tokens.  The largest request of any bundled
+# workload is about 7.5k tokens, so none compresses.
+CONTEXT_TOKEN_BUDGET = 100_000
 # Coverage queries compare fuzzers over the whole program, so they see the
 # full graph; every other code query reads only what the worker's fuzzer
 # reaches.
@@ -89,9 +99,6 @@ class TaskMetrics:
     report_count: int = 0
     wall_clock_s: float = 0.0
 
-    def to_record(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class WorkerTask:
@@ -109,18 +116,7 @@ class WorkerTask:
     warnings: list[str] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "fuzzer": self.fuzzer,
-            "sanitizer": self.sanitizer,
-            "mode": self.mode,
-            "state": self.state,
-            "degenerate": self.degenerate,
-            "budget_seconds": self.budget_seconds,
-            "token_ceiling": self.token_ceiling,
-            "metrics": self.metrics.to_record(),
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 def plan_workers(
@@ -158,15 +154,6 @@ def plan_workers(
     if not tasks:
         raise ConfigError("no worker tasks remain after filtering the fuzzer x sanitizer product")
     return tasks
-
-
-@dataclass
-class _SPGenCall:
-    """One sp-generator invocation, kept for audit."""
-
-    function_id: str
-    context: str
-    candidates: int
 
 
 class Worker:
@@ -212,7 +199,6 @@ class Worker:
             else None
         )
 
-        self.sp_generator_log: list[_SPGenCall] = []
         self.owned_sp_ids: set[str] = set()
         self.importance: dict[str, int] = {}
         self.poc_queue: list[str] = []
@@ -271,25 +257,38 @@ class Worker:
         extra_tools: tuple = (),
         tool_limits: dict | None = None,
         prompt_context: dict | None = None,
-    ) -> AgentOutcome:
+        failure: str | None = None,
+    ) -> AgentOutcome | None:
         """One agent run with the worker's code tools plus ``extra_tools``
-        (plain functions, each exposed under its ``__name__``)."""
+        (functions or bound methods, each exposed under its ``__name__``).
+
+        An exhausted model chain raises :class:`ChainExhaustedError`, unless
+        the stage names its ``failure``: then the task is warned
+        ``"{failure}: {reason}"`` and None is returned.
+        """
         budgets = Budgets(
             max_total_tokens=self._remaining_tokens(),
             tool_call_limits=dict(tool_limits or {}),
+            context_token_budget=CONTEXT_TOKEN_BUDGET,
         )
         spec = make_spec(role, self.config.model_chains, budgets)
         # A fresh registry per run: its call counts enforce this run's limits.
         registry = ToolRegistry(self.code_tools + [Tool(fn.__name__, fn) for fn in extra_tools])
         self._run_seq += 1
-        outcome = run_agent(
-            spec,
-            seed_context,
-            registry,
-            self.pool,
-            system_prompt=render_prompt(role, **(prompt_context or {})),
-            run_id=f"{self.task.id}:{role}:{self._run_seq}",
-        )
+        try:
+            outcome = run_agent(
+                spec,
+                seed_context,
+                registry,
+                self.pool,
+                system_prompt=render_prompt(role, **(prompt_context or {})),
+                run_id=f"{self.task.id}:{role}:{self._run_seq}",
+            )
+        except ChainExhaustedError as exc:
+            if failure is None:
+                raise
+            self.task.warnings.append(f"{failure}: {exc}")
+            return None
         self.task.metrics.tokens += outcome.usage.total
         self.task.metrics.tool_calls += len(outcome.tool_log)
         self.task.metrics.agent_runs += 1
@@ -334,15 +333,13 @@ class Worker:
                 "Propose exploration directions for this fuzzer with create_direction.",
             ]
         )
-        try:
-            self._run_role(
-                "direction-generator",
-                seed,
-                extra_tools=(create_direction,),
-                prompt_context={"max_directions": self.config.max_directions},
-            )
-        except ChainExhaustedError as exc:
-            self.task.warnings.append(f"direction generation failed: {exc}")
+        self._run_role(
+            "direction-generator",
+            seed,
+            extra_tools=(create_direction,),
+            prompt_context={"max_directions": self.config.max_directions},
+            failure="direction generation failed",
+        )
         if not accepted:
             self.task.warnings.append(
                 "no exploration directions registered; falling back to the whole subgraph"
@@ -368,11 +365,9 @@ class Worker:
                 "Produce starting inputs with add_seed (hex= or text=).",
             ]
         )
-        try:
-            self._run_role("seed-generator", seed, extra_tools=(add_seed,))
-        except ChainExhaustedError as exc:
-            self.task.warnings.append(f"seed generation failed: {exc}")
-            return None
+        self._run_role(
+            "seed-generator", seed, extra_tools=(add_seed,), failure="seed generation failed"
+        )
         return blobs or None
 
     def _admit_seed(self, blob: bytes, origin: str) -> None:
@@ -470,16 +465,11 @@ class Worker:
         seed = self._function_context(
             function_id, f"direction: {direction_name} | analyze this function for memory-safety flaws"
         )
-        try:
-            self._run_role(
-                "sp-generator",
-                seed,
-                extra_tools=(create_suspicious_point,),
-            )
-        except ChainExhaustedError as exc:
-            self.task.warnings.append(f"sp generation failed for {function_id}: {exc}")
-        self.sp_generator_log.append(
-            _SPGenCall(function_id=function_id, context=seed, candidates=len(pending))
+        self._run_role(
+            "sp-generator",
+            seed,
+            extra_tools=(create_suspicious_point,),
+            failure=f"sp generation failed for {function_id}",
         )
         return pending
 
@@ -584,165 +574,15 @@ class Worker:
         return (-self.importance.get(sp_id, 1), -sp.score, sp.created_stage, sp.id)
 
     def _drain_poc_queue(self) -> None:
+        # _route_verified queues an id only when it is neither done nor queued.
         while self.poc_queue and not self._budget_tripped():
             self.poc_queue.sort(key=self._queue_order)
-            sp_id = self.poc_queue.pop(0)
-            if sp_id in self.poc_done:
-                continue
-            self.poc_done.add(sp_id)
-            self._generate_poc(self.spstore.get(sp_id))
-
-    def _generate_poc(self, sp: SuspiciousPoint) -> None:
-        if self.runner is None:
-            self.task.warnings.append(f"no simulated target; cannot attempt poc for {sp.id}")
-            return
-        factory = RecipeBlobFactory()
-        state = {"attempts": 0, "last_blobs": [], "solved": False}
-        sp_bg: dict = {"loop": None, "failed": []}
-
-        def pump_sp_background() -> None:
-            # Seeded once, from the attempts failed so far; later failures
-            # only feed the global corpus.
-            if sp_bg["loop"] is None and sp_bg["failed"]:
-                corpus = Corpus()
-                for blob in sp_bg["failed"]:
-                    corpus.add(blob, self.runner.run(blob).coverage, "poc-attempt")
-                    self.task.metrics.executions += 1
-                sp_bg["loop"] = self._fuzz_loop(
-                    corpus,
-                    f"sp|{sp.id}",
-                    f"sp-background:{sp.id}",
-                    self.config.sp_fuzz_iterations,
-                )
-            self._pump(sp_bg["loop"])
-
-        def create_pov(recipe: dict):
-            state["attempts"] += 1
-            attempt = state["attempts"]
-            try:
-                blobs = factory.make_variants(recipe, self.config.variants_per_attempt)
-            except RecipeError as exc:
-                return {
-                    "success": False,
-                    "attempt": attempt,
-                    "error": f"recipe error: {exc}",
-                }
-            # Oversize variants are skipped before anything runs, as
-            # _admit_seed skips oversize seeds, so the rest run and count.
-            limit = self.runner.max_blob
-            fits = [index for index, blob in enumerate(blobs) if len(blob) <= limit]
-            if not fits:
-                return {
-                    "success": False,
-                    "attempt": attempt,
-                    "error": f"every variant exceeds max_blob {limit} "
-                    f"({', '.join(f'{len(blob)} bytes' for blob in blobs)}); nothing ran",
-                }
-            outcome = sp_fuzzer_verify([blobs[index] for index in fits], self.runner)
-            results = dict(zip(fits, outcome.results))  # variant index -> result
-            executed = [r for r in outcome.results if r is not None]
-            self.task.metrics.executions += len(executed)
-            for index, result in results.items():
-                if result is None or result.outcome == "crash":
-                    continue
-                self.corpus.add(blobs[index], result.coverage, f"poc:{sp.id}")
-                sp_bg["failed"].append(blobs[index])
-            state["last_blobs"] = blobs
-            if outcome.crashed:
-                index = fits[outcome.crashed_index]
-                blob, result = blobs[index], results[index]
-                handled = self._confirm_poc_crash(sp, blob, result, attempt)
-                if handled:
-                    state["solved"] = True
-                    return {
-                        "success": True,
-                        "attempt": attempt,
-                        "variant": index,
-                        "crash": result.crash.location,
-                        "vuln_type": result.crash.vuln_type,
-                    }
-                return {
-                    "success": False,
-                    "attempt": attempt,
-                    "error": "crash did not reproduce across the quorum",
-                }
-            pump_sp_background()
-            tails = []
-            for index, blob in enumerate(blobs):
-                result = results.get(index)
-                if len(blob) > limit:
-                    tails.append(
-                        f"variant {index}: skipped ({len(blob)} bytes exceeds max_blob {limit})"
-                    )
-                elif result is None:
-                    tails.append(f"variant {index}: skipped ({outcome.skip_policy})")
-                else:
-                    tails.append(
-                        f"variant {index}: {result.outcome}, "
-                        f"coverage {len(result.coverage)} functions, "
-                        f"deepest: {result.trace[-1] if result.trace else '(empty)'}"
-                    )
-            combined = "\n".join(r.output for r in executed)
-            return {
-                "success": False,
-                "attempt": attempt,
-                "summary": tails,
-                "output_tail": combined[-FAILURE_HINT_CHARS:],
-            }
-
-        def trace_pov(variant: int = 0):
-            current_attempt = state["attempts"] + 1
-            if current_attempt < self.config.trace_unlock_attempt:
-                return (
-                    f"tool locked: trace_pov unlocks at attempt "
-                    f"{self.config.trace_unlock_attempt} (currently at attempt {current_attempt})"
-                )
-            if not state["last_blobs"]:
-                return "no previous attempt to trace"
-            variant = max(0, min(int(variant), len(state["last_blobs"]) - 1))
-            result = self.runner.run(state["last_blobs"][variant])
-            self.task.metrics.executions += 1
-            want = self._static_route(sp.function_id)
-            executed = set(result.coverage)
-            divergence = next((f for f in want if f not in executed), None)
-            lines = ["executed path:"]
-            lines.extend(result.trace)
-            lines.append(f"static route to {sp.function_id}: {' -> '.join(want) or '(unreachable)'}")
-            if divergence:
-                lines.append(f"divergence: execution never reached {divergence}")
-            elif want:
-                lines.append("execution covers the static route; the crash condition itself is unmet")
-            return "\n".join(lines)
-
-        seed = "\n".join(
-            [
-                f"confirmed suspicious point {sp.id}",
-                f"function: {sp.function_id}",
-                f"vuln_type: {sp.vuln_type}",
-                f"fuzzer: {self.task.fuzzer} | sanitizer: {self.task.sanitizer}",
-                f"description: {sp.description}",
-                f"guidance: {sp.poc_guidance or '(none)'}",
-                "",
-                "source:",
-                self.subgraph.functions[sp.function_id].source_text,
-            ]
-        )
-        try:
-            self._run_role(
-                "poc-generator",
-                seed,
-                extra_tools=(create_pov, trace_pov),
-                tool_limits={"create_pov": self.config.max_poc_attempts},
-                prompt_context={
-                    "variants": self.config.variants_per_attempt,
-                    "max_attempts": self.config.max_poc_attempts,
-                    "trace_unlock": self.config.trace_unlock_attempt,
-                },
-            )
-        except ChainExhaustedError as exc:
-            self.task.warnings.append(f"poc generation failed for {sp.id}: {exc}")
-        if not state["solved"]:
-            self.spstore.record_poc_result(sp.id, self.task.fuzzer, crashed=False)
+            sp = self.spstore.get(self.poc_queue.pop(0))
+            self.poc_done.add(sp.id)
+            if self.runner is None:
+                self.task.warnings.append(f"no simulated target; cannot attempt poc for {sp.id}")
+            else:
+                PocAttempt(self, sp).run()
 
     def _static_route(self, function_id: str) -> list[str]:
         """The BFS route from the fuzzer's entries to a function; [] if unreached.
@@ -756,16 +596,6 @@ class Worker:
         return bfs_path(self._route_parents, function_id)
 
     # -- crash handling ---------------------------------------------------------
-
-    def _confirm_poc_crash(self, sp: SuspiciousPoint, blob: bytes, result, attempts: int) -> bool:
-        repro = reproduce(blob, self.runner, quorum=self.config.quorum)
-        self.task.metrics.executions += repro.runs
-        if not repro.confirmed:
-            return False
-        pov = self._persist_pov(sp.id, blob, result, repro.reproduced_count)
-        self.spstore.record_poc_result(sp.id, self.task.fuzzer, crashed=True, pov_id=pov["id"])
-        self._emit_report(sp, pov, result.crash, "S", attempts, repro.reproduced_count)
-        return True
 
     def _attach_crash_sp(self, crash) -> SuspiciousPoint:
         existing = self.spstore.for_function(crash.location)
@@ -955,6 +785,8 @@ class Worker:
         if self.task.mode == "delta":
             if self.delta is None:
                 raise ConfigError("delta mode requires a parsed diff")
+            for hunk in self.delta.unresolved:
+                self.task.warnings.append(f"diff hunk {hunk} matches no function; not analyzed")
             changed = [f for f in self.delta.changed_function_ids if f in self.subgraph.functions]
             if not changed:
                 self.task.warnings.append("no changed functions are reachable by this fuzzer")
@@ -978,6 +810,167 @@ class Worker:
             self._drain_verify_retries()
             self._drain_poc_queue()
             self._pump(self.global_loop)
+
+
+class PocAttempt:
+    """One worker's proof-of-crash attempt on one confirmed point.
+
+    The PoC agent's tools are the methods ``create_pov`` and ``trace_pov``.
+    The point's background loop is seeded once, from the variants failed so
+    far; later failures only feed the worker's global corpus.
+    """
+
+    def __init__(self, worker: Worker, sp: SuspiciousPoint):
+        self.worker = worker
+        self.sp = sp
+        self.factory = RecipeBlobFactory()
+        self.attempts = 0
+        self.last_blobs: list[bytes] = []
+        self.solved = False
+        self.failed_blobs: list[bytes] = []
+        self.loop: FuzzLoop | None = None
+
+    def run(self) -> None:
+        """Run the PoC agent; an unsolved point is recorded as not crashed."""
+        worker, sp, config = self.worker, self.sp, self.worker.config
+        seed = "\n".join(
+            [
+                f"confirmed suspicious point {sp.id}",
+                f"function: {sp.function_id}",
+                f"vuln_type: {sp.vuln_type}",
+                f"fuzzer: {worker.task.fuzzer} | sanitizer: {worker.task.sanitizer}",
+                f"description: {sp.description}",
+                f"guidance: {sp.poc_guidance or '(none)'}",
+                "",
+                "source:",
+                worker.subgraph.functions[sp.function_id].source_text,
+            ]
+        )
+        worker._run_role(
+            "poc-generator",
+            seed,
+            extra_tools=(self.create_pov, self.trace_pov),
+            tool_limits={"create_pov": config.max_poc_attempts},
+            prompt_context={
+                "variants": config.variants_per_attempt,
+                "max_attempts": config.max_poc_attempts,
+                "trace_unlock": config.trace_unlock_attempt,
+            },
+            failure=f"poc generation failed for {sp.id}",
+        )
+        if not self.solved:
+            worker.spstore.record_poc_result(sp.id, worker.task.fuzzer, crashed=False)
+
+    def create_pov(self, recipe: dict):
+        worker = self.worker
+        self.attempts += 1
+        try:
+            blobs = self.factory.make_variants(recipe, worker.config.variants_per_attempt)
+        except RecipeError as exc:
+            return self._failed(f"recipe error: {exc}")
+        # Oversize variants are skipped before anything runs, as
+        # _admit_seed skips oversize seeds, so the rest run and count.
+        limit = worker.runner.max_blob
+        fits = [index for index, blob in enumerate(blobs) if len(blob) <= limit]
+        if not fits:
+            sizes = ", ".join(f"{len(blob)} bytes" for blob in blobs)
+            return self._failed(f"every variant exceeds max_blob {limit} ({sizes}); nothing ran")
+        outcome = sp_fuzzer_verify([blobs[index] for index in fits], worker.runner)
+        results = dict(zip(fits, outcome.results))  # variant index -> result
+        executed = [r for r in outcome.results if r is not None]
+        worker.task.metrics.executions += len(executed)
+        for index, result in results.items():
+            if result is None or result.outcome == "crash":
+                continue
+            worker.corpus.add(blobs[index], result.coverage, f"poc:{self.sp.id}")
+            self.failed_blobs.append(blobs[index])
+        self.last_blobs = blobs
+        if outcome.crashed:
+            index = fits[outcome.crashed_index]
+            result = results[index]
+            if not self._confirm(blobs[index], result):
+                return self._failed("crash did not reproduce across the quorum")
+            return {
+                "success": True,
+                "attempt": self.attempts,
+                "variant": index,
+                "crash": result.crash.location,
+                "vuln_type": result.crash.vuln_type,
+            }
+        self._pump_background()
+        tails = []
+        for index, blob in enumerate(blobs):
+            result = results.get(index)
+            if len(blob) > limit:
+                tails.append(f"variant {index}: skipped ({len(blob)} bytes exceeds max_blob {limit})")
+            elif result is None:
+                tails.append(f"variant {index}: skipped ({outcome.skip_policy})")
+            else:
+                tails.append(
+                    f"variant {index}: {result.outcome}, "
+                    f"coverage {len(result.coverage)} functions, "
+                    f"deepest: {result.trace[-1] if result.trace else '(empty)'}"
+                )
+        combined = "\n".join(r.output for r in executed)
+        return {
+            "success": False,
+            "attempt": self.attempts,
+            "summary": tails,
+            "output_tail": combined[-FAILURE_HINT_CHARS:],
+        }
+
+    def trace_pov(self, variant: int = 0):
+        worker = self.worker
+        unlock, current = worker.config.trace_unlock_attempt, self.attempts + 1
+        if current < unlock:
+            return (
+                f"tool locked: trace_pov unlocks at attempt {unlock} "
+                f"(currently at attempt {current})"
+            )
+        if not self.last_blobs:
+            return "no previous attempt to trace"
+        variant = max(0, min(int(variant), len(self.last_blobs) - 1))
+        result = worker.runner.run(self.last_blobs[variant])
+        worker.task.metrics.executions += 1
+        target = self.sp.function_id
+        want = worker._static_route(target)
+        divergence = next((f for f in want if f not in result.coverage), None)
+        lines = ["executed path:", *result.trace]
+        lines.append(f"static route to {target}: {' -> '.join(want) or '(unreachable)'}")
+        if divergence:
+            lines.append(f"divergence: execution never reached {divergence}")
+        elif want:
+            lines.append("execution covers the static route; the crash condition itself is unmet")
+        return "\n".join(lines)
+
+    def _failed(self, error: str) -> dict:
+        return {"success": False, "attempt": self.attempts, "error": error}
+
+    def _confirm(self, blob: bytes, result) -> bool:
+        """Reproduce a crash; one confirmed by the quorum is persisted and reported."""
+        worker = self.worker
+        repro = reproduce(blob, worker.runner, quorum=worker.config.quorum)
+        worker.task.metrics.executions += repro.runs
+        if not repro.confirmed:
+            return False
+        pov = worker._persist_pov(self.sp.id, blob, result, repro.reproduced_count)
+        worker.spstore.record_poc_result(
+            self.sp.id, worker.task.fuzzer, crashed=True, pov_id=pov["id"]
+        )
+        worker._emit_report(self.sp, pov, result.crash, "S", self.attempts, repro.reproduced_count)
+        self.solved = True
+        return True
+
+    def _pump_background(self) -> None:
+        worker = self.worker
+        if self.loop is None and self.failed_blobs:
+            corpus = Corpus()
+            for blob in self.failed_blobs:
+                corpus.add(blob, worker.runner.run(blob).coverage, "poc-attempt")
+                worker.task.metrics.executions += 1
+            tag, origin = f"sp|{self.sp.id}", f"sp-background:{self.sp.id}"
+            self.loop = worker._fuzz_loop(corpus, tag, origin, worker.config.sp_fuzz_iterations)
+        worker._pump(self.loop)
 
 
 @dataclass

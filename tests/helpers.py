@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import namedtuple
 
+from vulnhunt.agents import ScriptedProvider
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.directions import DirectionScheduler, Pick
 from vulnhunt.errors import OversizeBlobError
@@ -395,3 +397,48 @@ def naive_duplicate_of(points, candidate, judge, threshold):
         if answer:
             return existing.id
     return None
+
+
+# ---------------------------------------------------------------------------
+# Provider request capture
+# ---------------------------------------------------------------------------
+
+
+def capture_requests(monkeypatch):
+    """Record every request the scripted provider completes; returns the
+    list that fills as the scan runs."""
+    requests = []
+    complete = ScriptedProvider.complete
+
+    def capture(self, request):
+        requests.append(request)
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", capture)
+    return requests
+
+
+SPGenRun = namedtuple("SPGenRun", "task_id function_id context candidates")
+
+
+def sp_generator_runs(requests):
+    """One SPGenRun per sp-generator agent run, in run order, read from its
+    requests: the task (from the run id), the analysed function and the
+    seed context (the first user message), and the candidates the run's
+    ``create_suspicious_point`` calls got accepted."""
+    last = {}  # run id -> messages of its latest request
+    for request in requests:
+        if request.agent_role == "sp-generator":
+            last[request.run_id] = request.messages
+    runs = []
+    for run_id, messages in last.items():
+        context = next(m.content for m in messages if m.role == "user")
+        names = {tc.call_id: tc.name for m in messages for tc in m.tool_calls}
+        candidates = sum(
+            1 for m in messages
+            if m.role == "tool" and names[m.tool_call_id] == "create_suspicious_point"
+            and m.content.startswith('{"accepted": true')
+        )
+        function = re.search(r"^function: (\S+)$", context, re.M).group(1)
+        runs.append(SPGenRun(run_id.split(":")[0], function, context, candidates))
+    return runs

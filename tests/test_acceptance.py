@@ -481,9 +481,11 @@ def test_c06_poc_loop_budgets(announce, tmp_path, monkeypatch, ws):
 # ---------------------------------------------------------------------------
 
 
-def test_c07_delta_scoping(announce, ws, delta_scan):
+def test_c07_delta_scoping(announce, ws, monkeypatch):
     with announce(7, "delta scan analyzes exactly the reachable changed functions"):
-        result, _ = delta_scan
+        requests = helpers.capture_requests(monkeypatch)
+        result, _ = _timed_scan(ws, "out-delta-c07", mode="delta", diff_path=str(ws.diff_path))
+        runs = helpers.sp_generator_runs(requests)
         graph = load_call_graph(ws.export_path)
         delta = load_delta(ws.diff_path.read_text(encoding="utf-8"), graph)
         assert set(delta.changed_function_ids) == {
@@ -496,18 +498,19 @@ def test_c07_delta_scoping(announce, ws, delta_scan):
         # img_debug_dump is changed but unreachable from the fuzzer entry,
         # so exactly the two reachable functions get analyzed, in diff order.
         assert "img_debug_dump" not in img.subgraph.functions
-        assert [c.function_id for c in img.sp_generator_log] == [
+        # Every sp-generator run is the img worker's.
+        assert {run.task_id for run in runs} == {img.task.id}
+        assert [run.function_id for run in runs] == [
             "img_apply_palette",
             "img_read_chunk",
         ]
-        assert [c.candidates for c in img.sp_generator_log] == [1, 0]
-        for call in img.sp_generator_log:
-            assert fd.DELTA_COMMIT_MESSAGE in call.context
+        assert [run.candidates for run in runs] == [1, 0]
+        for run in runs:
+            assert fd.DELTA_COMMIT_MESSAGE in run.context
 
         for worker in result.workers:
             if worker is img:
                 continue
-            assert worker.sp_generator_log == []
             assert "no changed functions are reachable by this fuzzer" in worker.task.warnings
 
         methods = {r["function"]: r["discovery_method"] for r in result.reports}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,13 +14,19 @@ import pytest
 import fixture_data as fd
 import vulnhunt.pipeline as pipeline
 from conftest import Workspace
-from helpers import export_lines, naive_node_universe, naive_reachable
-from vulnhunt.agents import ScriptedProvider
+from helpers import (
+    capture_requests,
+    export_lines,
+    naive_node_universe,
+    naive_reachable,
+    sp_generator_runs,
+)
+from vulnhunt.agents import ProviderError, ScriptedProvider
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.config import Config
 from vulnhunt.directions import GlobalAnalyzedSet
 from vulnhunt.errors import ConfigError, UnknownFuzzerError
-from vulnhunt.fuzzing import FuzzLoop, SimTargetRunner
+from vulnhunt.fuzzing import CrashSpec, ExecutionResult, FuzzLoop, SimTargetRunner
 from vulnhunt.pipeline import (
     _build_pool,
     _make_duplicate_judge,
@@ -28,6 +35,7 @@ from vulnhunt.pipeline import (
     status_snapshot,
 )
 from vulnhunt.reporting import REPORT_FIELDS
+from vulnhunt.spstore import SPStore
 from vulnhunt.store import MemoryStore
 
 
@@ -342,19 +350,200 @@ def test_oversize_poc_variants_are_skipped_and_the_rest_counted(e2e_workspace, m
         runs[id(self)] = runs.get(id(self), 0) + 1
         return result
 
-    tool_results = []
-    complete = ScriptedProvider.complete
-
-    def capture(self, request):
-        tool_results.extend(m.content for m in request.messages if m.role == "tool")
-        return complete(self, request)
-
     monkeypatch.setattr(SimTargetRunner, "run", counting)
-    monkeypatch.setattr(ScriptedProvider, "complete", capture)
+    requests = capture_requests(monkeypatch)
     result = run_scan(e2e_workspace.config(max_blob=max_blob))
-    assert any(told in content for content in tool_results)
+    assert any(told in m.content for r in requests for m in r.messages if m.role == "tool")
     for worker in result.workers:
         assert worker.task.metrics.executions == runs[id(worker.runner)]
+
+
+# ===== agent stage failures =====
+
+_T1_DOWN = "model chain exhausted: scripted-t1: unavailable"
+_T2_DOWN = "model chain exhausted: scripted-t2: unavailable"
+
+
+def _seed_field(seed: str, prefix: str) -> str:
+    """The first word after ``prefix`` at the start of a seed-context line."""
+    line = next(line for line in seed.splitlines() if line.startswith(prefix))
+    return line[len(prefix):].split()[0].rstrip(":")
+
+
+def _expected_stage_warnings(role: str, seeds: list[str]) -> list[str]:
+    """The warnings a task records when every run of ``role`` it started
+    (one seed context each, in order) found its model chain exhausted."""
+    if role == "direction-generator":
+        fallback = "no exploration directions registered; falling back to the whole subgraph"
+        return [w for _ in seeds for w in (f"direction generation failed: {_T1_DOWN}", fallback)]
+    if role == "seed-generator":
+        return [f"seed generation failed: {_T2_DOWN}" for _ in seeds]
+    if role == "sp-generator":
+        return [f"sp generation failed for {_seed_field(s, 'function: ')}: {_T2_DOWN}"
+                for s in seeds]
+    if role == "poc-generator":
+        return [f"poc generation failed for {_seed_field(s, 'confirmed suspicious point ')}: "
+                f"{_T2_DOWN}" for s in seeds]
+    if role == "sp-verifier":
+        # Each point is retried once; the second failure is the warning.
+        ids = [_seed_field(s, "verify suspicious point ") for s in seeds]
+        assert all(count == 2 for count in Counter(ids).values())
+        return [f"verification failed twice for {sp_id}; left unverified"
+                for i, sp_id in enumerate(ids) if sp_id in ids[:i]]
+    assert role == "report"  # falls back to the template silently
+    return []
+
+
+@pytest.mark.parametrize("role", [
+    "direction-generator", "seed-generator", "sp-generator", "sp-verifier", "poc-generator",
+    "report",
+])
+def test_a_stage_without_a_model_warns_and_the_task_finishes(e2e_workspace, monkeypatch, role):
+    """When every model for one role fails, each run of that stage leaves
+    its warning (the verifier retries first, the report uses its template)
+    and every task still ends ``done``."""
+    scenario = copy.deepcopy(fd.E2E_SCENARIO)
+    scenario["agents"]["seed-generator"] = [{"match": "", "reusable": True, "steps": [
+        {"tool_calls": [{"name": "add_seed", "args": {"text": "IMGX"}}]},
+        {"text": "one seed"},
+    ]}]
+    scenario["agents"]["report"] = [
+        {"match": "", "reusable": True, "steps": [{"text": "scripted summary"}]}
+    ]
+    failed = []
+    complete = ScriptedProvider.complete
+
+    def down(self, request):
+        if request.agent_role == role:
+            failed.append(request)
+            raise ProviderError("unavailable")
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", down)
+    result = run_scan(e2e_workspace.config(), scenario=scenario)
+    assert failed
+    assert [t.state for t in result.tasks] == ["done"] * 3
+    for task in result.tasks:
+        seeds = [r.messages[1].content for r in failed if r.run_id.startswith(f"{task.id}:")]
+        assert task.warnings == _expected_stage_warnings(role, seeds)
+    if role == "report":
+        assert len(failed) == len(result.reports) == 5
+        for report in result.reports:
+            assert report["description"].endswith("reproduced the crash in 10/10 runs.")
+
+
+# ===== the PoC attempt =====
+
+
+class _FlakyRunner:
+    """A stand-in target: every run walks ``m_entry -> m_handler``; the
+    first ``crashes`` runs crash there, the rest exit cleanly."""
+
+    max_blob = 64
+
+    def __init__(self, crashes: int = 0):
+        self.crashes = crashes
+        self.runs = 0
+
+    def run(self, blob: bytes) -> ExecutionResult:
+        self.runs += 1
+        crash = None
+        if self.runs <= self.crashes:
+            crash = CrashSpec("m_handler", "heap-buffer-overflow", "address")
+        return ExecutionResult("crash" if crash else "ok", frozenset({"m_entry", "m_handler"}),
+                               ("m_entry", "m_handler"), "fake", len(blob), crash)
+
+
+_NUL_RECIPE = {"instructions": [{"op": "literal", "hex": "00"}], "variants": [{}, {}, {}]}
+
+
+def _poc_attempt(magic_workspace, runner, **overrides) -> pipeline.PocAttempt:
+    graph = load_call_graph(magic_workspace.export_path)
+    config = magic_workspace.config(sp_fuzz_iterations=0, **overrides)
+    (task,) = plan_workers(graph, config)
+    spstore = SPStore(known_functions=set(graph.functions))
+    worker = pipeline.Worker(task, graph, config, spstore, GlobalAnalyzedSet(), None,
+                             MemoryStore())
+    worker.runner = runner
+    sp_id = spstore.create_sp("m_handler", (task.fuzzer, task.sanitizer),
+                              "tag copied into a fixed buffer", "heap-buffer-overflow", 0.9)
+    return pipeline.PocAttempt(worker, spstore.get(sp_id))
+
+
+class TestPocAttempt:
+    def test_a_crash_that_does_not_reproduce_is_a_failed_attempt(self, magic_workspace):
+        runner = _FlakyRunner(crashes=1)
+        attempt = _poc_attempt(magic_workspace, runner)
+        assert attempt.create_pov(_NUL_RECIPE) == {
+            "success": False,
+            "attempt": 1,
+            "error": "crash did not reproduce across the quorum",
+        }
+        assert not attempt.solved
+        # The first variant crashed and stopped the rest; the replay stopped
+        # at its first clean run.
+        assert runner.runs == 2
+        assert attempt.worker.store.list("povs") == []
+
+    def test_trace_before_any_attempt(self, magic_workspace):
+        attempt = _poc_attempt(magic_workspace, _FlakyRunner(), trace_unlock_attempt=1)
+        assert attempt.trace_pov() == "no previous attempt to trace"
+
+    def test_trace_of_a_run_that_covers_the_route(self, magic_workspace):
+        runner = _FlakyRunner()
+        attempt = _poc_attempt(magic_workspace, runner, trace_unlock_attempt=1)
+        failed = attempt.create_pov(_NUL_RECIPE)
+        assert failed["success"] is False and failed["attempt"] == 1
+        assert attempt.failed_blobs == attempt.last_blobs == [b"\x00"] * 3
+        assert attempt.trace_pov(variant=7) == (
+            "executed path:\n"
+            "m_entry\n"
+            "m_handler\n"
+            "static route to m_handler: m_entry -> m_handler\n"
+            "execution covers the static route; the crash condition itself is unmet"
+        )
+        # Three variants, one seeding run for the point's loop, one trace.
+        assert attempt.worker.task.metrics.executions == runner.runs == 3 + 3 + 1
+
+
+def _magic_poc_scenario(attempts: int) -> dict:
+    """m_handler found and confirmed, then ``attempts`` PoC attempts that
+    never set the magic byte, one per step."""
+    create = {"name": "create_pov", "args": {"recipe": _NUL_RECIPE}}
+    point = {"function": "m_handler", "description": "tag copied into a fixed buffer",
+             "vuln_type": "heap-buffer-overflow", "score": 0.9}
+    return {"agents": {
+        "sp-generator": [
+            {"match": "function: m_handler", "steps": [
+                {"tool_calls": [{"name": "create_suspicious_point", "args": point}]},
+                {"text": "one candidate"},
+            ]},
+            {"match": "", "reusable": True, "steps": [{"text": "nothing"}]},
+        ],
+        "sp-verifier": [{"match": "", "steps": [
+            {"tool_calls": [{"name": "update_suspicious_point", "args": {"verdict": "tp"}}]},
+            {"text": "confirmed"},
+        ]}],
+        "poc-generator": [{"match": "", "steps": [{"tool_calls": [create]}] * attempts
+                           + [{"text": "giving up"}]}],
+    }}
+
+
+def test_context_budget_bounds_every_poc_request(magic_workspace, monkeypatch):
+    """Under a small context budget a 40-attempt PoC run is compressed
+    before each step that would outgrow it; every attempt still runs."""
+    budget = 1200
+    monkeypatch.setattr(pipeline, "CONTEXT_TOKEN_BUDGET", budget)
+    requests = capture_requests(monkeypatch)
+    config = magic_workspace.config(global_fuzz_iterations=0, sp_fuzz_iterations=0)
+    (task,) = run_scan(config, scenario=_magic_poc_scenario(40)).tasks
+    assert task.state == "done"
+    poc = [r for r in requests if r.agent_role == "poc-generator"]
+    sizes = [sum(m.token_estimate for m in r.messages) for r in poc]
+    assert max(sizes) <= budget
+    assert any(m.content.startswith("[compressed") for m in poc[-1].messages)
+    attempts = {tc.call_id for r in poc for m in r.messages for tc in m.tool_calls}
+    assert len(poc) == 41 and len(attempts) == 40
 
 
 # ===== agent code tools =====
@@ -417,22 +606,51 @@ class TestCodeTools:
 
 
 class TestDeltaMode:
-    def test_delta_scopes_to_reachable_changed_functions(self, e2e_workspace):
+    def test_delta_scopes_to_reachable_changed_functions(self, e2e_workspace, monkeypatch):
         config = e2e_workspace.config(
             mode="delta", diff_path=str(e2e_workspace.diff_path), fuzzers=["img_fuzzer"]
         )
+        requests = capture_requests(monkeypatch)
         result = run_scan(config)
         (worker,) = result.workers
-        assert [c.function_id for c in worker.sp_generator_log] == [
+        runs = sp_generator_runs(requests)
+        assert [run.function_id for run in runs] == [
             "img_apply_palette",
             "img_read_chunk",
         ]
-        assert [c.candidates for c in worker.sp_generator_log] == [1, 0]
-        for call in worker.sp_generator_log:
-            assert fd.DELTA_COMMIT_MESSAGE in call.context
+        assert [run.candidates for run in runs] == [1, 0]
+        for run in runs:
+            assert fd.DELTA_COMMIT_MESSAGE in run.context
         observed = {r["function"]: r["discovery_method"] for r in result.reports}
         assert observed == {"img_apply_palette": "S", "img_decompress": "G"}
         assert worker.task.state == "done" and worker.task.mode == "delta"
+
+    def test_unresolved_hunks_are_task_warnings(self, e2e_workspace):
+        """A hunk that matches no function is named on every task, once;
+        the hunks that resolve are analyzed as before."""
+        unresolved = (
+            "diff --git a/other/place.c b/other/place.c\n"
+            "--- a/other/place.c\n"
+            "+++ b/other/place.c\n"
+            "@@ -1,2 +1,2 @@\n"
+            "-    int mystery_state = 1;\n"
+            "+    int mystery_state = 2;\n"
+            "@@ -9,2 +9,2 @@\n"
+            "-    int other_state = 1;\n"
+            "+    int other_state = 2;\n"
+        )
+        e2e_workspace.diff_path.write_text(fd.DELTA_DIFF + unresolved, encoding="utf-8")
+        result = run_scan(
+            e2e_workspace.config(mode="delta", diff_path=str(e2e_workspace.diff_path))
+        )
+        hunk_warnings = [
+            f"diff hunk other/place.c#{i} matches no function; not analyzed" for i in (0, 1)
+        ]
+        for task in result.tasks:
+            assert task.state == "done"
+            assert [w for w in task.warnings if w.startswith("diff hunk")] == hunk_warnings
+        observed = {r["function"]: r["discovery_method"] for r in result.reports}
+        assert observed == {"img_apply_palette": "S", "img_decompress": "G"}
 
     def test_delta_requires_a_diff(self, e2e_workspace):
         config = e2e_workspace.config(mode="delta")
