@@ -1,4 +1,4 @@
-"""Agent core: specs, providers with fallback, tool registries, run loop."""
+"""Agent core: roles and budgets, providers with fallback, tool registries, run loop."""
 
 from .compress import compress_context
 from .loop import AgentOutcome, ToolLogEntry, run_agent
@@ -13,7 +13,6 @@ from .providers import (
 from .registry import Tool, ToolRegistry
 from .prompts import PROMPT_VERSION, render_prompt
 from .types import (
-    AgentSpec,
     Budgets,
     Conversation,
     Message,
@@ -24,12 +23,10 @@ from .types import (
     TokenUsage,
     ToolCall,
     estimate_tokens,
-    make_spec,
 )
 
 __all__ = [
     "AgentOutcome",
-    "AgentSpec",
     "Budgets",
     "Conversation",
     "HttpChatProvider",
@@ -51,7 +48,6 @@ __all__ = [
     "compress_context",
     "estimate_tokens",
     "load_scenario",
-    "make_spec",
     "render_prompt",
     "run_agent",
 ]

@@ -1,35 +1,30 @@
 """Context compression for long agent conversations.
 
-When a conversation outgrows its token budget, everything between the system
-message and the most recent assistant/tool exchange is replaced by a single
-summary block.  The system message and that last exchange survive verbatim.
-An agent-backed summarizer may produce the block; without one, a
-deterministic truncation-with-index fallback lists each replaced message's
-role and head.
+When a conversation outgrows its token budget, everything between the seed
+context (the first user message) and the most recent assistant/tool exchange
+is replaced by a single summary block: a deterministic index listing each
+replaced message's role and head.  The system message, the seed context and
+that last exchange survive verbatim.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..errors import BudgetError
 from .types import Conversation, Message, estimate_tokens
 
-Summarizer = Callable[[list[Message]], str]
-
 _HEAD_CHARS = 80
+# The smallest summary a budget must leave room for: a truncated index keeps
+# at least "[compress..." (12 characters).
+_MIN_SUMMARY_TOKENS = 3
 
 
 def _tail_start(messages: list[Message]) -> int:
-    """Index where the most recent assistant/tool exchange begins."""
-    last_assistant = None
-    for i in range(len(messages) - 1, -1, -1):
+    """Index where the most recent assistant/tool exchange begins; never
+    inside the system message and seed context."""
+    for i in range(len(messages) - 1, 1, -1):
         if messages[i].role == "assistant":
-            last_assistant = i
-            break
-    if last_assistant is None:
-        return max(1, len(messages) - 1)
-    return last_assistant
+            return i
+    return max(2, len(messages) - 1)
 
 
 def _index_summary(messages: list[Message]) -> str:
@@ -43,55 +38,36 @@ def _index_summary(messages: list[Message]) -> str:
     return "\n".join(lines)
 
 
-def compress_context(
-    conversation: Conversation,
-    token_budget: int,
-    summarizer: Summarizer | None = None,
-) -> Conversation:
+def compress_context(conversation: Conversation, token_budget: int) -> Conversation:
     """Compress a conversation to fit a token budget.
 
     Returns the conversation unchanged when it already fits.  Otherwise the
-    system message and the last exchange are preserved verbatim and the
-    middle collapses into one summary message.
+    system message, the seed context and the last exchange are preserved
+    verbatim and the messages between them collapse into one summary
+    message, truncated so that the result never exceeds the budget.
 
     Raises:
-        BudgetError: when the budget cannot even hold the system message
-            plus the most recent exchange.
+        BudgetError: when the budget cannot hold the preserved messages plus
+            the smallest summary.
     """
     if conversation.total_tokens() <= token_budget:
         return conversation
-    messages = list(conversation.messages)
-    if not messages:
-        return conversation
-    if messages[0].role != "system":
+    messages = conversation.messages
+    if not messages or messages[0].role != "system":
         raise BudgetError("conversation has no leading system message")
     tail_from = _tail_start(messages)
-    tail_from = max(tail_from, 1)
-    head = messages[0]
-    tail = messages[tail_from:]
-    middle = messages[1:tail_from]
-    floor = head.token_estimate + sum(m.token_estimate for m in tail)
+    head, middle, tail = messages[:2], messages[2:tail_from], messages[tail_from:]
+    kept = sum(m.token_estimate for m in head + tail)
+    # With nothing in the middle the conversation is all kept messages, and
+    # it is over the budget.
+    floor = kept + _MIN_SUMMARY_TOKENS if middle else kept
     if floor > token_budget:
         raise BudgetError(
-            f"budget {token_budget} cannot hold system message and last exchange ({floor} tokens)"
+            f"budget {token_budget} cannot hold the system message, seed context "
+            f"and last exchange ({floor} tokens)"
         )
-    if not middle:
-        # Nothing compressible; the conversation is all head+tail.
-        return conversation
-    summary_text = summarizer(middle) if summarizer is not None else _index_summary(middle)
-    room = token_budget - floor
+    summary_text = _index_summary(middle)
+    room = token_budget - kept
     if estimate_tokens(summary_text) > room:
-        keep_chars = max(0, room * 4 - len("..."))
-        summary_text = summary_text[:keep_chars] + "..." if keep_chars else "[compressed]"
-    rebuilt = [head, Message(role="user", content=summary_text)]
-    # A tool message cannot follow the summary directly; if the tail would
-    # start with tool results, fold them into the summary boundary by
-    # retagging the orphaned results as user context.
-    safe_tail: list[Message] = []
-    for i, msg in enumerate(tail):
-        if msg.role == "tool" and not any(m.role == "assistant" for m in tail[:i]):
-            safe_tail.append(Message(role="user", content=f"[earlier tool result] {msg.content}"))
-        else:
-            safe_tail.append(msg)
-    rebuilt.extend(safe_tail)
-    return Conversation(rebuilt)
+        summary_text = summary_text[: room * 4 - len("...")] + "..."
+    return Conversation([*head, Message(role="user", content=summary_text), *tail])

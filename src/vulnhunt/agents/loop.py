@@ -1,13 +1,16 @@
 """The tool-calling agent loop.
 
-One agent run is: send the conversation to the tier's model chain, execute
-any requested tools, append the results, and repeat until the model stops or
-a budget trips.  Budgets cover tokens and per-tool call counts, and an
-optional context budget compresses the conversation before each step; a
-tripped token budget or the step cap ends the run with ``budget_exhausted``
-set rather than raising, and a tool over its limit is refused, not run.
-Every tool invocation lands in the outcome's log with its arguments and a
-digest of the result.
+One agent run is: send the conversation to the role's model chain, execute
+any requested tools, append the results, and repeat until the model stops.
+Every other way a run stops is also an ending of the run, reported on its
+:class:`AgentOutcome` with the usage and tool log of the steps that ran:
+
+- a tripped token budget or the ``MAX_STEPS`` cap sets ``budget_exhausted``;
+- an exhausted model chain, or a context that its budget cannot hold even
+  compressed, sets ``failure`` to the reason.
+
+A tool over its call limit is refused, not run.  Every tool invocation lands
+in the outcome's log with its arguments and a digest of the result.
 """
 
 from __future__ import annotations
@@ -15,14 +18,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .compress import Summarizer, compress_context
+from ..errors import BudgetError, ChainExhaustedError, ValidationError
+from .compress import compress_context
 from .providers import ProviderPool
 from .registry import ToolRegistry, result_digest
-from .types import AgentSpec, Conversation, Message, ProviderRequest, TokenUsage
+from .types import ROLE_TIERS, Budgets, Conversation, Message, ProviderRequest, TokenUsage
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_STEPS = 64
+# Hard cap on provider round-trips per run.
+MAX_STEPS = 64
 
 
 @dataclass
@@ -46,66 +51,76 @@ class AgentOutcome:
     steps: int = 0
     budget_exhausted: bool = False
     budget_reason: str = ""
+    failure: str = ""
     conversation: Conversation | None = None
 
 
 def run_agent(
-    spec: AgentSpec,
+    role: str,
     seed_context: str,
     registry: ToolRegistry,
     pool: ProviderPool,
+    model_chains: dict[str, list[str]],
     system_prompt: str,
     run_id: str = "",
-    summarizer: Summarizer | None = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    budgets: Budgets | None = None,
 ) -> AgentOutcome:
     """Run one agent to completion under its budgets.
 
     Args:
-        spec: role, tier, model chain, budgets.
+        role: the agent role; its tier picks the chain from ``model_chains``.
         seed_context: the initial user message.
         registry: this run's tool registry; its call counters enforce the
-            spec's tool-call limits, while its tools may be shared between
+            budgets' tool-call limits, while its tools may be shared between
             runs.
         pool: provider pool used for fallback dispatch.
+        model_chains: per-tier model chains.
         system_prompt: rendered system prompt for the role.
         run_id: stable id for scripted-run selection and logging.
-        summarizer: optional context-compression summarizer.
-        max_steps: hard cap on provider round-trips.
+        budgets: token, tool-call and context caps; none by default.
 
     Returns:
-        An :class:`AgentOutcome`; provider chain exhaustion propagates as
-        :class:`ChainExhaustedError` to the caller, which owns retry policy.
+        An :class:`AgentOutcome` for every way the run stops.
+
+    Raises:
+        ValidationError: for an unknown role or a tier without a model chain.
     """
+    if role not in ROLE_TIERS:
+        raise ValidationError(f"unknown agent role '{role}'")
+    chain = model_chains.get(ROLE_TIERS[role])
+    if not chain:
+        raise ValidationError(f"role '{role}': model chain must be non-empty")
+    budgets = budgets or Budgets()
     conversation = Conversation(
         [Message(role="system", content=system_prompt), Message(role="user", content=seed_context)]
     )
-    outcome = AgentOutcome(role=spec.role)
-    budgets = spec.budgets
+    outcome = AgentOutcome(role=role)
 
     def tripped() -> str:
         if budgets.max_total_tokens is not None and outcome.usage.total >= budgets.max_total_tokens:
             return "token budget exhausted"
         return ""
 
-    for step in range(1, max_steps + 1):
+    for step in range(1, MAX_STEPS + 1):
         reason = tripped()
         if reason:
             outcome.budget_exhausted = True
             outcome.budget_reason = reason
             break
-        if budgets.context_token_budget is not None:
-            conversation = compress_context(
-                conversation, budgets.context_token_budget, summarizer
+        try:
+            if budgets.context_token_budget is not None:
+                conversation = compress_context(conversation, budgets.context_token_budget)
+            request = ProviderRequest(
+                model=chain[0],
+                messages=list(conversation.messages),
+                tools=registry.schemas(),
+                agent_role=role,
+                run_id=run_id or role,
             )
-        request = ProviderRequest(
-            model=spec.model_chain[0],
-            messages=list(conversation.messages),
-            tools=registry.schemas(),
-            agent_role=spec.role,
-            run_id=run_id or spec.role,
-        )
-        response = pool.call_with_fallback(spec.model_chain, request)
+            response = pool.call_with_fallback(chain, request)
+        except (BudgetError, ChainExhaustedError) as exc:
+            outcome.failure = str(exc)
+            break
         outcome.steps = step
         outcome.usage = outcome.usage + response.usage
         outcome.served_models.append(response.served_by)
@@ -144,7 +159,7 @@ def run_agent(
         break
     else:
         outcome.budget_exhausted = True
-        outcome.budget_reason = f"step cap ({max_steps}) reached"
+        outcome.budget_reason = f"step cap ({MAX_STEPS}) reached"
 
     reason = tripped()
     if reason and not outcome.final_text:
@@ -152,11 +167,12 @@ def run_agent(
         outcome.budget_reason = outcome.budget_reason or reason
     outcome.conversation = conversation
     logger.debug(
-        "[agent:%s] steps=%d tools=%d tokens=%d exhausted=%s",
-        spec.role,
+        "[agent:%s] steps=%d tools=%d tokens=%d exhausted=%s failure=%s",
+        role,
         outcome.steps,
         len(outcome.tool_log),
         outcome.usage.total,
         outcome.budget_exhausted,
+        outcome.failure,
     )
     return outcome

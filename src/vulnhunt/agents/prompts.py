@@ -1,4 +1,4 @@
-"""Versioned system-prompt templates for the eight agent roles.
+"""Versioned system-prompt templates for the seven agent roles.
 
 Templates are plain ``str.format`` strings.  Placeholders cover the worker
 context (fuzzer, sanitizer, project) and per-run context blocks.  The
@@ -87,11 +87,6 @@ TEMPLATES: dict[str, str] = {
         "fields from the code, then call add_seed once per blob (hex "
         "encoded). Small, well-formed seeds beat large random ones. "
         + _COMMON_FOOTER
-    ),
-    "context-compressor": (
-        "You condense earlier conversation turns for an analysis agent. "
-        "Keep function names, findings, verdicts, and unexplored leads; drop "
-        "pleasantries and raw tool dumps. Reply with the summary only."
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Core agent types: specs, conversations, provider request/response shapes.
+"""Core agent types: roles, budgets, conversations, provider request/response shapes.
 
 Every agent request runs at temperature 0.1.  Token counts come from the
 provider when reported; otherwise the documented heuristic applies:
@@ -14,8 +14,7 @@ from ..errors import ValidationError
 
 TEMPERATURE = 0.1
 
-# Role -> tier assignments are fixed; constructing a spec with a mismatched
-# tier raises.
+# Role -> tier assignments are fixed; a run uses its tier's model chain.
 ROLE_TIERS: dict[str, str] = {
     "direction-generator": "T1",
     "sp-generator": "T2",
@@ -24,7 +23,6 @@ ROLE_TIERS: dict[str, str] = {
     "poc-generator": "T2",
     "report": "T2",
     "seed-generator": "T2",
-    "context-compressor": "T3",
 }
 
 
@@ -42,44 +40,6 @@ class Budgets:
     max_total_tokens: int | None = None
     tool_call_limits: dict[str, int] = field(default_factory=dict)
     context_token_budget: int | None = None
-
-
-@dataclass
-class AgentSpec:
-    """An agent role bound to a model chain and budgets."""
-
-    role: str
-    tier: str
-    model_chain: list[str]
-    budgets: Budgets = field(default_factory=Budgets)
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLE_TIERS:
-            raise ValidationError(f"unknown agent role '{self.role}'")
-        if self.tier != ROLE_TIERS[self.role]:
-            raise ValidationError(
-                f"role '{self.role}' is tier {ROLE_TIERS[self.role]}, got {self.tier!r}"
-            )
-        if not self.model_chain:
-            raise ValidationError(f"role '{self.role}': model chain must be non-empty")
-
-
-def make_spec(
-    role: str,
-    model_chains: dict[str, list[str]],
-    budgets: Budgets | None = None,
-) -> AgentSpec:
-    """Build a spec for a role using the configured per-tier model chains."""
-    tier = ROLE_TIERS.get(role)
-    if tier is None:
-        raise ValidationError(f"unknown agent role '{role}'")
-    chain = list(model_chains.get(tier, []))
-    return AgentSpec(
-        role=role,
-        tier=tier,
-        model_chain=chain,
-        budgets=budgets or Budgets(),
-    )
 
 
 @dataclass(frozen=True)

@@ -198,14 +198,15 @@ def reproduce(blob: bytes, runner: TargetRunner, quorum: int = DEFAULT_QUORUM) -
 
     Confirmed only when every run crashes at the same location with the same
     vulnerability type; anything else (including a flaky external runner) is
-    unconfirmed.
+    unconfirmed.  The first run that does not crash ends the replay, and
+    ``runs`` counts the runs made.
     """
     locations: list[str] = []
     signatures: set[tuple[str, str]] = set()
-    for _ in range(quorum):
+    for run in range(1, quorum + 1):
         result = runner.run(blob)
         if result.outcome != "crash" or result.crash is None:
-            return ReproduceOutcome(False, quorum, tuple(locations))
+            return ReproduceOutcome(False, run, tuple(locations))
         locations.append(result.crash.location)
         signatures.add((result.crash.location, result.crash.vuln_type))
     return ReproduceOutcome(len(signatures) == 1, quorum, tuple(locations))

@@ -7,10 +7,14 @@ whose methods are the PoC agent's tools), and keeps background fuzzing
 loops fed with literal-derived and false-positive-derived seeds.  Confirmed,
 reproduced crashes become vulnerability reports.
 
-Every agent run goes through ``Worker._run_role``, which bounds its context
-at ``CONTEXT_TOKEN_BUDGET`` tokens.  A stage whose model chain is exhausted
-leaves a task warning and the scan goes on; the verifier retries the point
-once and the report falls back to its template.
+Every worker agent run goes through ``Worker._run_role``, which bounds its
+context at ``CONTEXT_TOKEN_BUDGET`` tokens and counts what the run spent;
+the duplicate judge, which the shared point store calls, runs its agent
+directly.  A run whose model chain is exhausted, or whose context cannot be
+compressed under the budget, ends with a failure: the stage leaves a task
+warning and the scan goes on, the verifier retries the point once, and the
+report and the duplicate judge fall back to their template and to no
+verdict.
 
 Everything is deterministic at desk scale: fuzzing runs in cooperative
 slices on the worker thread (no wall-clock races), ids come from counters,
@@ -36,7 +40,6 @@ from .agents import (
     Tool,
     ToolRegistry,
     load_scenario,
-    make_spec,
     render_prompt,
     run_agent,
 )
@@ -52,7 +55,7 @@ from .callgraph import (
 from .config import Config
 from .delta import DeltaSpec, load_delta
 from .directions import Direction, DirectionScheduler, GlobalAnalyzedSet
-from .errors import ChainExhaustedError, ConfigError, UnknownFuzzerError
+from .errors import ConfigError, UnknownFuzzerError
 from .fuzzing import (
     Corpus,
     CrashSpec,
@@ -258,40 +261,36 @@ class Worker:
         tool_limits: dict | None = None,
         prompt_context: dict | None = None,
         failure: str | None = None,
-    ) -> AgentOutcome | None:
+    ) -> AgentOutcome:
         """One agent run with the worker's code tools plus ``extra_tools``
         (functions or bound methods, each exposed under its ``__name__``).
 
-        An exhausted model chain raises :class:`ChainExhaustedError`, unless
-        the stage names its ``failure``: then the task is warned
-        ``"{failure}: {reason}"`` and None is returned.
+        The run's tokens, tool calls and the run itself always count.  When
+        the run ended on a failure and the stage names its ``failure``, the
+        task is warned ``"{failure}: {reason}"``.
         """
-        budgets = Budgets(
-            max_total_tokens=self._remaining_tokens(),
-            tool_call_limits=dict(tool_limits or {}),
-            context_token_budget=CONTEXT_TOKEN_BUDGET,
-        )
-        spec = make_spec(role, self.config.model_chains, budgets)
         # A fresh registry per run: its call counts enforce this run's limits.
         registry = ToolRegistry(self.code_tools + [Tool(fn.__name__, fn) for fn in extra_tools])
         self._run_seq += 1
-        try:
-            outcome = run_agent(
-                spec,
-                seed_context,
-                registry,
-                self.pool,
-                system_prompt=render_prompt(role, **(prompt_context or {})),
-                run_id=f"{self.task.id}:{role}:{self._run_seq}",
-            )
-        except ChainExhaustedError as exc:
-            if failure is None:
-                raise
-            self.task.warnings.append(f"{failure}: {exc}")
-            return None
+        outcome = run_agent(
+            role,
+            seed_context,
+            registry,
+            self.pool,
+            self.config.model_chains,
+            system_prompt=render_prompt(role, **(prompt_context or {})),
+            run_id=f"{self.task.id}:{role}:{self._run_seq}",
+            budgets=Budgets(
+                max_total_tokens=self._remaining_tokens(),
+                tool_call_limits=dict(tool_limits or {}),
+                context_token_budget=CONTEXT_TOKEN_BUDGET,
+            ),
+        )
         self.task.metrics.tokens += outcome.usage.total
         self.task.metrics.tool_calls += len(outcome.tool_log)
         self.task.metrics.agent_runs += 1
+        if outcome.failure and failure is not None:
+            self.task.warnings.append(f"{failure}: {outcome.failure}")
         return outcome
 
     # -- directions and seeding -------------------------------------------
@@ -536,13 +535,8 @@ class Worker:
             f"verify suspicious point {sp.id}: {sp.vuln_type} (score {sp.score})\n"
             f"claim: {sp.description}",
         )
-        try:
-            self._run_role(
-                "sp-verifier",
-                seed,
-                extra_tools=(update_suspicious_point,),
-            )
-        except ChainExhaustedError:
+        outcome = self._run_role("sp-verifier", seed, extra_tools=(update_suspicious_point,))
+        if outcome.failure:
             if sp.id not in self.verify_retried:
                 self.verify_retried.add(sp.id)
                 self.verify_retry.append(sp.id)
@@ -691,11 +685,8 @@ class Worker:
                 "Write the final report summary as plain text.",
             ]
         )
-        try:
-            outcome = self._run_role("report", seed)
-        except ChainExhaustedError:
-            return fallback
-        return outcome.final_text.strip() or fallback
+        # A run that failed has no final text.
+        return self._run_role("report", seed).final_text.strip() or fallback
 
     def _emit_report(
         self,
@@ -1022,18 +1013,16 @@ def _make_duplicate_judge(config: Config, pool: ProviderPool, active: set[str]):
                 "Answer 'duplicate' or 'distinct'.",
             ]
         )
-        spec = make_spec("sp-deduplicator", config.model_chains)
-        try:
-            outcome = run_agent(
-                spec,
-                seed,
-                ToolRegistry([]),
-                pool,
-                system_prompt=render_prompt("sp-deduplicator"),
-                run_id=run_id,
-            )
-        except ChainExhaustedError:
-            return None
+        outcome = run_agent(
+            "sp-deduplicator",
+            seed,
+            ToolRegistry([]),
+            pool,
+            config.model_chains,
+            system_prompt=render_prompt("sp-deduplicator"),
+            run_id=run_id,
+        )
+        # A run that failed has no final text, so it gives no verdict.
         text = outcome.final_text.strip().lower()
         if text.startswith("duplicate"):
             return True

@@ -1,4 +1,4 @@
-"""Agent core tests: specs, conversations, registries, providers, run loop."""
+"""Agent core tests: roles, conversations, registries, providers, run loop."""
 
 from __future__ import annotations
 
@@ -8,13 +8,16 @@ import math
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vulnhunt.agents import (
-    AgentSpec,
     Budgets,
     Conversation,
     HttpChatProvider,
     Message,
     PROMPT_VERSION,
+    Provider,
     ProviderError,
     ProviderPool,
     ProviderRequest,
@@ -29,10 +32,10 @@ from vulnhunt.agents import (
     compress_context,
     estimate_tokens,
     load_scenario,
-    make_spec,
     render_prompt,
     run_agent,
 )
+from vulnhunt.agents import loop
 from vulnhunt.agents.prompts import TEMPLATES
 from vulnhunt.agents.registry import result_digest
 from vulnhunt.errors import BudgetError, ChainExhaustedError, ValidationError
@@ -64,39 +67,40 @@ class TestSpecs:
             "poc-generator": "T2",
             "report": "T2",
             "seed-generator": "T2",
-            "context-compressor": "T3",
         }
 
     def test_temperature_constant(self):
         assert TEMPERATURE == 0.1
         assert ProviderRequest(model="m", messages=[]).temperature == TEMPERATURE
 
+    def _models_tried(self, role: str, chains: dict) -> list[str]:
+        tried: list[str] = []
+
+        class Down(Provider):
+            def complete(self, request):
+                tried.append(request.model)
+                raise ProviderError("unavailable")
+
+        pool = ProviderPool()
+        for model in ("big-a", "big-b", "mid", "small"):
+            pool.register(model, Down())
+        run_agent(role, "seed", ToolRegistry([]), pool, chains, "sys")
+        return tried
+
+    def test_run_uses_its_tier_chain(self):
+        chains = {"T1": ["big-a", "big-b"], "T2": ["mid"], "T3": ["small"]}
+        assert self._models_tried("sp-verifier", chains) == ["big-a", "big-b"]
+        assert self._models_tried("sp-deduplicator", chains) == ["small"]
+
     def test_unknown_role_rejected(self):
         with pytest.raises(ValidationError, match="unknown agent role"):
-            AgentSpec(role="oracle", tier="T1", model_chain=["m"])
-
-    def test_mismatched_tier_rejected(self):
-        with pytest.raises(ValidationError, match="tier T2"):
-            AgentSpec(role="sp-generator", tier="T1", model_chain=["m"])
+            self._models_tried("oracle", {"T1": ["big-a"]})
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
-            AgentSpec(role="sp-verifier", tier="T1", model_chain=[])
-
-    def test_make_spec_uses_tier_chain(self):
-        chains = {"T1": ["big-a", "big-b"], "T2": ["mid"], "T3": ["small"]}
-        spec = make_spec("sp-verifier", chains)
-        assert spec.tier == "T1"
-        assert spec.model_chain == ["big-a", "big-b"]
-        assert make_spec("sp-deduplicator", chains).model_chain == ["small"]
-
-    def test_make_spec_missing_tier_chain_rejected(self):
+            self._models_tried("sp-generator", {"T1": ["big-a"]})
         with pytest.raises(ValidationError, match="non-empty"):
-            make_spec("sp-generator", {"T1": ["m"]})
-
-    def test_make_spec_unknown_role_rejected(self):
-        with pytest.raises(ValidationError, match="unknown agent role"):
-            make_spec("nonsense", {"T1": ["m"]})
+            self._models_tried("sp-verifier", {"T1": []})
 
 
 class TestConversation:
@@ -502,8 +506,7 @@ def _scripted_pool(scenario: dict) -> ProviderPool:
     return pool
 
 
-def _spec(budgets: Budgets | None = None) -> AgentSpec:
-    return make_spec("sp-generator", {"T2": ["scripted"]}, budgets=budgets or Budgets())
+_CHAINS = {"T2": ["scripted"]}
 
 
 def _loop_registry(calls: list[str] | None = None) -> ToolRegistry:
@@ -537,7 +540,8 @@ class TestRunAgent:
         }
         calls: list[str] = []
         outcome = run_agent(
-            spec=_spec(),
+            role="sp-generator",
+            model_chains=_CHAINS,
             seed_context="function: f1",
             registry=_loop_registry(calls),
             pool=_scripted_pool(scenario),
@@ -582,7 +586,9 @@ class TestRunAgent:
         calls: list[str] = []
         registry = _loop_registry(calls)
         outcome = run_agent(
-            spec=_spec(Budgets(tool_call_limits={"probe": 1})),
+            role="sp-generator",
+            model_chains=_CHAINS,
+            budgets=Budgets(tool_call_limits={"probe": 1}),
             seed_context="seed",
             registry=registry,
             pool=_scripted_pool(scenario),
@@ -612,7 +618,9 @@ class TestRunAgent:
             }
         }
         outcome = run_agent(
-            spec=_spec(Budgets(max_total_tokens=1)),
+            role="sp-generator",
+            model_chains=_CHAINS,
+            budgets=Budgets(max_total_tokens=1),
             seed_context="seed",
             registry=_loop_registry(),
             pool=_scripted_pool(scenario),
@@ -623,16 +631,17 @@ class TestRunAgent:
         assert outcome.budget_reason == "token budget exhausted"
         assert outcome.final_text == ""
 
-    def test_step_cap(self):
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(loop, "MAX_STEPS", 3)
         step = {"tool_calls": [{"name": "probe", "args": {}}]}
         scenario = {"agents": {"sp-generator": [{"steps": [step, step, step, step]}]}}
         outcome = run_agent(
-            spec=_spec(),
+            role="sp-generator",
+            model_chains=_CHAINS,
             seed_context="seed",
             registry=_loop_registry(),
             pool=_scripted_pool(scenario),
             system_prompt="sys",
-            max_steps=3,
         )
         assert outcome.steps == 3
         assert len(outcome.tool_log) == 3
@@ -644,7 +653,8 @@ class TestRunAgent:
             "agents": {"sp-generator": [{"steps": [{"text": "only", "stop": False}]}]}
         }
         outcome = run_agent(
-            spec=_spec(),
+            role="sp-generator",
+            model_chains=_CHAINS,
             seed_context="seed",
             registry=_loop_registry(),
             pool=_scripted_pool(scenario),
@@ -656,7 +666,8 @@ class TestRunAgent:
 
     def test_unscripted_role_ends_quietly(self):
         outcome = run_agent(
-            spec=_spec(),
+            role="sp-generator",
+            model_chains=_CHAINS,
             seed_context="seed",
             registry=_loop_registry(),
             pool=_scripted_pool({"agents": {}}),
@@ -666,42 +677,70 @@ class TestRunAgent:
         assert outcome.steps == 1
         assert not outcome.budget_exhausted
 
-    def test_chain_exhaustion_propagates(self):
+    def test_chain_exhaustion_ends_the_run_with_a_failure(self):
+        """A chain that fails at step 2 ends the run; step 1's usage, model
+        and tool call stay on the outcome."""
+        step = {"tool_calls": [{"name": "probe", "args": {"k": 1}}]}
+        scripted = ScriptedProvider({"agents": {"sp-generator": [{"steps": [step, step]}]}})
+
+        class FailsAtStepTwo(Provider):
+            def complete(self, request):
+                if len(request.messages) > 2:
+                    raise ProviderError("timeout")
+                return scripted.complete(request)
+
         pool = ProviderPool()
-        with pytest.raises(ChainExhaustedError):
-            run_agent(
-                spec=_spec(),
-                seed_context="seed",
-                registry=_loop_registry(),
-                pool=pool,
-                system_prompt="sys",
-            )
+        pool.register("scripted", FailsAtStepTwo())
+        calls: list[str] = []
+        outcome = run_agent(
+            role="sp-generator",
+            model_chains=_CHAINS,
+            seed_context="seed",
+            registry=_loop_registry(calls),
+            pool=pool,
+            system_prompt="sys",
+        )
+        assert outcome.failure == "model chain exhausted: scripted: timeout"
+        assert outcome.steps == 1
+        assert outcome.usage.total > 0
+        assert outcome.served_models == ["scripted"]
+        assert calls == ["probe:1"] and len(outcome.tool_log) == 1
+        assert outcome.final_text == "" and not outcome.budget_exhausted
+
+    def test_context_the_budget_cannot_hold_ends_the_run(self):
+        outcome = run_agent(
+            role="sp-generator",
+            model_chains=_CHAINS,
+            seed_context="s" * 400,
+            registry=_loop_registry(),
+            pool=_scripted_pool({"agents": {}}),
+            system_prompt="sys",
+            budgets=Budgets(context_token_budget=50),
+        )
+        assert outcome.failure == (
+            "budget 50 cannot hold the system message, seed context and last exchange "
+            "(101 tokens)"
+        )
+        assert outcome.steps == 0 and outcome.usage.total == 0
 
     def test_context_compression_kicks_in(self):
-        scenario = {
-            "agents": {
-                "sp-generator": [
-                    {
-                        "steps": [
-                            {"tool_calls": [{"name": "big", "args": {}}]},
-                            {"text": "finished"},
-                        ]
-                    }
-                ]
-            }
-        }
+        big = {"tool_calls": [{"name": "big", "args": {}}]}
+        scenario = {"agents": {"sp-generator": [{"steps": [big, big, {"text": "finished"}]}]}}
         outcome = run_agent(
-            spec=_spec(Budgets(context_token_budget=560)),
-            seed_context="s" * 400,
+            role="sp-generator",
+            model_chains=_CHAINS,
+            budgets=Budgets(context_token_budget=560),
+            seed_context="s" * 40,
             registry=_loop_registry(),
             pool=_scripted_pool(scenario),
             system_prompt="sys",
         )
         assert outcome.final_text == "finished"
+        assert outcome.conversation.messages[1].content == "s" * 40
         summaries = [m for m in outcome.conversation if m.content.startswith("[compressed")]
         assert len(summaries) == 1
         assert summaries[0].role == "user"
-        assert "- user: " + "s" * 80 in summaries[0].content
+        assert "- tool: " + "r" * 80 in summaries[0].content
 
 
 # ===== context compression =====
@@ -725,16 +764,17 @@ class TestCompressContext:
 
     def test_middle_collapses_into_summary(self):
         convo = self._convo()
-        result = compress_context(convo, 90)
-        assert result.messages[0].content == "S" * 40
-        summary = result.messages[1]
+        result = compress_context(convo, 110)
+        assert result.messages[:2] == convo.messages[:2]
+        summary = result.messages[2]
         assert summary.role == "user"
-        lines = summary.content.splitlines()
-        assert lines[0] == "[compressed 3 earlier messages]"
-        assert lines[1].startswith("- user: " + "A" * 80)
-        assert lines[2] == "- assistant: mid reply"
-        assert result.messages[-1].content == "tail reply"
-        assert result.total_tokens() <= 90
+        assert summary.content.splitlines() == [
+            "[compressed 2 earlier messages]",
+            "- assistant: mid reply",
+            "- user: " + "B" * 80,
+        ]
+        assert result.messages[3:] == convo.messages[4:]
+        assert result.total_tokens() <= 110
 
     def test_tool_calls_named_in_index(self):
         convo = Conversation(
@@ -746,26 +786,68 @@ class TestCompressContext:
                 Message("assistant", "tail reply"),
             ]
         )
-        result = compress_context(convo, 80)
-        assert "- assistant: (tool calls: probe)" in result.messages[1].content
-
-    def test_custom_summarizer_is_used(self):
-        result = compress_context(self._convo(), 90, summarizer=lambda msgs: "CUSTOM")
-        assert result.messages[1].content == "CUSTOM"
+        result = compress_context(convo, 100)
+        assert "- assistant: (tool calls: probe)" in result.messages[2].content
 
     def test_oversize_summary_is_truncated(self):
-        result = compress_context(self._convo(), 40, summarizer=lambda msgs: "Z" * 10_000)
-        assert result.messages[1].content.endswith("...")
-        assert result.total_tokens() <= 40
+        convo = Conversation(
+            [Message("system", "S" * 40), Message("user", "A" * 200)]
+            + [Message("assistant", f"reply {i}") for i in range(40)]
+        )
+        result = compress_context(convo, 90)
+        summary = result.messages[2].content
+        assert summary.startswith("[compressed 39 earlier messages]")
+        assert summary.endswith("...")
+        assert result.total_tokens() == 90
 
     def test_budget_below_floor_raises(self):
         with pytest.raises(BudgetError, match="cannot hold"):
             compress_context(self._convo(), 10)
 
+    def test_a_budget_with_no_room_for_a_summary_raises(self):
+        """A budget that the kept messages fill exactly leaves no room for
+        even the smallest summary."""
+        convo = self._convo()
+        kept = convo.messages[:2] + convo.messages[4:]
+        budget = sum(m.token_estimate for m in kept)
+        with pytest.raises(BudgetError, match=rf"budget {budget} cannot hold"):
+            compress_context(convo, budget)
+        assert compress_context(convo, budget + 3).total_tokens() == budget + 3
+
     def test_missing_system_message_raises(self):
         convo = Conversation([Message("user", "U" * 400), Message("assistant", "r")])
         with pytest.raises(BudgetError, match="no leading system message"):
             compress_context(convo, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exchanges=st.lists(
+            st.tuples(st.text(max_size=60), st.lists(st.text(max_size=120), max_size=3),
+                      st.booleans()),
+            max_size=10,
+        ),
+        seed=st.text(max_size=200),
+        data=st.data(),
+    )
+    def test_result_fits_the_budget_or_raises(self, exchanges, seed, data):
+        """Over random conversations (assistant turns with tool results,
+        interleaved user turns) and budgets, the compressed conversation
+        keeps the system message and seed context, and fits."""
+        convo = Conversation([Message("system", "system prompt"), Message("user", seed)])
+        for n, (text, results, user_after) in enumerate(exchanges):
+            calls = tuple(ToolCall("probe", {"k": i}, f"c{n}.{i}") for i in range(len(results)))
+            convo.append(Message("assistant", text, tool_calls=calls))
+            for call, result in zip(calls, results):
+                convo.append(Message("tool", result, tool_call_id=call.call_id))
+            if user_after:
+                convo.append(Message("user", f"note {n}"))
+        budget = data.draw(st.integers(min_value=0, max_value=convo.total_tokens()))
+        try:
+            result = compress_context(convo, budget)
+        except BudgetError:
+            return
+        assert result.total_tokens() <= budget
+        assert result.messages[:2] == convo.messages[:2]
 
 
 # ===== prompts =====

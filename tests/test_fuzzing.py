@@ -578,6 +578,7 @@ def test_reproduce_quorum_semantics():
     assert set(good.crash_locations) == {"m_handler"}
     bad = reproduce(b"\x00", runner, quorum=10)
     assert not bad.confirmed and bad.reproduced_count == 0
+    assert bad.runs == 1  # the first clean replay ends it
 
     class Flaky:
         def __init__(self):
@@ -589,7 +590,8 @@ def test_reproduce_quorum_semantics():
                 return magic_runner().run(b"\x7f")
             return magic_runner().run(b"\x00")
 
-    assert not reproduce(b"\x7f", Flaky(), quorum=4).confirmed
+    flaky = reproduce(b"\x7f", Flaky(), quorum=4)
+    assert not flaky.confirmed and flaky.runs == 2
 
 
 def test_sp_fuzzer_verify_stop_on_first_crash():

@@ -481,8 +481,8 @@ class TestPocAttempt:
         }
         assert not attempt.solved
         # The first variant crashed and stopped the rest; the replay stopped
-        # at its first clean run.
-        assert runner.runs == 2
+        # at its first clean run, and only the runs made count.
+        assert attempt.worker.task.metrics.executions == runner.runs == 2
         assert attempt.worker.store.list("povs") == []
 
     def test_trace_before_any_attempt(self, magic_workspace):
@@ -542,8 +542,62 @@ def test_context_budget_bounds_every_poc_request(magic_workspace, monkeypatch):
     sizes = [sum(m.token_estimate for m in r.messages) for r in poc]
     assert max(sizes) <= budget
     assert any(m.content.startswith("[compressed") for m in poc[-1].messages)
+    # The seed context survives every compression verbatim.
+    assert poc[-1].messages[1] == poc[0].messages[1]
+    assert poc[-1].messages[1].content.startswith("confirmed suspicious point sp-")
     attempts = {tc.call_id for r in poc for m in r.messages for tc in m.tool_calls}
     assert len(poc) == 41 and len(attempts) == 40
+
+
+_NO_DIRECTIONS = "no exploration directions registered; falling back to the whole subgraph"
+_CANNOT_HOLD = "cannot hold the system message, seed context and last exchange"
+
+
+@pytest.mark.parametrize(("budget", "warnings"), [
+    # The verifier's system prompt and seed (299 tokens) never fit, so the
+    # point is left unverified and no PoC runs.
+    (250, [_NO_DIRECTIONS, f"sp generation failed for m_handler: budget 250 {_CANNOT_HOLD} (295 tokens)",
+           "verification failed twice for sp-000001; left unverified"]),
+    # Everything fits but the PoC run's second step.
+    (320, [_NO_DIRECTIONS, f"poc generation failed for sp-000001: budget 320 {_CANNOT_HOLD} (386 tokens)"]),
+])
+def test_a_context_the_budget_cannot_hold_ends_the_run_not_the_worker(
+    magic_workspace, monkeypatch, budget, warnings
+):
+    """A context budget below a run's system prompt, seed context and last
+    exchange ends that run with its stage's warning; the task finishes."""
+    monkeypatch.setattr(pipeline, "CONTEXT_TOKEN_BUDGET", budget)
+    config = magic_workspace.config(global_fuzz_iterations=0, sp_fuzz_iterations=0)
+    (task,) = run_scan(config, scenario=_magic_poc_scenario(3)).tasks
+    assert task.state == "done"
+    assert task.warnings == warnings
+
+
+def test_a_chain_that_fails_mid_run_counts_the_steps_that_ran(magic_workspace, monkeypatch):
+    """A PoC run whose model chain fails at step 2 keeps step 1's tokens and
+    tool call in the task's counters, and counts as an agent run."""
+    requests, served = [], []
+    complete = ScriptedProvider.complete
+
+    def fails_at_step_two(self, request):
+        requests.append(request)
+        if request.agent_role == "poc-generator" and len(request.messages) > 2:
+            raise ProviderError("unavailable")
+        response = complete(self, request)
+        served.append(response)
+        return response
+
+    monkeypatch.setattr(ScriptedProvider, "complete", fails_at_step_two)
+    config = magic_workspace.config(global_fuzz_iterations=0, sp_fuzz_iterations=0)
+    (task,) = run_scan(config, scenario=_magic_poc_scenario(3)).tasks
+    poc = [r for r in requests if r.agent_role == "poc-generator"]
+    assert [len(r.messages) for r in poc] == [2, 4]
+    assert task.state == "done"
+    assert task.metrics.tokens == sum(response.usage.total for response in served)
+    assert task.metrics.tool_calls == sum(len(response.tool_calls) for response in served)
+    assert task.metrics.agent_runs == len({r.run_id for r in requests})
+    sp_id = _seed_field(poc[0].messages[1].content, "confirmed suspicious point ")
+    assert task.warnings == [_NO_DIRECTIONS, f"poc generation failed for {sp_id}: {_T2_DOWN}"]
 
 
 # ===== agent code tools =====
@@ -754,6 +808,18 @@ class TestDuplicateJudge:
         assert judge(a, b) is None
         # Script exhausted: an empty reply defers to the similarity metric.
         assert judge(a, b) is None
+
+    def test_a_judge_whose_chain_fails_gives_no_verdict(self, monkeypatch):
+        from vulnhunt.spstore import SPStore
+
+        judge = self._judge({"agents": {"sp-deduplicator": [{"steps": [{"text": "duplicate"}]}]}})
+
+        def down(self, request):
+            raise ProviderError("unavailable")
+
+        monkeypatch.setattr(ScriptedProvider, "complete", down)
+        point = self._point(SPStore(known_functions={"f"}), "write past the buffer")
+        assert judge(point, point) is None
 
     def test_unknown_provider_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown provider kind"):
