@@ -98,9 +98,15 @@ class TestSpecs:
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
-            self._models_tried("sp-generator", {"T1": ["big-a"]})
-        with pytest.raises(ValidationError, match="non-empty"):
             self._models_tried("sp-verifier", {"T1": []})
+
+    def test_make_spec_missing_tier_chain_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            self._models_tried("sp-generator", {"T1": ["big-a"]})
+
+    def test_make_spec_unknown_role_rejected(self):
+        with pytest.raises(ValidationError, match="unknown agent role"):
+            self._models_tried("nonsense", {"T1": ["big-a"]})
 
 
 class TestConversation:
