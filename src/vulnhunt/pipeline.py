@@ -4,17 +4,19 @@ A worker walks its fuzzer's reachable subgraph, asks agents for exploration
 directions and suspicious points, verifies them, attempts crafted
 proof-of-crash inputs for confirmed points (one ``PocAttempt`` per point,
 whose methods are the PoC agent's tools), and keeps background fuzzing
-loops fed with literal-derived and false-positive-derived seeds.  Confirmed,
-reproduced crashes become vulnerability reports.
+loops fed with literal-derived and false-positive-derived seeds.  Every
+crash, from a background loop or a PoC attempt, is confirmed by
+``Worker._confirm_crash``: a crash reproduced at the quorum becomes a
+vulnerability report.
 
 Every worker agent run goes through ``Worker._run_role``, which bounds its
 context at ``CONTEXT_TOKEN_BUDGET`` tokens and counts what the run spent;
 the duplicate judge, which the shared point store calls, runs its agent
 directly.  A run whose model chain is exhausted, or whose context cannot be
 compressed under the budget, ends with a failure: the stage leaves a task
-warning and the scan goes on, the verifier retries the point once, and the
-report and the duplicate judge fall back to their template and to no
-verdict.
+warning and the scan goes on, the verifier retries the point at once and
+warns only when the retry fails too, and the report and the duplicate
+judge fall back to their template and to no verdict.
 
 Everything is deterministic at desk scale: fuzzing runs in cooperative
 slices on the worker thread (no wall-clock races), ids come from counters,
@@ -206,8 +208,6 @@ class Worker:
         self.importance: dict[str, int] = {}
         self.poc_queue: list[str] = []
         self.poc_done: set[str] = set()
-        self.verify_retry: list[str] = []
-        self.verify_retried: set[str] = set()
         # The crash table: each crash this worker reported -> times seen.
         self.crash_repeats: dict[CrashSpec, int] = {}
 
@@ -385,21 +385,12 @@ class Worker:
             return
         self.corpus.add(blob, result.coverage, origin)
 
-    def _seed_from_directions(self) -> None:
-        for direction in self.scheduler.directions:
-            agent_blobs = self._agent_seed_blobs(direction)
-            seeds, tokens = seed_from_direction(direction, self.subgraph, agent_blobs)
-            for token in tokens:
-                self.mutator.add_token(token)
-            for blob in seeds:
-                self._admit_seed(blob, f"direction:{direction.name}")
-
-    def _seed_from_fp(self, sp: SuspiciousPoint) -> None:
-        seeds, tokens = seed_from_fp(sp, self.subgraph)
+    def _admit_seeds(self, seeds: list[bytes], tokens: list[bytes], origin: str) -> None:
+        """Give the mutator the dictionary ``tokens``, then admit each seed."""
         for token in tokens:
             self.mutator.add_token(token)
         for blob in seeds:
-            self._admit_seed(blob, f"fp:{sp.id}")
+            self._admit_seed(blob, origin)
 
     # -- background fuzzing -------------------------------------------------
 
@@ -479,9 +470,9 @@ class Worker:
             sp = self.spstore.get(outcome.sp_id)
             if not outcome.merged:
                 self.owned_sp_ids.add(sp.id)
-                self.importance[sp.id] = importance
-            else:
-                self.importance.setdefault(sp.id, importance)
+            # A new point's id is fresh, so this sets it; a merged point
+            # keeps the importance it was first seen with.
+            self.importance.setdefault(sp.id, importance)
             if not sp.is_verified:
                 self._verify(sp)
                 sp = self.spstore.get(sp.id)
@@ -497,7 +488,7 @@ class Worker:
             ):
                 self.poc_queue.append(sp.id)
         elif sp.verdict == "fp":
-            self._seed_from_fp(sp)
+            self._admit_seeds(*seed_from_fp(sp, self.subgraph), f"fp:{sp.id}")
 
     # -- verification --------------------------------------------------------
 
@@ -535,13 +526,16 @@ class Worker:
             f"verify suspicious point {sp.id}: {sp.vuln_type} (score {sp.score})\n"
             f"claim: {sp.description}",
         )
-        outcome = self._run_role("sp-verifier", seed, extra_tools=(update_suspicious_point,))
-        if outcome.failure:
-            if sp.id not in self.verify_retried:
-                self.verify_retried.add(sp.id)
-                self.verify_retry.append(sp.id)
-            else:
-                self.task.warnings.append(f"verification failed twice for {sp.id}; left unverified")
+        # A failed run is retried once, at once; a verdict it captured is
+        # not applied, and only the retry's failure is warned.
+        for failure in (None, f"verification failed twice for {sp.id}; left unverified"):
+            captured.clear()
+            outcome = self._run_role(
+                "sp-verifier", seed, extra_tools=(update_suspicious_point,), failure=failure
+            )
+            if not outcome.failure:
+                break
+        else:
             return
         if captured:
             self.spstore.apply_verification(
@@ -551,15 +545,6 @@ class Worker:
                 new_score=captured["new_score"],
                 poc_guidance=captured["poc_guidance"] or None,
             )
-
-    def _drain_verify_retries(self) -> None:
-        retries, self.verify_retry = self.verify_retry, []
-        for sp_id in retries:
-            sp = self.spstore.get(sp_id)
-            if sp.is_verified:
-                continue
-            self._verify(sp)
-            self._route_verified(self.spstore.get(sp_id))
 
     # -- proof-of-crash generation --------------------------------------------
 
@@ -626,20 +611,33 @@ class Worker:
         crash = result.crash
         if self._counted_as_repeat(crash):
             return
-        repro = reproduce(blob, self.runner, quorum=self.config.quorum)
-        self.task.metrics.executions += repro.runs
-        if not repro.confirmed:
+        if not self._confirm_crash(blob, result, "G", 0):
             self.task.warnings.append(
                 f"crash at {crash.location} from {origin} did not reproduce; discarded"
             )
-            return
-        sp = self._attach_crash_sp(crash)
+
+    def _confirm_crash(
+        self, blob: bytes, result, method: str, attempts: int, sp: SuspiciousPoint | None = None
+    ) -> bool:
+        """Reproduce a crash at the quorum; whether it was confirmed.
+
+        A confirmed crash is credited to ``sp``, or when that is None to the
+        point its location attaches to, then persisted as a PoV, recorded on
+        the point (bypassing the lifecycle unless it is a verified true
+        positive) and reported under ``method`` with ``attempts``.
+        """
+        repro = reproduce(blob, self.runner, quorum=self.config.quorum)
+        self.task.metrics.executions += repro.runs
+        if not repro.confirmed:
+            return False
+        if sp is None:
+            sp = self._attach_crash_sp(result.crash)
         pov = self._persist_pov(sp.id, blob, result, repro.reproduced_count)
-        bypass = sp.verdict != "tp"
         self.spstore.record_poc_result(
-            sp.id, self.task.fuzzer, crashed=True, pov_id=pov["id"], bypass=bypass
+            sp.id, self.task.fuzzer, crashed=True, pov_id=pov["id"], bypass=sp.verdict != "tp"
         )
-        self._emit_report(sp, pov, crash, "G", 0, repro.reproduced_count)
+        self._emit_report(sp, pov, result.crash, method, attempts, repro.reproduced_count)
+        return True
 
     def _persist_pov(self, sp_id: str, blob: bytes, result, reproduced_count: int) -> dict:
         self._pov_seq += 1
@@ -748,12 +746,9 @@ class Worker:
                 self.task.state = "timeout"
                 return self.task
             self._analyze()
-            self._drain_verify_retries()
-            self._drain_poc_queue()
             loop = self.global_loop
             while loop is not None and loop.budget_left > 0 and not self._budget_tripped():
                 self._pump(loop)
-            self._drain_poc_queue()
             self.task.state = "timeout" if self._budget_tripped() else "done"
         except Exception as exc:  # noqa: BLE001 - worker failure is a terminal state
             log.exception("worker %s failed", self.task.id)
@@ -789,7 +784,10 @@ class Worker:
                 for p in iter(self.scheduler.next_function, None)
             )
         self._generate_directions()
-        self._seed_from_directions()
+        for direction in self.scheduler.directions:
+            agent_blobs = self._agent_seed_blobs(direction)
+            seeds, tokens = seed_from_direction(direction, self.subgraph, agent_blobs)
+            self._admit_seeds(seeds, tokens, f"direction:{direction.name}")
         self._pump(self.global_loop)
         while not self._budget_tripped():
             pick = next(picks, None)
@@ -798,7 +796,6 @@ class Worker:
             function_id, direction_name, importance = pick
             pending = self._analyze_function(function_id, direction_name)
             self._process_candidates(pending, importance)
-            self._drain_verify_retries()
             self._drain_poc_queue()
             self._pump(self.global_loop)
 
@@ -879,8 +876,9 @@ class PocAttempt:
         if outcome.crashed:
             index = fits[outcome.crashed_index]
             result = results[index]
-            if not self._confirm(blobs[index], result):
+            if not worker._confirm_crash(blobs[index], result, "S", self.attempts, self.sp):
                 return self._failed("crash did not reproduce across the quorum")
+            self.solved = True
             return {
                 "success": True,
                 "attempt": self.attempts,
@@ -936,21 +934,6 @@ class PocAttempt:
 
     def _failed(self, error: str) -> dict:
         return {"success": False, "attempt": self.attempts, "error": error}
-
-    def _confirm(self, blob: bytes, result) -> bool:
-        """Reproduce a crash; one confirmed by the quorum is persisted and reported."""
-        worker = self.worker
-        repro = reproduce(blob, worker.runner, quorum=worker.config.quorum)
-        worker.task.metrics.executions += repro.runs
-        if not repro.confirmed:
-            return False
-        pov = worker._persist_pov(self.sp.id, blob, result, repro.reproduced_count)
-        worker.spstore.record_poc_result(
-            self.sp.id, worker.task.fuzzer, crashed=True, pov_id=pov["id"]
-        )
-        worker._emit_report(self.sp, pov, result.crash, "S", self.attempts, repro.reproduced_count)
-        self.solved = True
-        return True
 
     def _pump_background(self) -> None:
         worker = self.worker

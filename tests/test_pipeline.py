@@ -388,7 +388,7 @@ def _expected_stage_warnings(role: str, seeds: list[str]) -> list[str]:
         # Each point is retried once; the second failure is the warning.
         ids = [_seed_field(s, "verify suspicious point ") for s in seeds]
         assert all(count == 2 for count in Counter(ids).values())
-        return [f"verification failed twice for {sp_id}; left unverified"
+        return [f"verification failed twice for {sp_id}; left unverified: {_T1_DOWN}"
                 for i, sp_id in enumerate(ids) if sp_id in ids[:i]]
     assert role == "report"  # falls back to the template silently
     return []
@@ -457,7 +457,7 @@ class _FlakyRunner:
 _NUL_RECIPE = {"instructions": [{"op": "literal", "hex": "00"}], "variants": [{}, {}, {}]}
 
 
-def _poc_attempt(magic_workspace, runner, **overrides) -> pipeline.PocAttempt:
+def _worker(magic_workspace, runner, **overrides) -> pipeline.Worker:
     graph = load_call_graph(magic_workspace.export_path)
     config = magic_workspace.config(sp_fuzz_iterations=0, **overrides)
     (task,) = plan_workers(graph, config)
@@ -465,8 +465,16 @@ def _poc_attempt(magic_workspace, runner, **overrides) -> pipeline.PocAttempt:
     worker = pipeline.Worker(task, graph, config, spstore, GlobalAnalyzedSet(), None,
                              MemoryStore())
     worker.runner = runner
+    return worker
+
+
+def _poc_attempt(magic_workspace, runner, verdict=None, **overrides) -> pipeline.PocAttempt:
+    worker = _worker(magic_workspace, runner, **overrides)
+    task, spstore = worker.task, worker.spstore
     sp_id = spstore.create_sp("m_handler", (task.fuzzer, task.sanitizer),
                               "tag copied into a fixed buffer", "heap-buffer-overflow", 0.9)
+    if verdict is not None:
+        spstore.apply_verification(sp_id, verdict)
     return pipeline.PocAttempt(worker, spstore.get(sp_id))
 
 
@@ -504,6 +512,40 @@ class TestPocAttempt:
         )
         # Three variants, one seeding run for the point's loop, one trace.
         assert attempt.worker.task.metrics.executions == runner.runs == 3 + 3 + 1
+
+
+class TestConfirmCrash:
+    def test_a_fuzzer_crash_that_does_not_reproduce_is_discarded(self, magic_workspace):
+        runner = _FlakyRunner(crashes=1)
+        worker = _worker(magic_workspace, runner)
+        found = runner.run(b"\x7f")  # the background loop's own run
+        worker._handle_fuzzer_crash(b"\x7f", found, "global")
+        assert worker.task.warnings == [
+            "crash at m_handler from global did not reproduce; discarded"
+        ]
+        # No point is attached before the crash is confirmed.
+        assert worker.spstore.all() == [] and worker.task.metrics.sp_total == 0
+        assert worker.store.list("povs") == [] and worker.crash_repeats == {}
+        # Only the replays count: one, stopped at its clean run.
+        assert worker.task.metrics.executions == runner.runs - 1 == 1
+
+    def test_a_poc_crash_already_reported_is_recorded_not_reported_again(self, magic_workspace):
+        runner = _FlakyRunner(crashes=100)
+        attempt = _poc_attempt(magic_workspace, runner, verdict="tp")
+        worker = attempt.worker
+        worker._handle_fuzzer_crash(b"\x7f", runner.run(b"\x7f"), "global")
+        (report,) = worker.store.list("reports")
+        assert report["discovery_method"] == "G"
+        reply = attempt.create_pov(_NUL_RECIPE)
+        assert reply["success"] is True and attempt.solved
+        povs = worker.store.list("povs")
+        assert [pov["sp_id"] for pov in povs] == [attempt.sp.id] * 2
+        sp = worker.spstore.get(attempt.sp.id)
+        assert sp.poc_ids == [pov["id"] for pov in povs]
+        assert worker.task.fuzzer in sp.poc_attempted_by and not sp.bypass
+        assert worker.store.list("reports") == [report]
+        assert worker.task.metrics.report_count == 1 and worker.task.metrics.pov_count == 2
+        assert worker.crash_repeats == {CrashSpec("m_handler", "heap-buffer-overflow", "address"): 2}
 
 
 def _magic_poc_scenario(attempts: int) -> dict:
@@ -557,7 +599,8 @@ _CANNOT_HOLD = "cannot hold the system message, seed context and last exchange"
     # The verifier's system prompt and seed (299 tokens) never fit, so the
     # point is left unverified and no PoC runs.
     (250, [_NO_DIRECTIONS, f"sp generation failed for m_handler: budget 250 {_CANNOT_HOLD} (295 tokens)",
-           "verification failed twice for sp-000001; left unverified"]),
+           "verification failed twice for sp-000001; left unverified: "
+           f"budget 250 {_CANNOT_HOLD} (299 tokens)"]),
     # Everything fits but the PoC run's second step.
     (320, [_NO_DIRECTIONS, f"poc generation failed for sp-000001: budget 320 {_CANNOT_HOLD} (386 tokens)"]),
 ])
@@ -571,6 +614,63 @@ def test_a_context_the_budget_cannot_hold_ends_the_run_not_the_worker(
     (task,) = run_scan(config, scenario=_magic_poc_scenario(3)).tasks
     assert task.state == "done"
     assert task.warnings == warnings
+
+
+def _scan_with_a_verifier_retry(magic_workspace, monkeypatch, retry_steps: list[dict]):
+    """A magic-workspace scan whose first verifier run refutes the point,
+    then finds its model chain down; the retry runs ``retry_steps``.
+    Returns the task, the one point and every request, failed ones included."""
+    scenario = _magic_poc_scenario(1)
+    refute = {"tool_calls": [{"name": "update_suspicious_point", "args": {"verdict": "fp"}}]}
+    scenario["agents"]["sp-verifier"] = [
+        {"match": "", "steps": [refute, {"text": "refuted"}]},
+        {"match": "", "steps": retry_steps},
+    ]
+    requests = []
+    complete = ScriptedProvider.complete
+
+    def fails_once(self, request):
+        requests.append(request)
+        if sum(r.agent_role == "sp-verifier" for r in requests) == 2:
+            raise ProviderError("unavailable")  # the first run's second step
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", fails_once)
+    config = magic_workspace.config(global_fuzz_iterations=0, sp_fuzz_iterations=0)
+    result = run_scan(config, scenario=scenario)
+    (task,) = result.tasks
+    (sp,) = result.spstore.all()
+    assert task.state == "done"
+    assert task.warnings == [_NO_DIRECTIONS]
+    assert len({r.run_id for r in requests if r.agent_role == "sp-verifier"}) == 2
+    assert task.metrics.agent_runs == len({r.run_id for r in requests})
+    return task, sp, requests
+
+
+def test_a_verifier_run_that_fails_is_retried_at_once(magic_workspace, monkeypatch):
+    """A verifier run whose model chain fails is retried in place: the
+    retry's verdict is applied and routed before the next pick, and no
+    warning is left."""
+    confirm = {"tool_calls": [{"name": "update_suspicious_point", "args": {"verdict": "tp"}}]}
+    task, sp, requests = _scan_with_a_verifier_retry(
+        magic_workspace, monkeypatch, [confirm, {"text": "confirmed"}]
+    )
+    assert sp.verdict == "tp"
+    # The PoC run follows the retry, with no other run in between.
+    roles = [r.agent_role for r in requests]
+    last_verify = len(roles) - 1 - roles[::-1].index("sp-verifier")
+    assert roles[last_verify + 1] == "poc-generator"
+
+
+def test_a_verdict_from_a_failed_verifier_run_is_not_applied(magic_workspace, monkeypatch):
+    """The failed run refuted the point, the retry gave no verdict: the
+    point stays unverified and no PoC runs."""
+    task, sp, requests = _scan_with_a_verifier_retry(
+        magic_workspace, monkeypatch, [{"text": "undecided"}]
+    )
+    assert not sp.is_verified
+    assert "poc-generator" not in {r.agent_role for r in requests}
+    assert task.metrics.unverified == 1
 
 
 def test_a_chain_that_fails_mid_run_counts_the_steps_that_ran(magic_workspace, monkeypatch):
