@@ -7,7 +7,9 @@ Every other way a run stops is also an ending of the run, reported on its
 
 - a tripped token budget or the ``MAX_STEPS`` cap sets ``budget_exhausted``;
 - an exhausted model chain, or a context that its budget cannot hold even
-  compressed, sets ``failure`` to the reason.
+  compressed, sets ``failure`` to the reason and ``failure_kind`` to
+  ``"chain"`` or ``"context"``: a later run may find a model back, but the
+  same context fails the same way.
 
 A tool over its call limit is refused, not run.  Every tool invocation lands
 in the outcome's log with its arguments and a digest of the result.
@@ -52,6 +54,7 @@ class AgentOutcome:
     budget_exhausted: bool = False
     budget_reason: str = ""
     failure: str = ""
+    failure_kind: str = ""  # "chain" or "context" when ``failure`` is set
     conversation: Conversation | None = None
 
 
@@ -120,6 +123,7 @@ def run_agent(
             response = pool.call_with_fallback(chain, request)
         except (BudgetError, ChainExhaustedError) as exc:
             outcome.failure = str(exc)
+            outcome.failure_kind = "context" if isinstance(exc, BudgetError) else "chain"
             break
         outcome.steps = step
         outcome.usage = outcome.usage + response.usage

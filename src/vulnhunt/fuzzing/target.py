@@ -29,8 +29,10 @@ rules' guards start with is tested once per execution.  A runner interns
 the paths it has taken: an execution computes which rules matched as a bit
 mask and takes its coverage, trace and crash from a per-runner table keyed
 by that mask, so it allocates only its ``ExecutionResult``, a named tuple.
-An execution's ``output`` text is rendered when read, from the trace and
-crash it records; most executions are never read that way.
+A runner also remembers, within a byte budget, the path each blob it has
+run took, so a blob run again skips the trie.  An execution's ``output``
+text is rendered when read, from the trace and crash it records; most
+executions are never read that way.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ from ..spstore import SANITIZERS, is_valid_vuln_type
 
 TARGET_SCHEMA_VERSION = 1
 DEFAULT_MAX_BLOB = 1 << 20  # 1 MiB
+# A runner's blob -> path table holds at most this many bytes, each entry
+# charged its blob's length plus MEMO_ENTRY_BYTES: the bytes object's header
+# and its dict slot, about 63 bytes measured, with room for the dict's slack.
+MEMO_BUDGET = 1 << 20  # 1 MiB
+MEMO_ENTRY_BYTES = 96
 _ALWAYS = {"kind": "length-cmp", "op": "ge", "value": 0}  # the unconditional idiom
 
 _OPS = {
@@ -314,7 +321,10 @@ class TargetRunner:
 
     The in-tree implementation wraps a SimTarget bound to the worker's
     sanitizer; an external harness can substitute its own runner with the
-    same contract (deterministic given the blob).
+    same contract: deterministic given the blob, so running a blob again
+    returns an equal result.  That contract is what lets ``SimTargetRunner``
+    answer a repeated blob from its table, and what makes a crash's
+    reproduction an exact check.
     """
 
     def run(self, blob: bytes) -> ExecutionResult:
@@ -368,6 +378,17 @@ class SimTargetRunner(TargetRunner):
     set, whose hash ``frozenset`` caches.  The table holds one entry per
     distinct path a runner has taken, which is tens on the benchmark
     workloads.
+
+    A second table maps each blob the runner has run to its path, so a
+    blob run again (a fuzz mutant seen before, a reproduction replay, a
+    PoC variant re-run) skips the trie.  Because an execution depends on
+    nothing but the blob, the remembered path is exactly what the walk
+    would find; the ``max_blob`` check still comes first, and each result
+    is fresh and carries its own ``size``.  The table is bounded by
+    ``MEMO_BUDGET``: each entry is charged its blob's length plus
+    ``MEMO_ENTRY_BYTES``, an insert that would pass the budget clears the
+    table first, and a blob whose charge alone passes it is not stored.
+    ``drop_memo`` empties it.
     """
 
     def __init__(
@@ -400,22 +421,38 @@ class SimTargetRunner(TargetRunner):
                 node[1] |= bit
         self._trie = _freeze(root)
         self._paths: dict[int, tuple] = {}  # mask -> what _path returns
+        self._memo: dict[bytes, tuple] = {}  # blob -> its entry in _paths
+        self._memo_bytes = 0  # what the _memo entries are charged
 
     def run(self, blob: bytes) -> ExecutionResult:
-        """Match the rules through the trie; the first matching rule that
-        fires under this sanitizer ends the run with its crash."""
+        """Match the rules through the trie, or take the path this blob
+        took before; the first matching rule that fires under this
+        sanitizer ends the run with its crash."""
         size = len(blob)
         if size > self.max_blob:
             raise OversizeBlobError(f"blob of {size} bytes exceeds limit {self.max_blob}")
-        mask = _walk(self._trie, blob, self._base)
-        fired = mask & self._fires
-        if fired:  # keep the bits up to the lowest firing one
-            mask &= ((fired & -fired) << 1) - 1
-        path = self._paths.get(mask)
+        path = self._memo.get(blob)
         if path is None:
-            path = self._paths[mask] = self._path(mask)
+            mask = _walk(self._trie, blob, self._base)
+            fired = mask & self._fires
+            if fired:  # keep the bits up to the lowest firing one
+                mask &= ((fired & -fired) << 1) - 1
+            path = self._paths.get(mask)
+            if path is None:
+                path = self._paths[mask] = self._path(mask)
+            charge = size + MEMO_ENTRY_BYTES
+            if charge <= MEMO_BUDGET:
+                if self._memo_bytes + charge > MEMO_BUDGET:
+                    self.drop_memo()
+                self._memo[blob] = path
+                self._memo_bytes += charge
         outcome, coverage, trace, crash = path
         return ExecutionResult(outcome, coverage, trace, self.target.name, size, crash)
+
+    def drop_memo(self) -> None:
+        """Empty the blob -> path table; the runner stays usable."""
+        self._memo.clear()
+        self._memo_bytes = 0
 
     def _path(self, mask: int) -> tuple[str, frozenset[str], tuple[str, ...], CrashSpec | None]:
         """The path through the rules in ``mask``: their entered functions

@@ -14,9 +14,10 @@ context at ``CONTEXT_TOKEN_BUDGET`` tokens and counts what the run spent;
 the duplicate judge, which the shared point store calls, runs its agent
 directly.  A run whose model chain is exhausted, or whose context cannot be
 compressed under the budget, ends with a failure: the stage leaves a task
-warning and the scan goes on, the verifier retries the point at once and
-warns only when the retry fails too, and the report and the duplicate
-judge fall back to their template and to no verdict.
+warning and the scan goes on, the verifier retries a point whose model
+chain was exhausted at once and warns only when the retry fails too, and
+the report and the duplicate judge fall back to their template and to no
+verdict.
 
 Everything is deterministic at desk scale: fuzzing runs in cooperative
 slices on the worker thread (no wall-clock races), ids come from counters,
@@ -526,17 +527,21 @@ class Worker:
             f"verify suspicious point {sp.id}: {sp.vuln_type} (score {sp.score})\n"
             f"claim: {sp.description}",
         )
-        # A failed run is retried once, at once; a verdict it captured is
-        # not applied, and only the retry's failure is warned.
-        for failure in (None, f"verification failed twice for {sp.id}; left unverified"):
+        # A run whose model chain was exhausted is retried once, at once; a
+        # context over its budget would fail the same way, so it is not.  A
+        # verdict a failed run captured is not applied, and only the last
+        # failure is warned.
+        for retry in (False, True):
             captured.clear()
-            outcome = self._run_role(
-                "sp-verifier", seed, extra_tools=(update_suspicious_point,), failure=failure
-            )
+            outcome = self._run_role("sp-verifier", seed, extra_tools=(update_suspicious_point,))
             if not outcome.failure:
                 break
-        else:
-            return
+            if retry or outcome.failure_kind != "chain":
+                self.task.warnings.append(
+                    f"verification failed{' twice' if retry else ''} for {sp.id}; "
+                    f"left unverified: {outcome.failure}"
+                )
+                return
         if captured:
             self.spstore.apply_verification(
                 sp.id,
@@ -755,6 +760,8 @@ class Worker:
             self.task.state = "failed"
             self.task.warnings.append(f"worker failed: {exc}")
         finally:
+            if self.runner is not None:
+                self.runner.drop_memo()
             self._finalize_metrics()
             self.store.put("tasks", self.task.id, self.task.to_record())
         return self.task

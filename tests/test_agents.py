@@ -707,6 +707,7 @@ class TestRunAgent:
             system_prompt="sys",
         )
         assert outcome.failure == "model chain exhausted: scripted: timeout"
+        assert outcome.failure_kind == "chain"
         assert outcome.steps == 1
         assert outcome.usage.total > 0
         assert outcome.served_models == ["scripted"]
@@ -727,6 +728,7 @@ class TestRunAgent:
             "budget 50 cannot hold the system message, seed context and last exchange "
             "(101 tokens)"
         )
+        assert outcome.failure_kind == "context"
         assert outcome.steps == 0 and outcome.usage.total == 0
 
     def test_context_compression_kicks_in(self):

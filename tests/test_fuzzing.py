@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from vulnhunt.directions import Direction
 from vulnhunt.fuzzing.corpus import Corpus
 from vulnhunt.fuzzing.engine import FuzzLoop, reproduce, sp_fuzzer_verify
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator, _below
+from vulnhunt.fuzzing import target as target_module
 from vulnhunt.fuzzing.seeds import (
     extract_literal_tokens,
     seed_from_direction,
@@ -890,6 +892,68 @@ def test_guard_trie_matches_naive_execute_on_shared_prefixes(rules, blobs):
             for got in (runner.run(blob), runner.run(blob)):
                 assert got == want
                 assert got.output == want.output
+
+
+# A run of a blob from the pool, or a new ``max_blob`` for the runner.
+_MEMO_STEPS = st.one_of(st.tuples(st.just("run"), st.integers(0, 7)),
+                        st.tuples(st.just("limit"), st.integers(0, 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=_shared_prefix_rules(), sanitizer=st.sampled_from([None, "address", "undefined"]),
+       pool=st.lists(_SHARED_BLOBS, min_size=1, max_size=8),
+       steps=st.lists(_MEMO_STEPS, min_size=1, max_size=40),
+       budget=st.integers(0, 120), entry_bytes=st.integers(0, 24))
+def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, budget,
+                                              entry_bytes):
+    """A blob stream with many repeats under a small table budget: every
+    run equals the naive walk, a blob is walked again only when the table
+    lost it, an oversize blob raises and leaves the table as it was, and
+    the charged bytes never pass the budget."""
+    target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
+                           "rules": rules})
+    runner = SimTargetRunner(target, sanitizer)
+    walks = []
+    walk = target_module._walk
+
+    def counting(level, blob, mask):
+        if level is runner._trie:  # a run's walk, not one of its recursions
+            walks.append(blob)
+        return walk(level, blob, mask)
+
+    model, charged = {}, 0  # the table as the budget rule keeps it
+    with mock.patch.object(target_module, "MEMO_BUDGET", budget), \
+            mock.patch.object(target_module, "MEMO_ENTRY_BYTES", entry_bytes), \
+            mock.patch.object(target_module, "_walk", counting):
+        for kind, value in steps:
+            if kind == "limit":
+                runner.max_blob = value
+                continue
+            blob = pool[value % len(pool)]
+            walks.clear()
+            if len(blob) > runner.max_blob:
+                table = dict(runner._memo)
+                with pytest.raises(OversizeBlobError):
+                    runner.run(blob)
+                assert runner._memo == table and not walks
+                continue
+            got = runner.run(blob)
+            want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
+            assert got == want
+            assert got.output == want.output
+            assert walks == ([] if blob in model else [blob])
+            charge = len(blob) + entry_bytes
+            if blob not in model and charge <= budget:
+                if charged + charge > budget:
+                    model, charged = {}, 0
+                model[blob], charged = True, charged + charge
+            assert runner._memo.keys() == model.keys()
+            assert runner._memo_bytes == charged <= budget
+            # The table holds the runner's interned paths, nothing per entry.
+            paths = {id(path) for path in runner._paths.values()}
+            assert all(id(path) in paths for path in runner._memo.values())
+    runner.drop_memo()
+    assert not runner._memo and runner._memo_bytes == 0
 
 
 def _write_energy(corpus, index, energy):

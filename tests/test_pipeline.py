@@ -27,6 +27,7 @@ from vulnhunt.config import Config
 from vulnhunt.directions import GlobalAnalyzedSet
 from vulnhunt.errors import ConfigError, UnknownFuzzerError
 from vulnhunt.fuzzing import CrashSpec, ExecutionResult, FuzzLoop, SimTargetRunner
+from vulnhunt.fuzzing import target as target_module
 from vulnhunt.pipeline import (
     _build_pool,
     _make_duplicate_judge,
@@ -304,6 +305,35 @@ def test_sp_background_loop_seeds_from_failed_attempts(e2e_workspace, monkeypatc
         assert seed_origins and set(seed_origins) == {"poc-attempt"}
     for worker in result.workers:
         assert worker.task.metrics.executions == runs[id(worker.runner)]
+
+
+def test_a_runner_walks_its_trie_once_per_distinct_blob(e2e_workspace, monkeypatch):
+    """At seed 0 on the fixture, a runner walks its guard trie once per
+    distinct blob it runs (no runner's table fills its budget), every run
+    is still one of the task's executions, and no worker keeps its table
+    once the scan is over."""
+    blobs: dict[int, set] = {}  # runner id -> distinct blobs it ran
+    run = SimTargetRunner.run
+
+    def recording(self, blob):
+        blobs.setdefault(id(self), set()).add(blob)
+        return run(self, blob)
+
+    walks: Counter = Counter()  # trie level id -> walks entering it
+    walk = target_module._walk
+
+    def counting(level, blob, mask):
+        walks[id(level)] += 1
+        return walk(level, blob, mask)
+
+    monkeypatch.setattr(SimTargetRunner, "run", recording)
+    monkeypatch.setattr(target_module, "_walk", counting)
+    result = run_scan(e2e_workspace.config())
+    assert sum(task.metrics.executions for task in result.tasks) == 60_293
+    for worker in result.workers:
+        assert walks[id(worker.runner._trie)] == len(blobs[id(worker.runner)])
+        assert not worker.runner._memo and worker.runner._memo_bytes == 0
+    assert sum(walks[id(w.runner._trie)] for w in result.workers) == 18_106
 
 
 def test_oversize_agent_seed_is_skipped(e2e_workspace, monkeypatch):
@@ -597,9 +627,9 @@ _CANNOT_HOLD = "cannot hold the system message, seed context and last exchange"
 
 @pytest.mark.parametrize(("budget", "warnings"), [
     # The verifier's system prompt and seed (299 tokens) never fit, so the
-    # point is left unverified and no PoC runs.
+    # point is left unverified, without a retry, and no PoC runs.
     (250, [_NO_DIRECTIONS, f"sp generation failed for m_handler: budget 250 {_CANNOT_HOLD} (295 tokens)",
-           "verification failed twice for sp-000001; left unverified: "
+           "verification failed for sp-000001; left unverified: "
            f"budget 250 {_CANNOT_HOLD} (299 tokens)"]),
     # Everything fits but the PoC run's second step.
     (320, [_NO_DIRECTIONS, f"poc generation failed for sp-000001: budget 320 {_CANNOT_HOLD} (386 tokens)"]),
@@ -610,10 +640,21 @@ def test_a_context_the_budget_cannot_hold_ends_the_run_not_the_worker(
     """A context budget below a run's system prompt, seed context and last
     exchange ends that run with its stage's warning; the task finishes."""
     monkeypatch.setattr(pipeline, "CONTEXT_TOKEN_BUDGET", budget)
+    roles = []
+    run_agent = pipeline.run_agent
+
+    def recording(role, *args, **kwargs):
+        roles.append(role)
+        return run_agent(role, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_agent", recording)
     config = magic_workspace.config(global_fuzz_iterations=0, sp_fuzz_iterations=0)
     (task,) = run_scan(config, scenario=_magic_poc_scenario(3)).tasks
     assert task.state == "done"
     assert task.warnings == warnings
+    # A context that cannot fit fails again the same way, so the verifier is
+    # not retried: it runs once for the one point.
+    assert roles.count("sp-verifier") == 1
 
 
 def _scan_with_a_verifier_retry(magic_workspace, monkeypatch, retry_steps: list[dict]):
