@@ -1,10 +1,11 @@
 """Persistence backends for run artifacts.
 
 Collections are fixed: tasks, sps, povs, reports, metrics.  Records are
-plain JSON-serializable dicts keyed by string id.  The file backend writes a
-temp file and renames it into place so a crash never leaves a half-written
-record; the in-memory backend serves tests and dry runs.  Both are
-thread-safe.
+plain JSON-serializable dicts keyed by string id.  The file backend keeps
+one JSON-lines journal per collection and appends one line per put; the
+last line for an id wins, and a torn final line is never read, so a crash
+never leaves a half-written record readable.  The in-memory backend serves
+tests and dry runs.  Both are thread-safe.
 """
 
 from __future__ import annotations
@@ -60,47 +61,66 @@ class MemoryStore(StoreBackend):
 
 
 class FileStore(StoreBackend):
-    """One JSON file per record under ``<root>/<collection>/<id>.json``.
+    """One JSON-lines journal per collection, ``<root>/<collection>.jsonl``.
+
+    A put appends ``{"id": ..., "record": ...}`` as one line, and the last
+    line for an id wins.  A reader ignores a final line with no newline, the
+    tail of a put that died mid-write; a store's first put to a collection
+    cuts such a tail off, so a later line is never glued onto it.
 
     ``create=False`` opens an existing store for reading: a missing ``root``
-    raises :class:`StoreError` and nothing is created.
+    raises :class:`StoreError` and nothing is created.  A root in the old
+    per-record layout (``<collection>/<id>.json``) raises :class:`StoreError`
+    and is not read.
     """
 
     def __init__(self, root: str | Path, create: bool = True):
         self.root = Path(root)
         if create:
-            for collection in COLLECTIONS:
-                (self.root / collection).mkdir(parents=True, exist_ok=True)
+            self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise StoreError(f"no store at '{root}'")
+        old = [c for c in COLLECTIONS if (self.root / c).is_dir()]
+        if old:
+            raise StoreError(
+                f"'{root}' holds an old per-record store (<collection>/<id>.json, "
+                f"such as '{old[0]}/'); it is not read"
+            )
         self._lock = threading.RLock()
+        self._tails_checked: set[str] = set()
 
-    def _path(self, collection: str, record_id: str) -> Path:
-        safe = record_id.replace("/", "_")
-        return self.root / collection / f"{safe}.json"
+    def _journal(self, collection: str) -> Path:
+        return self.root / f"{collection}.jsonl"
 
     def put(self, collection: str, record_id: str, record: dict) -> None:
         self._check_collection(collection)
+        line = json.dumps({"id": record_id, "record": record}, sort_keys=True) + "\n"
         with self._lock:
-            path = self._path(collection, record_id)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            tmp.replace(path)
+            with open(self._journal(collection), "a+b") as fh:
+                if collection not in self._tails_checked:
+                    fh.seek(0)
+                    data = fh.read()
+                    if not data.endswith(b"\n"):
+                        fh.truncate(data.rfind(b"\n") + 1)
+                    self._tails_checked.add(collection)
+                fh.write(line.encode("ascii"))
+
+    def _latest(self, collection: str) -> dict[str, dict]:
+        self._check_collection(collection)
+        with self._lock:
+            try:
+                data = self._journal(collection).read_bytes()
+            except FileNotFoundError:
+                return {}
+        latest = {}
+        for line in data.split(b"\n")[:-1]:
+            entry = json.loads(line)
+            latest[entry["id"]] = entry["record"]
+        return latest
 
     def get(self, collection: str, record_id: str) -> dict | None:
-        self._check_collection(collection)
-        with self._lock:
-            path = self._path(collection, record_id)
-            if not path.exists():
-                return None
-            return json.loads(path.read_text(encoding="utf-8"))
+        return self._latest(collection).get(record_id)
 
     def list(self, collection: str) -> list[dict]:
-        self._check_collection(collection)
-        with self._lock:
-            records = []
-            for path in sorted((self.root / collection).glob("*.json")):
-                records.append(json.loads(path.read_text(encoding="utf-8")))
-            return records
+        latest = self._latest(collection)
+        return [latest[k] for k in sorted(latest)]

@@ -133,6 +133,18 @@ class TestStatus:
         assert not store_dir.exists()
 
 
+@pytest.mark.parametrize("command", [["status"], ["report", "--all"]])
+def test_old_per_record_store_exits_2(tmp_path, capsys, command):
+    store_dir = tmp_path / "old"
+    (store_dir / "tasks").mkdir(parents=True)
+    (store_dir / "tasks" / "img_fuzzer--address.json").write_text('{"id": "img_fuzzer--address"}\n')
+    rc = main(command + ["--store", str(store_dir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "old per-record store (<collection>/<id>.json, such as 'tasks/')" in captured.err
+
+
 class TestReport:
     def test_render_one_report(self, scanned_ws, tmp_path, capsys):
         out_dir = tmp_path / "rendered"

@@ -1,7 +1,12 @@
-"""Record stores: round-trips, isolation, file layout."""
+"""Record stores: round-trips, isolation, journal layout, the in-memory oracle."""
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vulnhunt.errors import StoreError
 from vulnhunt.store import COLLECTIONS, FileStore, MemoryStore
@@ -50,14 +55,85 @@ def test_mutating_returned_record_does_not_leak(backend):
     assert backend.get("tasks", "t") == {"state": "running", "tags": ["a"]}
 
 
-def test_file_store_layout_and_tmp_cleanup(tmp_path):
-    store = FileStore(tmp_path / "s")
-    store.put("povs", "pov-1", {"id": "pov-1"})
-    path = tmp_path / "s" / "povs" / "pov-1.json"
-    assert path.exists()
-    assert not list((tmp_path / "s" / "povs").glob("*.tmp"))
-    # ids with path separators are sanitized into flat file names
-    store.put("povs", "a/b", {"id": "a/b"})
-    assert (tmp_path / "s" / "povs" / "a_b.json").exists()
-    reopened = FileStore(tmp_path / "s")
-    assert reopened.get("povs", "pov-1") == {"id": "pov-1"}
+def test_ids_differing_only_in_separators_stay_distinct(backend):
+    backend.put("povs", "a/b", {"id": "a/b"})
+    backend.put("povs", "a_b", {"id": "a_b"})
+    assert backend.get("povs", "a/b") == {"id": "a/b"}
+    assert backend.get("povs", "a_b") == {"id": "a_b"}
+    assert backend.list("povs") == [{"id": "a/b"}, {"id": "a_b"}]
+
+
+def test_file_store_journal_layout(tmp_path):
+    root = tmp_path / "s"
+    store = FileStore(root)
+    for collection in COLLECTIONS:
+        store.put(collection, "x", {"v": 1})
+    assert sorted(p.name for p in root.iterdir()) == sorted(f"{c}.jsonl" for c in COLLECTIONS)
+    store.put("povs", "x", {"v": 2})
+    assert store.get("povs", "x") == {"v": 2}
+    assert store.list("povs") == [{"v": 2}]
+
+    journal = root / "povs.jsonl"
+    with open(journal, "ab") as fh:
+        fh.write(b'{"id": "torn", "rec')             # a put that died mid-write
+    assert store.get("povs", "torn") is None
+    assert FileStore(root).list("povs") == [{"v": 2}]
+    reopened = FileStore(root)
+    reopened.put("povs", "y", {"v": 3})
+    assert FileStore(root, create=False).list("povs") == [{"v": 2}, {"v": 3}]
+    assert journal.read_bytes().endswith(b"\n")
+
+
+@pytest.mark.parametrize("create", [True, False])
+def test_old_per_record_layout_is_refused(tmp_path, create):
+    (tmp_path / "tasks").mkdir()
+    (tmp_path / "tasks" / "t.json").write_text("{}")
+    with pytest.raises(StoreError, match="old per-record store"):
+        FileStore(tmp_path, create=create)
+
+
+_IDS = st.text(alphabet=st.sampled_from("ab/_.é✓"), max_size=4)
+_RECORDS = st.dictionaries(
+    st.text(max_size=3),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from(COLLECTIONS), _IDS, _RECORDS),
+        st.tuples(st.just("get"), st.sampled_from(COLLECTIONS), _IDS),
+        st.tuples(st.just("list"), st.sampled_from(COLLECTIONS)),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, torn_at=st.integers(min_value=0, max_value=40), torn_in=st.sampled_from(COLLECTIONS))
+def test_file_store_matches_memory_oracle(ops, torn_at, torn_in):
+    """Any sequence of puts, gets, lists and reopens, with one crash that
+    leaves a torn line, reads the same from the journal as from memory."""
+    oracle = MemoryStore()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        store = FileStore(root)
+        for i, op in enumerate(ops):
+            if i == torn_at:
+                with open(root / f"{torn_in}.jsonl", "ab") as fh:
+                    fh.write(b'{"id": "crash", "record": {"a')
+                store = FileStore(root)                       # the writer died
+            kind, args = op[0], op[1:]
+            if kind == "reopen":
+                store = FileStore(root)
+            elif kind == "put":
+                store.put(*args)
+                oracle.put(*args)
+            for collection in COLLECTIONS:
+                assert store.list(collection) == oracle.list(collection)
+            if kind == "get":
+                assert store.get(*args) == oracle.get(*args)
