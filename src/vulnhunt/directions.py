@@ -173,7 +173,9 @@ class DirectionScheduler:
         """Validate and register one direction; builds its pools.
 
         Rejects (never raises) on: worker already at the direction cap,
-        duplicate direction name, or invalid risk level.
+        duplicate direction name, invalid risk level, or no function that
+        resolves in the subgraph.  A registered direction turns off the
+        whole-subgraph fallback, so one with empty pools would stop analysis.
         """
         if len(self._pools) >= self._max_directions:
             return RegisterResult(False, f"worker already has {self._max_directions} directions")
@@ -184,6 +186,12 @@ class DirectionScheduler:
         if not direction.risk_reason or not direction.risk_reason.strip():
             return RegisterResult(False, "risk_reason must be non-empty")
         core, general, warnings = build_pools(direction, self._subgraph)
+        if not core and not general:
+            return RegisterResult(
+                False,
+                f"direction '{direction.name}': none of its functions is in the reachable subgraph",
+                tuple(warnings),
+            )
         for warning in warnings:
             logger.warning("%s", warning)
         self._pools.append(_DirectionPools(direction=direction, core=core, general=general))

@@ -29,11 +29,6 @@ any other energy, including one written below the floor, changes when
 cooled.  Once every seed has cooled to the floor, picks stop changing
 energies, so most iterations reuse the list.
 
-Within a slice the iteration and execution counts live in locals and are
-written back to ``iterations_done`` and ``stats.executions`` when the slice
-ends, also when the runner or mutator raises.  They then hold what counting
-in place would: every iteration started, and every execution that returned.
-
 Reproduction implements the operational crash contract: an input proves a
 location vulnerable only if every one of N runs crashes at the same location
 with the same vulnerability type (default quorum 10).
@@ -66,7 +61,6 @@ class CrashFinding:
 
 @dataclass
 class FuzzStats:
-    executions: int = 0
     crashes: int = 0
     corpus_adds: int = 0
 
@@ -104,13 +98,13 @@ class FuzzLoop:
         The one exception is a cold start: with an empty corpus the empty
         blob runs first, a crash there is returned at iteration 0, and the
         empty blob becomes the only parent either way, since the loop needs
-        something to mutate.
+        something to mutate.  ``iterations_done`` counts every iteration
+        started, also one whose mutator or runner raised.
         """
         crashes: list[CrashFinding] = []
         corpus, stats, rng = self.corpus, self.stats, self.rng
         if not corpus.seeds:
             result = self.runner.run(b"")
-            stats.executions += 1
             if result.outcome == "crash":
                 stats.crashes += 1
                 crashes.append(CrashFinding(b"", result, self.origin, 0))
@@ -118,8 +112,7 @@ class FuzzLoop:
         seeds, blobs = corpus.seeds, corpus.blobs
         draw, mutate, execute = rng.random, self.mutator.mutate, self.runner.run
         cool, has_coverage = corpus.cool, corpus.has_coverage
-        done, executions = self.iterations_done, stats.executions
-        cum = None
+        done, cum = self.iterations_done, None
         try:
             # ``done`` counts the iterations started; an empty range leaves it.
             for done in range(done + 1, done + 1 + min(iterations, self.budget_left)):
@@ -132,7 +125,6 @@ class FuzzLoop:
                     cum = None
                 blob = mutate(parent.blob, rng, blobs)
                 result = execute(blob)
-                executions += 1
                 if result.outcome == "crash":
                     stats.crashes += 1
                     crashes.append(CrashFinding(blob, result, self.origin, done))
@@ -142,7 +134,7 @@ class FuzzLoop:
                     stats.corpus_adds += 1
                     cum = None
         finally:
-            self.iterations_done, stats.executions = done, executions
+            self.iterations_done = done
         return crashes
 
 

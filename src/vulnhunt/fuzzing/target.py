@@ -324,7 +324,8 @@ class TargetRunner:
     same contract: deterministic given the blob, so running a blob again
     returns an equal result.  That contract is what lets ``SimTargetRunner``
     answer a repeated blob from its table, and what makes a crash's
-    reproduction an exact check.
+    reproduction an exact check.  A runner also counts the executions it
+    made in ``executions``, which is what its worker reports.
     """
 
     def run(self, blob: bytes) -> ExecutionResult:
@@ -389,6 +390,9 @@ class SimTargetRunner(TargetRunner):
     ``MEMO_ENTRY_BYTES``, an insert that would pass the budget clears the
     table first, and a blob whose charge alone passes it is not stored.
     ``drop_memo`` empties it.
+
+    ``executions`` counts every run that passed the ``max_blob`` check, a
+    run answered from the table included; ``drop_memo`` keeps the count.
     """
 
     def __init__(
@@ -400,6 +404,7 @@ class SimTargetRunner(TargetRunner):
         self.target = target
         self.sanitizer = sanitizer
         self.max_blob = max_blob
+        self.executions = 0
         self._base = self._fires = 0
         root: dict[str, list] = {}  # conjunct key -> [test, bits, children]
         for i, rule in enumerate(target.rules):
@@ -431,6 +436,7 @@ class SimTargetRunner(TargetRunner):
         size = len(blob)
         if size > self.max_blob:
             raise OversizeBlobError(f"blob of {size} bytes exceeds limit {self.max_blob}")
+        self.executions += 1
         path = self._memo.get(blob)
         if path is None:
             mask = _walk(self._trie, blob, self._base)

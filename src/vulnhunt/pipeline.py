@@ -9,15 +9,16 @@ crash, from a background loop or a PoC attempt, is confirmed by
 ``Worker._confirm_crash``: a crash reproduced at the quorum becomes a
 vulnerability report.
 
-Every worker agent run goes through ``Worker._run_role``, which bounds its
-context at ``CONTEXT_TOKEN_BUDGET`` tokens and counts what the run spent;
-the duplicate judge, which the shared point store calls, runs its agent
-directly.  A run whose model chain is exhausted, or whose context cannot be
-compressed under the budget, ends with a failure: the stage leaves a task
-warning and the scan goes on, the verifier retries a point whose model
-chain was exhausted at once and warns only when the retry fails too, and
-the report and the duplicate judge fall back to their template and to no
-verdict.
+Every agent run goes through ``Worker._run_role``, which bounds its
+context at ``CONTEXT_TOKEN_BUDGET`` tokens and counts what the run spent.
+That includes the duplicate judge: the shared point store calls it, and
+``run_scan`` forwards each call to the worker that built the candidate.  A
+run whose model chain is exhausted, or whose context cannot be compressed
+under the budget, ends with a failure: the stage leaves a task warning and
+the scan goes on, the verifier retries a point whose model chain was
+exhausted at once and warns only when the retry fails too, and the report
+and the duplicate judge fall back to their template and to no verdict.
+Executions are counted by the worker's runner alone.
 
 Everything is deterministic at desk scale: fuzzing runs in cooperative
 slices on the worker thread (no wall-clock races), ids come from counters,
@@ -26,7 +27,6 @@ and timestamps are logical stage counters.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import os
 import random
@@ -306,6 +306,8 @@ class Worker:
             risk_level: str,
             risk_reason: str,
         ):
+            if not isinstance(entry_functions, list) or not isinstance(core_functions, list):
+                raise ValueError("entry_functions and core_functions must be lists of names")
             direction = Direction(
                 name=str(name),
                 entry_functions=tuple(str(f) for f in entry_functions),
@@ -380,7 +382,6 @@ class Worker:
             )
             return
         result = self.runner.run(blob)
-        self.task.metrics.executions += 1
         if result.outcome == "crash":
             self._handle_fuzzer_crash(blob, result, origin)
             return
@@ -402,14 +403,10 @@ class Worker:
         return FuzzLoop(self.runner, corpus, self.mutator, rng, origin, budget)
 
     def _pump(self, loop: FuzzLoop | None) -> None:
-        """Run one ``fuzz_slice`` of ``loop``, counting its executions and
-        handling its crashes."""
+        """Run one ``fuzz_slice`` of ``loop``, handling its crashes."""
         if loop is None or loop.budget_left <= 0:
             return
-        before = loop.stats.executions
-        crashes = loop.run(self.config.fuzz_slice)
-        self.task.metrics.executions += loop.stats.executions - before
-        for finding in crashes:
+        for finding in loop.run(self.config.fuzz_slice):
             self._handle_fuzzer_crash(finding.blob, finding.result, finding.origin)
 
     # -- suspicious point generation ----------------------------------------
@@ -478,6 +475,26 @@ class Worker:
                 self._verify(sp)
                 sp = self.spstore.get(sp.id)
             self._route_verified(sp)
+
+    def _judge_duplicate(
+        self, candidate: SuspiciousPoint, existing: SuspiciousPoint
+    ) -> bool | None:
+        """The duplicate judge's answer for two same-type points: True,
+        False, or None (no verdict) when its run fails or answers neither."""
+        seed = "\n".join(
+            [
+                f"candidate: [{candidate.vuln_type}] {candidate.description}",
+                f"existing: [{existing.vuln_type}] {existing.description}",
+                "Answer 'duplicate' or 'distinct'.",
+            ]
+        )
+        # A run that failed has no final text, so it gives no verdict.
+        text = self._run_role("sp-deduplicator", seed).final_text.strip().lower()
+        if text.startswith("duplicate"):
+            return True
+        if text.startswith("distinct") or text.startswith("not"):
+            return False
+        return None
 
     def _route_verified(self, sp: SuspiciousPoint) -> None:
         if sp.verdict == "tp":
@@ -632,7 +649,6 @@ class Worker:
         positive) and reported under ``method`` with ``attempts``.
         """
         repro = reproduce(blob, self.runner, quorum=self.config.quorum)
-        self.task.metrics.executions += repro.runs
         if not repro.confirmed:
             return False
         if sp is None:
@@ -738,6 +754,7 @@ class Worker:
         self.task.metrics.tp_v = sum(1 for sp in owned if sp.verdict == "tp")
         self.task.metrics.fp = sum(1 for sp in owned if sp.verdict == "fp")
         self.task.metrics.unverified = sum(1 for sp in owned if not sp.is_verified)
+        self.task.metrics.executions = self.runner.executions if self.runner is not None else 0
         self.task.metrics.wall_clock_s = time.monotonic() - self._started
 
     def run(self) -> WorkerTask:
@@ -872,8 +889,6 @@ class PocAttempt:
             return self._failed(f"every variant exceeds max_blob {limit} ({sizes}); nothing ran")
         outcome = sp_fuzzer_verify([blobs[index] for index in fits], worker.runner)
         results = dict(zip(fits, outcome.results))  # variant index -> result
-        executed = [r for r in outcome.results if r is not None]
-        worker.task.metrics.executions += len(executed)
         for index, result in results.items():
             if result is None or result.outcome == "crash":
                 continue
@@ -907,7 +922,7 @@ class PocAttempt:
                     f"coverage {len(result.coverage)} functions, "
                     f"deepest: {result.trace[-1] if result.trace else '(empty)'}"
                 )
-        combined = "\n".join(r.output for r in executed)
+        combined = "\n".join(r.output for r in outcome.results if r is not None)
         return {
             "success": False,
             "attempt": self.attempts,
@@ -927,7 +942,6 @@ class PocAttempt:
             return "no previous attempt to trace"
         variant = max(0, min(int(variant), len(self.last_blobs) - 1))
         result = worker.runner.run(self.last_blobs[variant])
-        worker.task.metrics.executions += 1
         target = self.sp.function_id
         want = worker._static_route(target)
         divergence = next((f for f in want if f not in result.coverage), None)
@@ -948,7 +962,6 @@ class PocAttempt:
             corpus = Corpus()
             for blob in self.failed_blobs:
                 corpus.add(blob, worker.runner.run(blob).coverage, "poc-attempt")
-                worker.task.metrics.executions += 1
             tag, origin = f"sp|{self.sp.id}", f"sp-background:{self.sp.id}"
             self.loop = worker._fuzz_loop(corpus, tag, origin, worker.config.sp_fuzz_iterations)
         worker._pump(self.loop)
@@ -988,41 +1001,6 @@ def _build_pool(config: Config, scenario=None) -> tuple[ProviderPool, set[str]]:
     return pool, active
 
 
-def _make_duplicate_judge(config: Config, pool: ProviderPool, active: set[str]):
-    if "sp-deduplicator" not in active:
-        return None
-    # The store calls the judge outside its lock; next() on a count is atomic.
-    seq = itertools.count(1)
-
-    def judge(candidate: SuspiciousPoint, existing: SuspiciousPoint):
-        run_id = f"dedup:{next(seq)}"
-        seed = "\n".join(
-            [
-                f"candidate: [{candidate.vuln_type}] {candidate.description}",
-                f"existing: [{existing.vuln_type}] {existing.description}",
-                "Answer 'duplicate' or 'distinct'.",
-            ]
-        )
-        outcome = run_agent(
-            "sp-deduplicator",
-            seed,
-            ToolRegistry([]),
-            pool,
-            config.model_chains,
-            system_prompt=render_prompt("sp-deduplicator"),
-            run_id=run_id,
-        )
-        # A run that failed has no final text, so it gives no verdict.
-        text = outcome.final_text.strip().lower()
-        if text.startswith("duplicate"):
-            return True
-        if text.startswith("distinct") or text.startswith("not"):
-            return False
-        return None
-
-    return judge
-
-
 def run_scan(
     config: Config,
     graph: CallGraph | None = None,
@@ -1049,11 +1027,17 @@ def run_scan(
             delta = load_delta(fh.read(), graph)
 
     pool, active_roles = _build_pool(config, scenario)
-    judge = _make_duplicate_judge(config, pool, active_roles)
+    by_source: dict[tuple[str, str], Worker] = {}
+
+    def judge(candidate: SuspiciousPoint, existing: SuspiciousPoint):
+        # A candidate's sources are still exactly the pair of its builder.
+        (source,) = candidate.sources
+        return by_source[source]._judge_duplicate(candidate, existing)
+
     spstore = SPStore(
         known_functions=set(graph.functions),
         similarity_threshold=config.dedup_threshold,
-        duplicate_judge=judge,
+        duplicate_judge=judge if "sp-deduplicator" in active_roles else None,
     )
     analyzed = GlobalAnalyzedSet()
     tasks = plan_workers(graph, config, pair_filter)
@@ -1072,6 +1056,7 @@ def run_scan(
         )
         for task in tasks
     ]
+    by_source.update(((w.task.fuzzer, w.task.sanitizer), w) for w in workers)
     if config.worker_parallelism > 1:
         with ThreadPoolExecutor(max_workers=config.worker_parallelism) as executor:
             list(executor.map(lambda w: w.run(), workers))

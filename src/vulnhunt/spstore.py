@@ -29,24 +29,10 @@ from .errors import (
 
 # ===== Vulnerability types and sanitizer compatibility =====
 
-VULN_TYPES = (
-    "heap-buffer-overflow",
-    "stack-buffer-overflow",
-    "global-buffer-overflow",
-    "out-of-bounds-write",
-    "out-of-bounds-read",
-    "use-after-free",
-    "double-free",
-    "null-pointer-dereference",
-    "integer-overflow",
-    "format-string",
-    "arbitrary-write",
-    "uninitialized-read",
-    # plus "other(<text>)" as a catch-all
-)
-
 SANITIZERS = ("address", "memory", "undefined")
 
+# Each fixed vulnerability type and the one sanitizer that can detect it;
+# any other type is written "other(<text>)" and goes to "undefined".
 _SANITIZER_FOR: dict[str, str] = {
     "heap-buffer-overflow": "address",
     "stack-buffer-overflow": "address",
@@ -55,12 +41,14 @@ _SANITIZER_FOR: dict[str, str] = {
     "out-of-bounds-read": "address",
     "use-after-free": "address",
     "double-free": "address",
+    "null-pointer-dereference": "undefined",
+    "integer-overflow": "undefined",
+    "format-string": "undefined",
     "arbitrary-write": "address",
     "uninitialized-read": "memory",
-    "integer-overflow": "undefined",
-    "null-pointer-dereference": "undefined",
-    "format-string": "undefined",
 }
+
+VULN_TYPES = tuple(_SANITIZER_FOR)
 
 _OTHER_RE = re.compile(r"^other\((?P<text>.+)\)$", re.DOTALL)
 
@@ -190,8 +178,11 @@ class SPStore:
         similarity_threshold: Jaccard threshold at or above which two
             same-function same-type descriptions are duplicates.
         duplicate_judge: optional override callable ``(candidate, existing)
-            -> bool | None``; a non-None answer replaces the Jaccard
-            decision (used to route the question to a tier-3 agent).
+            -> bool | None``, asked about each same-type point of the
+            candidate's function; a non-None answer replaces the Jaccard
+            decision.  A scan's judge runs the ``sp-deduplicator`` agent on
+            the worker that built the candidate, where the run counts like
+            any other.
     """
 
     def __init__(

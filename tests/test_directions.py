@@ -175,6 +175,23 @@ def test_unknown_functions_warned_not_dropped_silently():
     assert any("ghost_fn" in w for w in result.warnings)
 
 
+def test_direction_with_no_resolvable_function_is_rejected():
+    """A direction none of whose names resolve would have empty pools and,
+    once registered, would turn off the whole-subgraph fallback."""
+    sched = DirectionScheduler(ten_graph(), FZ, GlobalAnalyzedSet())
+    result = sched.register_direction(Direction(
+        name="typos", entry_functions=["ee"], core_functions=["aa"],
+        risk_level="high", risk_reason="z"))
+    assert not result.accepted
+    assert result.reason == "direction 'typos': none of its functions is in the reachable subgraph"
+    assert [w for w in result.warnings if "unknown function" in w] == [
+        "direction 'typos': unknown function 'ee' skipped",
+        "direction 'typos': unknown function 'aa' skipped",
+    ]
+    assert sched.directions == []
+    assert sched.next_function().function_id == "e"  # the fallback's first pick
+
+
 def test_build_pools_shape():
     core, general, warnings = build_pools(alpha(), ten_graph())
     assert core == {"e", "a", "c"}

@@ -520,7 +520,7 @@ def test_cold_start_and_budget_clamp():
                     rng=random.Random(0), origin="global", iteration_budget=50)
     loop.run(10**9)
     assert loop.iterations_done == 50
-    assert loop.stats.executions == 51      # the cold-start b"" run counts
+    assert loop.runner.executions == 51     # the cold-start b"" run counts
     assert loop.budget_left == 0
     assert loop.corpus.seeds[0].origin == "empty"
     assert loop.corpus.seeds[0].blob == b""
@@ -540,7 +540,7 @@ def test_cold_start_crash_is_reported_at_iteration_zero():
     assert [c.iteration for c in crashes] == [0, 1, 2, 3]
     first = crashes[0]
     assert (first.blob, first.origin, first.result.crash.location) == (b"", "global", "b_entry")
-    assert loop.stats.crashes == 4 and loop.stats.executions == 4
+    assert loop.stats.crashes == 4 and loop.runner.executions == 4
     # The empty blob stays the only parent: the loop needs something to mutate.
     assert [(s.blob, s.origin) for s in loop.corpus.seeds] == [(b"", "empty")]
 
@@ -568,7 +568,7 @@ def test_fuzz_loop_determinism():
         runs.append((
             [(c.iteration, c.blob) for c in crashes],
             [s.coverage for s in loop.corpus.seeds],
-            loop.stats.executions,
+            loop.runner.executions,
         ))
     assert runs[0] == runs[1]
 
@@ -708,20 +708,21 @@ class _FailingRunner:
 @settings(max_examples=50, deadline=None)
 @given(seed=_RNG_SEEDS, first=st.integers(0, 40), fail_at=st.integers(1, 60))
 def test_counts_after_a_runner_fault(seed, first, fail_at):
-    """A fault mid-slice leaves every started iteration and every returned
-    execution counted, and the next slice carries on from there."""
+    """A fault mid-slice leaves every started iteration counted by the loop
+    and every returned execution counted by the runner, and the next slice
+    carries on from there."""
     failing = _FailingRunner(magic_runner(), 0)
     loop = global_loop(failing, 200, seed)
     loop.run(first)  # includes the cold start's execution
-    iterations, executions = loop.iterations_done, loop.stats.executions
+    iterations, executions = loop.iterations_done, failing.runner.executions
     failing.fail_at = failing.calls + fail_at
     with pytest.raises(RuntimeError, match="runner fault"):
         loop.run(100)
     assert loop.iterations_done == iterations + fail_at
-    assert loop.stats.executions == executions + fail_at - 1
+    assert failing.runner.executions == executions + fail_at - 1
     loop.run(5)
     assert loop.iterations_done == iterations + fail_at + 5
-    assert loop.stats.executions == executions + fail_at + 4
+    assert failing.runner.executions == executions + fail_at + 4
 
 
 def _all_targets():
@@ -909,7 +910,9 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
     """A blob stream with many repeats under a small table budget: every
     run equals the naive walk, a blob is walked again only when the table
     lost it, an oversize blob raises and leaves the table as it was, and
-    the charged bytes never pass the budget."""
+    the charged bytes never pass the budget.  Every run but an oversize one
+    is an execution, a table hit included, and dropping the table keeps
+    the count."""
     target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
                            "rules": rules})
     runner = SimTargetRunner(target, sanitizer)
@@ -922,6 +925,7 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
         return walk(level, blob, mask)
 
     model, charged = {}, 0  # the table as the budget rule keeps it
+    executions = 0
     with mock.patch.object(target_module, "MEMO_BUDGET", budget), \
             mock.patch.object(target_module, "MEMO_ENTRY_BYTES", entry_bytes), \
             mock.patch.object(target_module, "_walk", counting):
@@ -936,8 +940,11 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
                 with pytest.raises(OversizeBlobError):
                     runner.run(blob)
                 assert runner._memo == table and not walks
+                assert runner.executions == executions
                 continue
             got = runner.run(blob)
+            executions += 1
+            assert runner.executions == executions
             want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
             assert got == want
             assert got.output == want.output
@@ -954,6 +961,7 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
             assert all(id(path) in paths for path in runner._memo.values())
     runner.drop_memo()
     assert not runner._memo and runner._memo_bytes == 0
+    assert runner.executions == executions
 
 
 def _write_energy(corpus, index, energy):

@@ -30,7 +30,6 @@ from vulnhunt.fuzzing import CrashSpec, ExecutionResult, FuzzLoop, SimTargetRunn
 from vulnhunt.fuzzing import target as target_module
 from vulnhunt.pipeline import (
     _build_pool,
-    _make_duplicate_judge,
     plan_workers,
     run_scan,
     status_snapshot,
@@ -467,18 +466,19 @@ def test_a_stage_without_a_model_warns_and_the_task_finishes(e2e_workspace, monk
 
 class _FlakyRunner:
     """A stand-in target: every run walks ``m_entry -> m_handler``; the
-    first ``crashes`` runs crash there, the rest exit cleanly."""
+    first ``crashes`` runs crash there, the rest exit cleanly.  Like every
+    runner it counts its runs in ``executions``."""
 
     max_blob = 64
 
     def __init__(self, crashes: int = 0):
         self.crashes = crashes
-        self.runs = 0
+        self.executions = 0
 
     def run(self, blob: bytes) -> ExecutionResult:
-        self.runs += 1
+        self.executions += 1
         crash = None
-        if self.runs <= self.crashes:
+        if self.executions <= self.crashes:
             crash = CrashSpec("m_handler", "heap-buffer-overflow", "address")
         return ExecutionResult("crash" if crash else "ok", frozenset({"m_entry", "m_handler"}),
                                ("m_entry", "m_handler"), "fake", len(blob), crash)
@@ -520,7 +520,7 @@ class TestPocAttempt:
         assert not attempt.solved
         # The first variant crashed and stopped the rest; the replay stopped
         # at its first clean run, and only the runs made count.
-        assert attempt.worker.task.metrics.executions == runner.runs == 2
+        assert runner.executions == 2
         assert attempt.worker.store.list("povs") == []
 
     def test_trace_before_any_attempt(self, magic_workspace):
@@ -541,7 +541,7 @@ class TestPocAttempt:
             "execution covers the static route; the crash condition itself is unmet"
         )
         # Three variants, one seeding run for the point's loop, one trace.
-        assert attempt.worker.task.metrics.executions == runner.runs == 3 + 3 + 1
+        assert runner.executions == 3 + 3 + 1
 
 
 class TestConfirmCrash:
@@ -556,8 +556,11 @@ class TestConfirmCrash:
         # No point is attached before the crash is confirmed.
         assert worker.spstore.all() == [] and worker.task.metrics.sp_total == 0
         assert worker.store.list("povs") == [] and worker.crash_repeats == {}
-        # Only the replays count: one, stopped at its clean run.
-        assert worker.task.metrics.executions == runner.runs - 1 == 1
+        # The background loop's own run, then one replay, stopped at its
+        # clean run; the task reports the runner's count.
+        assert runner.executions == 2
+        worker._finalize_metrics()
+        assert worker.task.metrics.executions == 2
 
     def test_a_poc_crash_already_reported_is_recorded_not_reported_again(self, magic_workspace):
         runner = _FlakyRunner(crashes=100)
@@ -741,6 +744,114 @@ def test_a_chain_that_fails_mid_run_counts_the_steps_that_ran(magic_workspace, m
     assert task.warnings == [_NO_DIRECTIONS, f"poc generation failed for {sp_id}: {_T2_DOWN}"]
 
 
+def test_directions_that_name_nothing_leave_the_fallback_on(magic_workspace, monkeypatch):
+    """A direction whose names all miss the subgraph is rejected, and a
+    function list given as a string is a tool error, not one function per
+    character; with nothing registered the worker analyzes the whole
+    subgraph, m_entry first."""
+    typos = {"name": "typos", "entry_functions": ["m_entyr"], "core_functions": ["m_handlr"],
+             "risk_level": "high", "risk_reason": "misspelled"}
+    string = dict(typos, name="string", entry_functions="m_entry", core_functions=[])
+    scenario = {"agents": {
+        "direction-generator": [{"steps": [
+            {"tool_calls": [{"name": "create_direction", "args": typos},
+                            {"name": "create_direction", "args": string}]},
+            {"text": "two directions"},
+        ]}],
+        "sp-generator": [{"match": "", "reusable": True, "steps": [{"text": "nothing"}]}],
+    }}
+    requests = capture_requests(monkeypatch)
+    config = magic_workspace.config(global_fuzz_iterations=0)
+    (task,) = run_scan(config, scenario=scenario).tasks
+    last = [r for r in requests if r.agent_role == "direction-generator"][-1]
+    assert [json.loads(m.content) if m.content.startswith("{") else m.content
+            for m in last.messages if m.role == "tool"] == [
+        {"accepted": False,
+         "reason": "direction 'typos': none of its functions is in the reachable subgraph",
+         "warnings": ["direction 'typos': unknown function 'm_entyr' skipped",
+                      "direction 'typos': unknown function 'm_handlr' skipped"]},
+        "tool error: create_direction: entry_functions and core_functions must be lists "
+        "of names",
+    ]
+    assert task.warnings == [_NO_DIRECTIONS]
+    analyzed = [r.messages[1].content for r in requests if r.agent_role == "sp-generator"]
+    assert [_seed_field(seed, "function: ") for seed in analyzed[:2]] == ["m_entry", "m_handler"]
+
+
+def test_an_http_scan_counts_every_agent_run(magic_workspace, monkeypatch):
+    """Over the HTTP provider the seed generator, the report and the
+    duplicate judge always run.  The stubbed endpoint answers by the role
+    its system prompt names; two candidates share a function and a type,
+    so the judge runs.  Every agent run, the judge's included, counts in
+    the task, and the task's tokens are the usage the endpoint reported."""
+    import requests
+
+    from vulnhunt.agents.prompts import TEMPLATES
+
+    def point(description):
+        return ("create_suspicious_point", {"function": "m_handler", "description": description,
+                                            "vuln_type": "heap-buffer-overflow", "score": 0.9})
+
+    def answer(role, seed):
+        if role == "direction-generator":
+            return "", [("create_direction", {
+                "name": "tag handling", "entry_functions": ["m_entry"],
+                "core_functions": ["m_handler"], "risk_level": "high",
+                "risk_reason": "a tag byte selects an unchecked read",
+            })]
+        if role == "sp-generator" and "function: m_handler" in seed:
+            return "", [point("buf[n] reads past the buffer when the 0x7f branch returns"),
+                        point("the return buf[n] read overruns the two-byte buffer")]
+        if role == "sp-verifier":
+            return "", [("update_suspicious_point", {"verdict": "tp"})]
+        return ("duplicate" if role == "sp-deduplicator" else "nothing"), []
+
+    reported = []
+
+    def fake_post(url, **kwargs):
+        messages = kwargs["json"]["messages"]
+        role = next(r for r, t in TEMPLATES.items() if messages[0]["content"].startswith(t[:20]))
+        text, calls = answer(role, messages[1]["content"])
+        if messages[-1]["role"] == "tool":  # a tool result: end the run
+            text, calls = "done", []
+        usage = {"prompt_tokens": 10 * len(messages), "completion_tokens": 1 + len(calls)}
+        reported.append(usage["prompt_tokens"] + usage["completion_tokens"])
+        message = {"content": text, "tool_calls": [
+            {"id": f"call_{i}", "function": {"name": name, "arguments": json.dumps(args)}}
+            for i, (name, args) in enumerate(calls)
+        ]}
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = json.dumps({"choices": [{
+            "message": message, "finish_reason": "tool_calls" if calls else "stop",
+        }], "usage": usage}).encode()
+        return resp
+
+    runs = []
+    run_agent = pipeline.run_agent
+
+    def counting(*args, **kwargs):
+        runs.append(args[0])
+        return run_agent(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    monkeypatch.setattr(pipeline, "run_agent", counting)
+    config = magic_workspace.config(
+        scenario_path="", global_fuzz_iterations=2000,
+        provider={"kind": "http", "base_url": "http://localhost:9"},
+    )
+    result = run_scan(config)
+    (task,) = result.tasks
+    assert task.state == "done"
+    assert {"seed-generator", "sp-deduplicator", "report"} <= set(runs)
+    # The judge merged every candidate after the first into one point.
+    (sp,) = result.spstore.all()
+    assert sp.function_id == "m_handler"
+    assert runs.count("sp-deduplicator") == task.metrics.sp_total - 1 > 0
+    assert task.metrics.agent_runs == len(runs)
+    assert task.metrics.tokens == sum(reported)
+
+
 # ===== agent code tools =====
 
 
@@ -909,26 +1020,31 @@ class TestBudgets:
 
 
 class TestDuplicateJudge:
-    def _judge(self, scenario):
-        config = Config()
+    def _worker(self, ws: Workspace, scenario: dict) -> pipeline.Worker:
+        graph = load_call_graph(ws.export_path)
+        config = ws.config()
         pool, active = _build_pool(config, scenario=scenario)
-        return _make_duplicate_judge(config, pool, active)
+        (task,) = plan_workers(graph, config)
+        spstore = SPStore(known_functions=set(graph.functions))
+        return pipeline.Worker(task, graph, config, spstore, GlobalAnalyzedSet(), pool,
+                               MemoryStore(), active_roles=active)
 
-    def _point(self, store, description):
-        return store.build_candidate(
-            function_id="f",
-            source=("fz", "address"),
+    def _point(self, worker, description):
+        return worker.spstore.build_candidate(
+            function_id="m_handler",
+            source=(worker.task.fuzzer, worker.task.sanitizer),
             description=description,
             vuln_type="heap-buffer-overflow",
             score=0.5,
         )
 
-    def test_no_judge_without_scripted_deduplicator(self):
-        assert self._judge({"agents": {}}) is None
+    def test_no_judge_without_scripted_deduplicator(self, magic_workspace):
+        config = magic_workspace.config(scenario_path="", global_fuzz_iterations=0)
+        assert run_scan(config).spstore._judge is None
+        judged = {"agents": {"sp-deduplicator": [{"steps": [{"text": "duplicate"}]}]}}
+        assert run_scan(config, scenario=judged).spstore._judge is not None
 
-    def test_judge_maps_answers(self):
-        from vulnhunt.spstore import SPStore
-
+    def test_judge_maps_answers(self, magic_workspace, monkeypatch):
         scenario = {
             "agents": {
                 "sp-deduplicator": [
@@ -939,28 +1055,45 @@ class TestDuplicateJudge:
                 ]
             }
         }
-        judge = self._judge(scenario)
-        store = SPStore(known_functions={"f"})
-        a = self._point(store, "overflow when the memcpy() call copies past the end")
-        b = self._point(store, "write past the buffer in the memcpy() call")
-        assert judge(a, b) is True
-        assert judge(a, b) is False
-        assert judge(a, b) is False
-        assert judge(a, b) is None
+        worker = self._worker(magic_workspace, scenario)
+        requests, served = [], []
+        complete = ScriptedProvider.complete
+
+        def recording(self, request):
+            requests.append(request)
+            served.append(complete(self, request))
+            return served[-1]
+
+        monkeypatch.setattr(ScriptedProvider, "complete", recording)
+        a = self._point(worker, "overflow when the memcpy() call copies past the end")
+        b = self._point(worker, "write past the buffer in the memcpy() call")
+        assert worker._judge_duplicate(a, b) is True
+        assert worker._judge_duplicate(a, b) is False
+        assert worker._judge_duplicate(a, b) is False
+        assert worker._judge_duplicate(a, b) is None
         # Script exhausted: an empty reply defers to the similarity metric.
-        assert judge(a, b) is None
+        assert worker._judge_duplicate(a, b) is None
+        # Each judge run is one of the worker's runs, with its run ids and
+        # its code tools, and counts in the task.
+        assert [r.run_id for r in requests] == [
+            f"{worker.task.id}:sp-deduplicator:{n}" for n in range(1, 6)
+        ]
+        assert {t["name"] for t in requests[0].tools} == {t.name for t in worker.code_tools}
+        assert worker.task.metrics.agent_runs == 5
+        assert worker.task.metrics.tokens == sum(response.usage.total for response in served)
 
-    def test_a_judge_whose_chain_fails_gives_no_verdict(self, monkeypatch):
-        from vulnhunt.spstore import SPStore
-
-        judge = self._judge({"agents": {"sp-deduplicator": [{"steps": [{"text": "duplicate"}]}]}})
+    def test_a_judge_whose_chain_fails_gives_no_verdict(self, magic_workspace, monkeypatch):
+        worker = self._worker(
+            magic_workspace, {"agents": {"sp-deduplicator": [{"steps": [{"text": "duplicate"}]}]}}
+        )
 
         def down(self, request):
             raise ProviderError("unavailable")
 
         monkeypatch.setattr(ScriptedProvider, "complete", down)
-        point = self._point(SPStore(known_functions={"f"}), "write past the buffer")
-        assert judge(point, point) is None
+        point = self._point(worker, "write past the buffer")
+        assert worker._judge_duplicate(point, point) is None
+        assert worker.task.metrics.agent_runs == 1 and worker.task.warnings == []
 
     def test_unknown_provider_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown provider kind"):
