@@ -70,6 +70,12 @@ def run_agent(
 ) -> AgentOutcome:
     """Run one agent to completion under its budgets.
 
+    A run pays per step only for what changes: the registry's schema list
+    is sent as it is, the conversation keeps its token total as messages
+    are appended (so it is compressed only when that total is over the
+    context budget), and the step usages add up into two counters that
+    become ``outcome.usage`` when the run ends.
+
     Args:
         role: the agent role; its tier picks the chain from ``model_chains``.
         seed_context: the initial user message.
@@ -98,9 +104,11 @@ def run_agent(
         [Message(role="system", content=system_prompt), Message(role="user", content=seed_context)]
     )
     outcome = AgentOutcome(role=role)
+    prompt_tokens = completion_tokens = 0
+    token_limit, context_budget = budgets.max_total_tokens, budgets.context_token_budget
 
     def tripped() -> str:
-        if budgets.max_total_tokens is not None and outcome.usage.total >= budgets.max_total_tokens:
+        if token_limit is not None and prompt_tokens + completion_tokens >= token_limit:
             return "token budget exhausted"
         return ""
 
@@ -111,8 +119,8 @@ def run_agent(
             outcome.budget_reason = reason
             break
         try:
-            if budgets.context_token_budget is not None:
-                conversation = compress_context(conversation, budgets.context_token_budget)
+            if context_budget is not None and conversation.total_tokens() > context_budget:
+                conversation = compress_context(conversation, context_budget)
             request = ProviderRequest(
                 model=chain[0],
                 messages=list(conversation.messages),
@@ -126,7 +134,8 @@ def run_agent(
             outcome.failure_kind = "context" if isinstance(exc, BudgetError) else "chain"
             break
         outcome.steps = step
-        outcome.usage = outcome.usage + response.usage
+        prompt_tokens += response.usage.prompt
+        completion_tokens += response.usage.completion
         outcome.served_models.append(response.served_by)
         conversation.append(
             Message(role="assistant", content=response.text, tool_calls=response.tool_calls)
@@ -165,6 +174,7 @@ def run_agent(
         outcome.budget_exhausted = True
         outcome.budget_reason = f"step cap ({MAX_STEPS}) reached"
 
+    outcome.usage = TokenUsage(prompt_tokens, completion_tokens)
     reason = tripped()
     if reason and not outcome.final_text:
         outcome.budget_exhausted = True

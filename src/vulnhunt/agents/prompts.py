@@ -43,7 +43,7 @@ TEMPLATES: dict[str, str] = {
     "sp-deduplicator": (
         "You judge whether two suspicious-point records describe the same "
         "underlying issue in the same function. Reply with exactly "
-        "'duplicate' or 'not-duplicate' after comparing their control-flow "
+        "'duplicate' or 'distinct' after comparing their control-flow "
         "descriptions; mere wording differences do not make distinct issues."
     ),
     "sp-verifier": (

@@ -10,14 +10,13 @@ The scripted provider replays scenario files and is what every end-to-end
 test runs against.  A scenario maps an agent role to a list of runs; each
 run matches on a substring of the agent's seed context and plays its steps
 in order (tool calls, then a final text).  Runs are consumed once unless
-marked reusable.
+marked reusable.  The scenario is compiled once, when the provider is built.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -87,13 +86,60 @@ class ProviderPool:
 
 # ===== Scripted provider =====
 
+# Selection indexes each match under its first characters, at most this many.
+_HEAD_CHARS = 8
 
-@dataclass
-class _ScriptRun:
-    match: str = ""
-    reusable: bool = False
-    steps: list[dict] = field(default_factory=list)
-    consumed: bool = False
+
+def _compile_step(step: dict) -> tuple:
+    """A scenario step as ``(text, ((name, args), ...), stop, completion_tokens)``.
+
+    ``args`` stays the scenario's own dict: ``complete`` copies it per call.
+    """
+    calls = tuple((str(tc["name"]), tc.get("args", {})) for tc in step.get("tool_calls", []))
+    text = str(step.get("text", ""))
+    completion = estimate_tokens(text) + sum(
+        estimate_tokens(json.dumps(dict(args), sort_keys=True)) for _, args in calls
+    )
+    return text, calls, bool(step.get("stop", not calls)), max(1, completion)
+
+
+class _RoleScript:
+    """One role's compiled runs, with an index of the live runs by match.
+
+    ``buckets`` maps each match to the indices of its live runs, last index
+    first, so the lowest live index is at the end.  ``heads`` maps the first
+    characters of each non-empty match to the lengths of the matches that
+    start with them.
+    """
+
+    def __init__(self, runs: list[tuple[str, bool, tuple]]):
+        self.steps = [steps for _, _, steps in runs]
+        self.reusable = [reusable for _, reusable, _ in runs]
+        self.buckets: dict[str, list[int]] = {}
+        for i in reversed(range(len(runs))):
+            self.buckets.setdefault(runs[i][0], []).append(i)
+        self.heads: dict[str, set[int]] = {}
+        for match in self.buckets:
+            if match:
+                self.heads.setdefault(match[:_HEAD_CHARS], set()).add(len(match))
+
+    def select(self, seed_text: str) -> tuple | None:
+        """Steps of the first run, in scenario order, whose match occurs in
+        the seed and that is reusable or not yet selected."""
+        buckets = self.buckets
+        best = buckets.get("") or None  # the empty match occurs in every seed
+        for head, lengths in self.heads.items():
+            at = seed_text.find(head)
+            while at >= 0:
+                for n in lengths:
+                    bucket = buckets.get(seed_text[at : at + n])
+                    if bucket and (best is None or bucket[-1] < best[-1]):
+                        best = bucket
+                at = seed_text.find(head, at + 1)
+        if best is None:
+            return None
+        index = best[-1] if self.reusable[best[-1]] else best.pop()
+        return self.steps[index]
 
 
 class ScriptedProvider(Provider):
@@ -117,82 +163,74 @@ class ScriptedProvider(Provider):
               steps:
                 - text: "no verdict"
 
-    Each agent run (identified by the request's ``run_id``) selects the
-    first unconsumed matching run for its role on the first call, then plays
-    one step per call.  Exhausted steps yield an empty stop response.
+    Each agent run (identified by the request's ``run_id``) selects, on its
+    first call, the first run of its role in scenario order whose match
+    occurs in the seed context (the user messages) and that is reusable or
+    not yet selected; it then plays one step per call.  Exhausted steps
+    yield an empty stop response.
+
+    The scenario is compiled once, here: each step's completion tokens are
+    counted up front, and each role's live runs are bucketed by match.  A
+    selection finds the first characters of each distinct match in the
+    seed and looks up only the slices that start there, so its cost grows
+    with the seed and the distinct matches, not with the number of runs.
     """
 
     def __init__(self, scenario: dict | str | Path):
         if isinstance(scenario, (str, Path)):
             scenario = load_scenario(scenario)
-        self._runs: dict[str, list[_ScriptRun]] = {}
         agents = scenario.get("agents", {})
         if not isinstance(agents, dict):
             raise ValidationError("scenario 'agents' must be a mapping")
+        self._scripts: dict[str, _RoleScript] = {}
         for role, runs in agents.items():
-            parsed: list[_ScriptRun] = []
+            compiled = []
             for i, run in enumerate(runs or []):
                 if not isinstance(run, dict) or "steps" not in run:
                     raise ValidationError(f"scenario {role}[{i}]: run needs 'steps'")
-                parsed.append(
-                    _ScriptRun(
-                        match=str(run.get("match", "") or ""),
-                        reusable=bool(run.get("reusable", False)),
-                        steps=list(run["steps"]),
-                    )
+                try:
+                    steps = tuple(_compile_step(step) for step in run["steps"])
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ValidationError(f"scenario {role}[{i}]: bad step: {exc!r}") from exc
+                compiled.append(
+                    (str(run.get("match", "") or ""), bool(run.get("reusable", False)), steps)
                 )
-            self._runs[role] = parsed
-        self._sessions: dict[tuple[str, str], tuple[_ScriptRun | None, int]] = {}
+            self._scripts[role] = _RoleScript(compiled)
+        # (role, run id) -> [the run's steps or None, index of the next step]
+        self._sessions: dict[tuple[str, str], list] = {}
         self._lock = threading.Lock()
 
     def roles(self) -> set[str]:
         """Roles that have at least one scripted run."""
-        return {role for role, runs in self._runs.items() if runs}
-
-    def _select_run(self, role: str, seed_text: str) -> _ScriptRun | None:
-        for run in self._runs.get(role, []):
-            if run.consumed and not run.reusable:
-                continue
-            if run.match and run.match not in seed_text:
-                continue
-            if not run.reusable:
-                run.consumed = True
-            return run
-        return None
+        return {role for role, script in self._scripts.items() if script.steps}
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
         key = (request.agent_role, request.run_id)
         with self._lock:
-            if key not in self._sessions:
-                seed_text = "\n".join(m.content for m in request.messages if m.role == "user")
-                self._sessions[key] = (self._select_run(request.agent_role, seed_text), 0)
-            run, step_idx = self._sessions[key]
-            step = None
-            if run is not None and step_idx < len(run.steps):
-                step = run.steps[step_idx]
-            self._sessions[key] = (run, step_idx + 1)
+            session = self._sessions.get(key)
+            if session is None:
+                script = self._scripts.get(request.agent_role)
+                steps = None
+                if script is not None:
+                    seed_text = "\n".join(m.content for m in request.messages if m.role == "user")
+                    steps = script.select(seed_text)
+                session = self._sessions[key] = [steps, 0]
+            steps, step_idx = session
+            session[1] = step_idx + 1
 
         prompt_tokens = sum(m.token_estimate for m in request.messages)
-        if step is None:
+        if steps is None or step_idx >= len(steps):
             return ProviderResponse(text="", stop=True, usage=TokenUsage(prompt_tokens, 0))
+        text, calls, stop, completion = steps[step_idx]
         tool_calls = tuple(
-            ToolCall(
-                name=str(tc["name"]),
-                arguments=dict(tc.get("args", {})),
-                call_id=f"{request.run_id}#{step_idx}.{j}",
-            )
-            for j, tc in enumerate(step.get("tool_calls", []))
-        )
-        text = str(step.get("text", ""))
-        stop = bool(step.get("stop", not tool_calls))
-        completion = estimate_tokens(text) + sum(
-            estimate_tokens(json.dumps(tc.arguments, sort_keys=True)) for tc in tool_calls
+            ToolCall(name=name, arguments=dict(args), call_id=f"{request.run_id}#{step_idx}.{j}")
+            for j, (name, args) in enumerate(calls)
         )
         return ProviderResponse(
             text=text,
             tool_calls=tool_calls,
             stop=stop,
-            usage=TokenUsage(prompt_tokens, max(1, completion)),
+            usage=TokenUsage(prompt_tokens, completion),
         )
 
 

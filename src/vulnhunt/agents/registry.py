@@ -3,7 +3,8 @@
 Each agent run gets its own registry over a list of tools.  The tools may be
 shared between runs (a worker builds its read-only code tools once); the
 registry's per-tool call counters are not, so each run's tool-call limits
-start from zero.  Tool names are unique within a registry.  Tool failures are
+start from zero.  Tool names are unique within a registry, and each tool's
+schema, like the registry's schema list, is built once.  Tool failures are
 captured and returned as error text results (the loop feeds them back to the
 model), never raised through the agent loop.
 """
@@ -28,13 +29,18 @@ class Tool:
     fn: ToolFn
     description: str = ""
     parameters: dict = field(default_factory=lambda: {"type": "object", "properties": {}})
+    # Built once, at construction: every step of every run sends it.
+    _schema: dict = field(init=False, repr=False, compare=False)
 
-    def schema(self) -> dict:
-        return {
+    def __post_init__(self) -> None:
+        self._schema = {
             "name": self.name,
             "description": self.description,
             "parameters": self.parameters,
         }
+
+    def schema(self) -> dict:
+        return self._schema
 
 
 def _serialize_result(result: Any) -> str:
@@ -60,9 +66,12 @@ class ToolRegistry:
                 raise ValidationError(f"duplicate tool '{tool.name}'")
             self._tools[tool.name] = tool
         self.call_counts: dict[str, int] = {name: 0 for name in self._tools}
+        self._schemas = [tool.schema() for tool in self._tools.values()]
 
     def schemas(self) -> list[dict]:
-        return [tool.schema() for tool in self._tools.values()]
+        """The tools' request schemas, in registration order; callers must
+        not modify the list, which every request of the run shares."""
+        return self._schemas
 
     def invoke(self, name: str, arguments: dict) -> tuple[str, bool]:
         """Invoke a tool; returns (result text, ok flag).

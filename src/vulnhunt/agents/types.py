@@ -77,6 +77,7 @@ class Conversation:
 
     def __init__(self, messages: list[Message] | None = None):
         self.messages: list[Message] = []
+        self._tokens = 0
         for msg in messages or []:
             self.append(msg)
 
@@ -89,9 +90,11 @@ class Conversation:
             if not ok:
                 raise ValidationError("tool result without a preceding assistant tool request")
         self.messages.append(message)
+        self._tokens += message.token_estimate
 
     def total_tokens(self) -> int:
-        return sum(m.token_estimate for m in self.messages)
+        """Sum of the messages' token estimates, kept as they are appended."""
+        return self._tokens
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -108,9 +111,6 @@ class TokenUsage:
     @property
     def total(self) -> int:
         return self.prompt + self.completion
-
-    def __add__(self, other: "TokenUsage") -> "TokenUsage":
-        return TokenUsage(self.prompt + other.prompt, self.completion + other.completion)
 
 
 @dataclass

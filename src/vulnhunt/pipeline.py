@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 import os
 import random
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -38,6 +39,7 @@ from .agents import (
     AgentOutcome,
     Budgets,
     ProviderPool,
+    ROLE_TIERS,
     ScriptedProvider,
     HttpChatProvider,
     Tool,
@@ -86,6 +88,10 @@ CONTEXT_TOKEN_BUDGET = 100_000
 # full graph; every other code query reads only what the worker's fuzzer
 # reaches.
 WHOLE_GRAPH_QUERIES = frozenset({"get_reachable_functions", "get_unreached_functions"})
+# The duplicate judge's words, and the negations of "duplicate" that mean
+# "distinct" ("not-duplicate", "not a duplicate", "non-duplicate").
+_DUPLICATE, _DISTINCT = re.compile(r"\bduplicate"), re.compile(r"\bdistinct")
+_NOT_DUPLICATE = re.compile(r"\bno[nt][\s-]+(?:a\s+)?duplicate")
 
 
 @dataclass
@@ -189,6 +195,14 @@ class Worker:
 
         self.subgraph = reachable_subgraph(graph, task.fuzzer)
         self.code_tools = [self._code_tool(kind) for kind in QUERY_KINDS]
+        # Each of these placeholders appears in one role's template only.
+        prompt_context = {
+            "max_directions": config.max_directions,
+            "variants": config.variants_per_attempt,
+            "max_attempts": config.max_poc_attempts,
+            "trace_unlock": config.trace_unlock_attempt,
+        }
+        self.system_prompts = {role: render_prompt(role, **prompt_context) for role in ROLE_TIERS}
         self.scheduler = DirectionScheduler(
             self.subgraph,
             task.fuzzer,
@@ -260,7 +274,6 @@ class Worker:
         seed_context: str,
         extra_tools: tuple = (),
         tool_limits: dict | None = None,
-        prompt_context: dict | None = None,
         failure: str | None = None,
     ) -> AgentOutcome:
         """One agent run with the worker's code tools plus ``extra_tools``
@@ -279,7 +292,7 @@ class Worker:
             registry,
             self.pool,
             self.config.model_chains,
-            system_prompt=render_prompt(role, **(prompt_context or {})),
+            system_prompt=self.system_prompts[role],
             run_id=f"{self.task.id}:{role}:{self._run_seq}",
             budgets=Budgets(
                 max_total_tokens=self._remaining_tokens(),
@@ -339,7 +352,6 @@ class Worker:
             "direction-generator",
             seed,
             extra_tools=(create_direction,),
-            prompt_context={"max_directions": self.config.max_directions},
             failure="direction generation failed",
         )
         if not accepted:
@@ -480,7 +492,8 @@ class Worker:
         self, candidate: SuspiciousPoint, existing: SuspiciousPoint
     ) -> bool | None:
         """The duplicate judge's answer for two same-type points: True,
-        False, or None (no verdict) when its run fails or answers neither."""
+        False, or None (no verdict) when its run fails or its answer names
+        neither or both of ``duplicate`` and ``distinct``."""
         seed = "\n".join(
             [
                 f"candidate: [{candidate.vuln_type}] {candidate.description}",
@@ -489,12 +502,10 @@ class Worker:
             ]
         )
         # A run that failed has no final text, so it gives no verdict.
-        text = self._run_role("sp-deduplicator", seed).final_text.strip().lower()
-        if text.startswith("duplicate"):
-            return True
-        if text.startswith("distinct") or text.startswith("not"):
-            return False
-        return None
+        text = self._run_role("sp-deduplicator", seed).final_text.lower()
+        text = _NOT_DUPLICATE.sub("distinct", text)
+        duplicate, distinct = bool(_DUPLICATE.search(text)), bool(_DISTINCT.search(text))
+        return duplicate if duplicate != distinct else None
 
     def _route_verified(self, sp: SuspiciousPoint) -> None:
         if sp.verdict == "tp":
@@ -863,11 +874,6 @@ class PocAttempt:
             seed,
             extra_tools=(self.create_pov, self.trace_pov),
             tool_limits={"create_pov": config.max_poc_attempts},
-            prompt_context={
-                "variants": config.variants_per_attempt,
-                "max_attempts": config.max_poc_attempts,
-                "trace_unlock": config.trace_unlock_attempt,
-            },
             failure=f"poc generation failed for {sp.id}",
         )
         if not self.solved:

@@ -400,6 +400,29 @@ def naive_duplicate_of(points, candidate, judge, threshold):
 
 
 # ---------------------------------------------------------------------------
+# Scripted-run selection oracle
+# ---------------------------------------------------------------------------
+
+
+def naive_select_run(runs, consumed, seed_text):
+    """Linear scripted-run selection over one role's scenario runs: the
+    index of the first run, in scenario order, whose match is a substring
+    of the seed and that is reusable or not in ``consumed``, or None.  A
+    selected run that is not reusable is added to ``consumed``."""
+    for i, run in enumerate(runs):
+        reusable = bool(run.get("reusable", False))
+        if i in consumed and not reusable:
+            continue
+        match = str(run.get("match", "") or "")
+        if match and match not in seed_text:
+            continue
+        if not reusable:
+            consumed.add(i)
+        return i
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Provider request capture
 # ---------------------------------------------------------------------------
 

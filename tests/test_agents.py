@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_select_run
 from vulnhunt.agents import (
     Budgets,
     Conversation,
@@ -146,10 +147,12 @@ class TestConversation:
         convo = Conversation([Message("system", "x" * 8), Message("user", "y" * 12)])
         assert convo.total_tokens() == 2 + 3
 
-    def test_usage_addition(self):
-        total = TokenUsage(2, 3) + TokenUsage(5, 7)
-        assert total == TokenUsage(7, 10)
-        assert total.total == 17
+    def test_total_tokens_follows_appends(self):
+        call = ToolCall(name="t", arguments={"a": 1})
+        convo = Conversation([Message("system", "x" * 8)])
+        convo.append(Message("assistant", "hi", tool_calls=(call,)))
+        convo.append(Message("tool", "z" * 9))
+        assert convo.total_tokens() == sum(m.token_estimate for m in convo)
 
 
 # ===== registry =====
@@ -486,6 +489,75 @@ class TestScriptedProvider:
         assert response.stop and response.tool_calls and response.text == "and done"
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_selection_agrees_with_the_linear_oracle(self, data):
+        # Two letters make repeated and head-sharing matches common; "é"
+        # keeps the text non-ASCII.  Prefixes of a periodic stem share the
+        # index's 8-character head, and their heads overlap in a seed.
+        letters = "aé"
+        stem = data.draw(st.text(letters, min_size=1, max_size=3), label="unit") * 12
+        fragment = st.builds(
+            lambda k, tail: stem[:k] + tail,
+            st.one_of(st.integers(0, len(stem)), st.integers(8, len(stem))),
+            st.text(letters, max_size=3),
+        )
+        # Short texts include the empty match.
+        match = st.one_of(st.text(letters, max_size=4), fragment)
+        runs = data.draw(
+            st.lists(
+                st.fixed_dictionaries({"match": match, "reusable": st.booleans()}), max_size=10
+            ),
+            label="runs",
+        )
+        # Seeds join short texts, fragments and the matches themselves, so a
+        # match often occurs twice, or just after the start of its own head.
+        pieces = [st.text(letters, max_size=3), fragment]
+        if runs:
+            matches = st.sampled_from([run["match"] for run in runs])
+            pieces.append(matches)
+            pieces.append(st.builds(lambda j, m: stem[:j] + m, st.integers(1, 7), matches))
+        seed = st.lists(st.one_of(pieces), max_size=4).map("".join)
+        seeds = data.draw(st.lists(seed, max_size=12), label="seeds")
+        scenario = {
+            "agents": {
+                "sp-generator": [
+                    dict(run, steps=[{"text": f"run {i}"}]) for i, run in enumerate(runs)
+                ]
+            }
+        }
+        provider = ScriptedProvider(scenario)
+        consumed: set[int] = set()
+        for n, seed in enumerate(seeds):
+            expected = naive_select_run(runs, consumed, seed)
+            response = provider.complete(self._request("sp-generator", f"r{n}", seed))
+            assert response.text == ("" if expected is None else f"run {expected}")
+
+    def test_replayed_arguments_are_fresh_dicts(self):
+        args = {"k": 1}
+        scenario = {
+            "agents": {
+                "sp-generator": [
+                    {
+                        "reusable": True,
+                        "steps": [{"tool_calls": [{"name": "probe", "args": args}]}],
+                    }
+                ]
+            }
+        }
+        provider = ScriptedProvider(scenario)
+        first = provider.complete(self._request("sp-generator", "a", "u")).tool_calls[0]
+        # A tool handed the call's arguments may change them.
+        first.arguments["k"] = 2
+        first.arguments["extra"] = True
+        again = provider.complete(self._request("sp-generator", "b", "u")).tool_calls[0]
+        assert again.arguments == {"k": 1} and args == {"k": 1}
+
+    def test_malformed_step_rejected_when_built(self):
+        with pytest.raises(ValidationError, match=r"report\[0\]: bad step"):
+            ScriptedProvider({"agents": {"report": [{"steps": [{"tool_calls": [{}]}]}]}})
+
+
 class TestLoadScenario:
     def test_yaml_and_json_by_extension(self, tmp_path):
         data = {"version": 1, "agents": {"report": [{"steps": [{"text": "t"}]}]}}
@@ -570,6 +642,41 @@ class TestRunAgent:
         assert (entry.step, entry.name, entry.arguments, entry.ok) == (1, "probe", {"k": 7}, True)
         assert entry.digest == result_digest("probed 7")
         assert outcome.usage.total > 0
+
+    def test_every_request_carries_the_registry_schemas(self):
+        scenario = {
+            "agents": {
+                "sp-generator": [
+                    {
+                        "steps": [
+                            {"tool_calls": [{"name": "probe", "args": {"k": 1}}]},
+                            {"text": "done"},
+                        ]
+                    }
+                ]
+            }
+        }
+        tools = [Tool(name="probe", fn=lambda k=0: k), Tool(name="big", fn=lambda: "")]
+        requests = []
+
+        class Recording(ScriptedProvider):
+            def complete(self, request):
+                requests.append(request)
+                return super().complete(request)
+
+        pool = ProviderPool()
+        pool.register("scripted", Recording(scenario))
+        run_agent(
+            role="sp-generator",
+            model_chains=_CHAINS,
+            seed_context="seed",
+            registry=ToolRegistry(tools),
+            pool=pool,
+            system_prompt="be brief",
+        )
+        assert len(requests) == 2
+        for request in requests:
+            assert request.tools == [t.schema() for t in tools]
 
     def test_per_tool_limit_refuses_without_invoking(self):
         scenario = {

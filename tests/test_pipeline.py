@@ -21,7 +21,13 @@ from helpers import (
     naive_reachable,
     sp_generator_runs,
 )
-from vulnhunt.agents import ProviderError, ScriptedProvider
+from vulnhunt.agents import (
+    ROLE_TIERS,
+    ProviderError,
+    ScriptedProvider,
+    load_scenario,
+    render_prompt,
+)
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.config import Config
 from vulnhunt.directions import GlobalAnalyzedSet
@@ -1016,19 +1022,51 @@ class TestBudgets:
         assert full.budget_seconds == 240.0 * 60
 
 
+def _bare_worker(ws: Workspace, scenario: dict, **overrides) -> pipeline.Worker:
+    """The workspace's one worker, built outside a scan, with no target."""
+    graph = load_call_graph(ws.export_path)
+    config = ws.config(**overrides)
+    pool, active = _build_pool(config, scenario=scenario)
+    (task,) = plan_workers(graph, config)
+    spstore = SPStore(known_functions=set(graph.functions))
+    return pipeline.Worker(task, graph, config, spstore, GlobalAnalyzedSet(), pool,
+                           MemoryStore(), active_roles=active)
+
+
+# ===== static agent inputs =====
+
+
+class TestStaticAgentInputs:
+    def test_system_prompts_are_rendered_with_each_stage_keys(self, magic_workspace):
+        worker = _bare_worker(
+            magic_workspace,
+            {"agents": {}},
+            max_directions=3,
+            variants_per_attempt=2,
+            max_poc_attempts=9,
+            trace_unlock_attempt=4,
+        )
+        # The keys each stage passed when it rendered its prompt per run.
+        keys = {
+            "direction-generator": {"max_directions": 3},
+            "poc-generator": {"variants": 2, "max_attempts": 9, "trace_unlock": 4},
+        }
+        assert worker.system_prompts == {
+            role: render_prompt(role, **keys.get(role, {})) for role in ROLE_TIERS
+        }
+
+    def test_a_scan_leaves_its_scenario_unchanged(self, e2e_workspace):
+        scenario = load_scenario(e2e_workspace.scenario_path)
+        before = copy.deepcopy(scenario)
+        result = run_scan(e2e_workspace.config(), scenario=scenario)
+        assert result.store.list("reports")
+        assert scenario == before
+
+
 # ===== duplicate judge wiring =====
 
 
 class TestDuplicateJudge:
-    def _worker(self, ws: Workspace, scenario: dict) -> pipeline.Worker:
-        graph = load_call_graph(ws.export_path)
-        config = ws.config()
-        pool, active = _build_pool(config, scenario=scenario)
-        (task,) = plan_workers(graph, config)
-        spstore = SPStore(known_functions=set(graph.functions))
-        return pipeline.Worker(task, graph, config, spstore, GlobalAnalyzedSet(), pool,
-                               MemoryStore(), active_roles=active)
-
     def _point(self, worker, description):
         return worker.spstore.build_candidate(
             function_id="m_handler",
@@ -1055,7 +1093,7 @@ class TestDuplicateJudge:
                 ]
             }
         }
-        worker = self._worker(magic_workspace, scenario)
+        worker = _bare_worker(magic_workspace, scenario)
         requests, served = [], []
         complete = ScriptedProvider.complete
 
@@ -1068,6 +1106,8 @@ class TestDuplicateJudge:
         a = self._point(worker, "overflow when the memcpy() call copies past the end")
         b = self._point(worker, "write past the buffer in the memcpy() call")
         assert worker._judge_duplicate(a, b) is True
+        # The system prompt and the seed name the same two answers.
+        assert all("'duplicate' or 'distinct'" in m.content for m in requests[0].messages)
         assert worker._judge_duplicate(a, b) is False
         assert worker._judge_duplicate(a, b) is False
         assert worker._judge_duplicate(a, b) is None
@@ -1082,8 +1122,30 @@ class TestDuplicateJudge:
         assert worker.task.metrics.agent_runs == 5
         assert worker.task.metrics.tokens == sum(response.usage.total for response in served)
 
+    @pytest.mark.parametrize(
+        "answer, verdict",
+        [
+            ("duplicate", True),
+            ("Duplicate.", True),
+            ("These are duplicates.", True),
+            ("distinct", False),
+            ("They are distinct issues.", False),
+            ("not-duplicate", False),
+            ("Not a duplicate.", False),
+            ("unclear, sorry", None),
+            ("", None),
+            ("Either duplicate or distinct, hard to say.", None),
+        ],
+    )
+    def test_judge_reads_its_answer(self, magic_workspace, answer, verdict):
+        worker = _bare_worker(
+            magic_workspace, {"agents": {"sp-deduplicator": [{"steps": [{"text": answer}]}]}}
+        )
+        point = self._point(worker, "write past the buffer")
+        assert worker._judge_duplicate(point, point) is verdict
+
     def test_a_judge_whose_chain_fails_gives_no_verdict(self, magic_workspace, monkeypatch):
-        worker = self._worker(
+        worker = _bare_worker(
             magic_workspace, {"agents": {"sp-deduplicator": [{"steps": [{"text": "duplicate"}]}]}}
         )
 
