@@ -98,6 +98,16 @@ class Config:
             )
         if self.quorum < 1:
             raise ConfigError(f"quorum must be at least 1, got {self.quorum}")
+        # Every blob, the empty seed included, must fit max_blob; an
+        # iteration count below 0 would run as 0, and a threshold above 1
+        # would never merge.
+        if self.max_blob < 1:
+            raise ConfigError(f"max_blob must be at least 1, got {self.max_blob}")
+        for key in ("global_fuzz_iterations", "sp_fuzz_iterations"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be at least 0, got {getattr(self, key)}")
+        if not 0 <= self.dedup_threshold <= 1:
+            raise ConfigError(f"dedup_threshold must be 0 to 1, got {self.dedup_threshold}")
 
     @property
     def token_ceiling(self) -> int:

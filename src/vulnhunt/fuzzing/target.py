@@ -22,23 +22,26 @@ Out-of-range reads are simply false (an offset past the end never matches).
 The idiom for an unconditional rule is ``{"kind": "length-cmp", "op": "ge",
 "value": 0}``; a runner never tests it.
 
-Guards are compiled once per runner, when ``SimTargetRunner`` is built, into
-a trie of conjunct tests: closures with their literals decoded and operators
-resolved, one per distinct conjunct prefix, so a conjunct that several
-rules' guards start with is tested once per execution.  A runner interns
-the paths it has taken: an execution computes which rules matched as a bit
-mask and takes its coverage, trace and crash from a per-runner table keyed
-by that mask, so it allocates only its ``ExecutionResult``, a named tuple.
-A runner also remembers, within a byte budget, the path each blob it has
-run took, so a blob run again skips the trie.  An execution's ``output``
-text is rendered when read, from the trace and crash it records; most
+Guards are compiled once per runner, when ``SimTargetRunner`` is built.
+The runner arranges their conjuncts in a trie, so a conjunct that several
+rules' guards start with is tested once per execution, and generates one
+Python function from the trie: straight-line code that computes which
+rules matched as a bit mask.  Leaf byte tests at one offset under one
+parent become a single lookup of that byte in a table of bits.  The
+generated source holds only ints, comparison symbols and names made up by
+the generator; literals and tables live in the function's namespace, so
+no target text is ever compiled as code.  A runner interns what it has
+computed: the path a mask stands for (coverage, trace and crash), and
+within a byte budget the ``ExecutionResult`` of each blob it has run, so
+a blob run again costs one dict lookup.  An execution's ``output`` text
+is rendered when read, from the trace and crash it records; most
 executions are never read that way.
 """
 
 from __future__ import annotations
 
 import json
-import operator
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -48,21 +51,16 @@ from ..spstore import SANITIZERS, is_valid_vuln_type
 
 TARGET_SCHEMA_VERSION = 1
 DEFAULT_MAX_BLOB = 1 << 20  # 1 MiB
-# A runner's blob -> path table holds at most this many bytes, each entry
+# A runner's blob -> result memo holds at most this many bytes, each entry
 # charged its blob's length plus MEMO_ENTRY_BYTES: the bytes object's header
 # and its dict slot, about 63 bytes measured, with room for the dict's slack.
 MEMO_BUDGET = 1 << 20  # 1 MiB
 MEMO_ENTRY_BYTES = 96
 _ALWAYS = {"kind": "length-cmp", "op": "ge", "value": 0}  # the unconditional idiom
 
-_OPS = {
-    "lt": operator.lt,
-    "le": operator.le,
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "ge": operator.ge,
-    "gt": operator.gt,
-}
+# Comparison operators, as the generated source writes them.
+_OPS = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "ge": ">=", "gt": ">"}
+_U32 = struct.Struct("<I").unpack_from  # a little-endian u32 at an offset
 
 _PREDICATE_KINDS = (
     "offset-equals",
@@ -131,55 +129,89 @@ def validate_predicate(node: dict, where: str = "guard") -> None:
         validate_predicate(node["term"], f"{where}.term")
 
 
+def _int(value: int) -> str:
+    return hex(int(value))
+
+
+class _Source:
+    """Python source under construction, and the namespace it will run in.
+
+    The text holds only ints (each passed through ``int`` and written in
+    hex, which no digit limit applies to), comparison symbols from
+    ``_OPS``, and names this class makes up; byte literals and fan-out
+    tables go into the namespace under generated names.  No text from a
+    target ever reaches the source.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.lines = [f"def {name}(blob):", " n = len(blob)"]
+        self.namespace: dict = {"U32": _U32}
+        self._temps = 0
+
+    def const(self, value) -> str:
+        """A generated name bound to ``value`` in the namespace."""
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def test(self, node: dict, gate: str | None) -> str:
+        """An expression that holds where the validated predicate ``node``
+        holds, for the blob in ``blob`` and its length in ``n``.
+
+        Each ``and``/``or``/``not`` below the top is first assigned to a
+        local of its own, so the expression, and every line, nests no
+        deeper however deep the tree is.  Such a local is ANDed with
+        ``gate`` (a local that must hold for the expression to be read),
+        so a gated-off subtree costs one test per local.
+        """
+        self._temps = 0
+        return self._expr(node, gate, top=True)
+
+    def _expr(self, node: dict, gate: str | None, top: bool = False) -> str:
+        kind = node["kind"]
+        if kind == "offset-equals":
+            off = _int(node["offset"])
+            return f"(n > {off} and blob[{off}] == {_int(node['value'])})"
+        if kind == "prefix":
+            return f"blob.startswith({self.const(_literal_bytes(node, 'guard'))})"
+        if kind == "contains":
+            return f"({self.const(_literal_bytes(node, 'guard'))} in blob)"
+        if kind == "length-cmp":
+            return f"(n {_OPS[node['op']]} {_int(node['value'])})"
+        if kind == "u32-le-field-cmp":
+            off = int(node["offset"])
+            return (f"(n >= {_int(off + 4)} and U32(blob, {_int(off)})[0] "
+                    f"{_OPS[node['op']]} {_int(node['value'])})")
+        if kind == "not":
+            expr = f"(not {self._expr(node['term'], gate)})"
+        else:
+            join = " and " if kind == "and" else " or "
+            expr = "(" + join.join(self._expr(term, gate) for term in node["terms"]) + ")"
+        if top:
+            return expr
+        name = f"t{self._temps}"
+        self._temps += 1
+        self.lines.append(f" {name} = {expr}" if gate is None else f" {name} = {gate} and {expr}")
+        return name
+
+    def function(self) -> Callable:
+        """Compile the source and return the function it defines."""
+        exec(compile("\n".join(self.lines), "<vulnhunt target>", "exec"), self.namespace)
+        return self.namespace[self.name]
+
+
 def compile_predicate(node: dict) -> Callable[[bytes], bool]:
     """Compile a validated predicate tree into one test; total (never raises).
 
-    Literals are decoded and operators resolved here, once per tree, so the
-    returned closure only reads the blob.
+    The test is a generated function, built through the same expression
+    generator as a runner's walk: literals are decoded and operators
+    resolved here, once per tree, so the function only reads the blob.
     """
-    kind = node["kind"]
-    if kind == "offset-equals":
-        off, byte = node["offset"], node["value"]
-        return lambda blob: off < len(blob) and blob[off] == byte
-    if kind == "prefix":
-        literal = _literal_bytes(node, "guard")
-        return lambda blob: blob.startswith(literal)
-    if kind == "contains":
-        literal = _literal_bytes(node, "guard")
-        return lambda blob: literal in blob
-    if kind == "length-cmp":
-        op, value = _OPS[node["op"]], node["value"]
-        return lambda blob: op(len(blob), value)
-    if kind == "u32-le-field-cmp":
-        off, op, value = node["offset"], _OPS[node["op"]], node["value"]
-        end = off + 4
-        return lambda blob: end <= len(blob) and op(
-            int.from_bytes(blob[off:end], "little"), value
-        )
-    if kind == "and":
-        terms = [compile_predicate(t) for t in node["terms"]]
-
-        def conjunction(blob: bytes) -> bool:
-            for term in terms:
-                if not term(blob):
-                    return False
-            return True
-
-        return conjunction
-    if kind == "or":
-        terms = [compile_predicate(t) for t in node["terms"]]
-
-        def disjunction(blob: bytes) -> bool:
-            for term in terms:
-                if term(blob):
-                    return True
-            return False
-
-        return disjunction
-    if kind == "not":
-        term = compile_predicate(node["term"])
-        return lambda blob: not term(blob)
-    raise AssertionError(f"unreachable predicate kind {kind!r}")
+    source = _Source("test")
+    expr = source.test(node, None)
+    source.lines.append(f" return {expr}")
+    return source.function()
 
 
 # ===== Target model =====
@@ -215,7 +247,8 @@ class ExecutionResult(NamedTuple):
     sequence.  A crash's location is always an element of the coverage set.
     ``size`` is the blob length.  A named tuple rather than a frozen
     dataclass: just as immutable, hashable and compared field by field, but
-    built without a ``__setattr__`` per field, once per execution.
+    built without a ``__setattr__`` per field.  Being immutable, one result
+    can be returned to every execution that earns it.
     """
 
     outcome: str
@@ -342,57 +375,107 @@ def _conjuncts(guard: dict):
         yield guard
 
 
-def _freeze(level: dict) -> tuple:
-    """Trie nodes as nested ``(test, bits, children)`` tuples."""
-    return tuple((test, bits, _freeze(children)) for test, bits, children in level.values())
+def _compile_trie(root: dict, base: int) -> Callable[[bytes], int]:
+    """Generate and compile a conjunct trie's walk: one function from a
+    blob to the mask of the rules whose guards hold, ``base`` included.
 
+    Nodes are written in depth-first order.  A node at depth ``d`` with
+    children stores its test in the local ``c<d>``, ANDed with its
+    parent's ``c<d-1>``; since a node's subtree comes right after it, its
+    children read their parent's value there, and no line nests deeper as
+    the trie does.  Of the leaf ``offset-equals`` nodes under one parent,
+    those at one offset share one lookup of that byte in a 256-entry table
+    of bits, when there are two or more of them.
+    """
+    source = _Source("match")
+    source.lines.append(f" m = {_int(base)}")
+    stack: list[tuple[list, int]] = []
 
-def _walk(level: tuple, blob: bytes, mask: int) -> int:
-    """OR into ``mask`` the bits of every node under ``level`` whose test,
-    and whose ancestors' tests, hold for ``blob``."""
-    for test, bits, children in level:
-        if test(blob):
-            mask |= bits
-            if children:
-                mask = _walk(children, blob, mask)
-    return mask
+    def level(children: dict, depth: int) -> None:
+        """Write the fan-out lookups of a parent's children at ``depth``
+        and stack the rest of them."""
+        gate = f"c{depth - 1} and " if depth else ""
+        fans: dict[int, list] = {}
+        rest = []
+        for node in children.values():
+            conjunct, _, kids = node
+            if not kids and conjunct["kind"] == "offset-equals":
+                fans.setdefault(int(conjunct["offset"]), []).append(node)
+            else:
+                rest.append(node)
+        for off, group in fans.items():
+            if len(group) == 1:
+                rest.extend(group)
+                continue
+            table = [0] * 256
+            for conjunct, bits, _ in group:
+                table[int(conjunct["value"])] |= bits
+            source.lines.append(f" if {gate}n > {_int(off)}: "
+                                f"m |= {source.const(tuple(table))}[blob[{_int(off)}]]")
+        stack.extend((node, depth) for node in reversed(rest))
+
+    level(root, 0)
+    while stack:
+        (conjunct, bits, kids), depth = stack.pop()
+        parent = f"c{depth - 1}" if depth else None
+        expr = source.test(conjunct, parent)
+        if parent is not None:
+            expr = f"{parent} and {expr}"
+        if not kids:
+            source.lines.append(f" if {expr}: m |= {_int(bits)}")
+            continue
+        source.lines.append(f" c{depth} = {expr}")
+        if bits:
+            source.lines.append(f" if c{depth}: m |= {_int(bits)}")
+        level(kids, depth + 1)
+    source.lines.append(" return m")
+    return source.function()
 
 
 class SimTargetRunner(TargetRunner):
     """A SimTarget bound to one sanitizer: the one rule interpreter.
 
-    The rules' guards are compiled once, here, into a conjunct trie: each
-    guard is split into its top-level conjuncts, and rules whose conjunct
-    lists share a prefix share the trie nodes of that prefix, so a conjunct
-    test that several rules start with runs once per execution.  A node is
-    keyed by its conjunct's canonical JSON and holds the bits (``1 << rule
-    index``) of the rules whose guards end there.  Conjuncts equal to the
+    The rules' guards are compiled once, here.  Each guard is split into
+    its top-level conjuncts, and rules whose conjunct lists share a prefix
+    share the trie nodes of that prefix.  A node is keyed by its
+    conjunct's canonical JSON and holds the bits (``1 << rule index``) of
+    the rules whose guards end there.  Conjuncts equal to the
     unconditional idiom are dropped, and rules left with none sit in a
-    constant base mask.  An execution starts from the base mask and walks
-    the trie, ORing in the bits of each node whose test holds and skipping
-    the subtree of each that fails.  It then cuts the mask after the first
+    constant base mask.  The trie is then compiled, with ``compile`` and
+    ``exec``, into one function from a blob to the mask of the rules whose
+    guards hold (``_compile_trie``).  The function is flat: each trie node
+    and each composite subterm gets a local of its own, ANDed with its
+    parent's, so no construct nests deeper as a guard deepens or a rule
+    gains conjuncts.  Leaf ``offset-equals`` siblings at one offset are
+    one lookup, ``m |= TABLE[blob[off]]`` behind ``n > off``.  Only ints
+    (offsets, values and masks, each passed through ``int``) and
+    comparison symbols from a fixed table are written into the source;
+    byte literals and tables are bound in its namespace.
+
+    An execution calls that function, then cuts the mask after the first
     matching rule whose crash fires under this sanitizer: guards are pure
     and total, so this is the mask an in-order walk that stops there gets.
     The mask is looked up in a path table: mask -> (outcome, coverage,
     trace, crash), built from the rules on the first execution that takes
-    the path.  Executions on the same path therefore share one coverage
-    set, whose hash ``frozenset`` caches.  The table holds one entry per
-    distinct path a runner has taken, which is tens on the benchmark
-    workloads.
+    the path, so executions on one path share one coverage set, whose
+    hash ``frozenset`` caches.
 
-    A second table maps each blob the runner has run to its path, so a
-    blob run again (a fuzz mutant seen before, a reproduction replay, a
-    PoC variant re-run) skips the trie.  Because an execution depends on
-    nothing but the blob, the remembered path is exactly what the walk
-    would find; the ``max_blob`` check still comes first, and each result
-    is fresh and carries its own ``size``.  The table is bounded by
+    Results are interned too.  ``_results`` maps ``(mask, size)`` to one
+    ``ExecutionResult``, and a memo maps each blob the runner has run to
+    its result, so a blob run again (a fuzz mutant seen before, a
+    reproduction replay, a PoC variant re-run) returns the same object
+    without a walk.  Because an execution depends on nothing but the blob,
+    and a result is immutable, that is exactly what a new walk would give;
+    the ``max_blob`` check still comes first.  The memo is bounded by
     ``MEMO_BUDGET``: each entry is charged its blob's length plus
     ``MEMO_ENTRY_BYTES``, an insert that would pass the budget clears the
-    table first, and a blob whose charge alone passes it is not stored.
-    ``drop_memo`` empties it.
+    memo first, and a blob whose charge alone passes it is not stored.
+    Only results the memo keeps are interned, and ``_results`` empties
+    whenever the memo does, so it never outgrows the memo.  ``drop_memo``
+    empties both.
 
     ``executions`` counts every run that passed the ``max_blob`` check, a
-    run answered from the table included; ``drop_memo`` keeps the count.
+    run answered from the memo included; ``drop_memo`` keeps the count.
     """
 
     def __init__(
@@ -406,7 +489,7 @@ class SimTargetRunner(TargetRunner):
         self.max_blob = max_blob
         self.executions = 0
         self._base = self._fires = 0
-        root: dict[str, list] = {}  # conjunct key -> [test, bits, children]
+        root: dict[str, list] = {}  # conjunct key -> [conjunct, bits, children]
         for i, rule in enumerate(target.rules):
             bit = 1 << i
             if rule.crash is not None and (sanitizer is None or rule.crash.sanitizer == sanitizer):
@@ -418,46 +501,54 @@ class SimTargetRunner(TargetRunner):
                 key = json.dumps(conjunct, sort_keys=True)
                 node = level.get(key)
                 if node is None:
-                    node = level[key] = [compile_predicate(conjunct), 0, {}]
+                    node = level[key] = [conjunct, 0, {}]
                 level = node[2]
             if node is None:
                 self._base |= bit
             else:
                 node[1] |= bit
-        self._trie = _freeze(root)
+        self._match = _compile_trie(root, self._base)  # blob -> mask
         self._paths: dict[int, tuple] = {}  # mask -> what _path returns
-        self._memo: dict[bytes, tuple] = {}  # blob -> its entry in _paths
+        self._results: dict[tuple[int, int], ExecutionResult] = {}  # (mask, size) -> result
+        self._memo: dict[bytes, ExecutionResult] = {}  # blob -> its entry in _results
         self._memo_bytes = 0  # what the _memo entries are charged
 
     def run(self, blob: bytes) -> ExecutionResult:
-        """Match the rules through the trie, or take the path this blob
-        took before; the first matching rule that fires under this
-        sanitizer ends the run with its crash."""
+        """Return the result this blob got before, or match the rules
+        through the compiled walk; the first matching rule that fires
+        under this sanitizer ends the run with its crash."""
         size = len(blob)
         if size > self.max_blob:
             raise OversizeBlobError(f"blob of {size} bytes exceeds limit {self.max_blob}")
         self.executions += 1
-        path = self._memo.get(blob)
-        if path is None:
-            mask = _walk(self._trie, blob, self._base)
-            fired = mask & self._fires
-            if fired:  # keep the bits up to the lowest firing one
-                mask &= ((fired & -fired) << 1) - 1
+        result = self._memo.get(blob)
+        if result is not None:
+            return result
+        mask = self._match(blob)
+        fired = mask & self._fires
+        if fired:  # keep the bits up to the lowest firing one
+            mask &= ((fired & -fired) << 1) - 1
+        key = (mask, size)
+        result = self._results.get(key)
+        if result is None:
             path = self._paths.get(mask)
             if path is None:
                 path = self._paths[mask] = self._path(mask)
-            charge = size + MEMO_ENTRY_BYTES
-            if charge <= MEMO_BUDGET:
-                if self._memo_bytes + charge > MEMO_BUDGET:
-                    self.drop_memo()
-                self._memo[blob] = path
-                self._memo_bytes += charge
-        outcome, coverage, trace, crash = path
-        return ExecutionResult(outcome, coverage, trace, self.target.name, size, crash)
+            outcome, coverage, trace, crash = path
+            result = ExecutionResult(outcome, coverage, trace, self.target.name, size, crash)
+        charge = size + MEMO_ENTRY_BYTES
+        if charge <= MEMO_BUDGET:
+            if self._memo_bytes + charge > MEMO_BUDGET:
+                self.drop_memo()
+            self._memo[blob] = self._results[key] = result
+            self._memo_bytes += charge
+        return result
 
     def drop_memo(self) -> None:
-        """Empty the blob -> path table; the runner stays usable."""
+        """Empty the blob -> result table, and the interned results with
+        it; the runner stays usable."""
         self._memo.clear()
+        self._results.clear()
         self._memo_bytes = 0
 
     def _path(self, mask: int) -> tuple[str, frozenset[str], tuple[str, ...], CrashSpec | None]:

@@ -96,6 +96,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             load_config(overrides=overrides)
 
+    @pytest.mark.parametrize(
+        "key, bad, boundaries",
+        [
+            ("max_blob", -1, [1]),
+            ("max_blob", 0, [1]),
+            ("global_fuzz_iterations", -1, [0]),
+            ("sp_fuzz_iterations", -3, [0]),
+            ("dedup_threshold", 1.5, [0.0, 1.0]),
+            ("dedup_threshold", -0.1, [0.0, 1.0]),
+        ],
+    )
+    def test_fuzz_settings_out_of_range_rejected(self, key, bad, boundaries):
+        """A value that would fail every task or silently change the scan is
+        refused, naming the key and the value; the range's ends load."""
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {bad}$"):
+            Config(**{key: bad})
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {bad}$"):
+            load_config(overrides={key: bad})
+        for value in boundaries:
+            assert getattr(load_config(overrides={key: value}), key) == value
+
 
 class TestTokenCeiling:
     def test_uses_priciest_configured_model(self):

@@ -910,33 +910,34 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
     """A blob stream with many repeats under a small table budget: every
     run equals the naive walk, a blob is walked again only when the table
     lost it, an oversize blob raises and leaves the table as it was, and
-    the charged bytes never pass the budget.  Every run but an oversize one
-    is an execution, a table hit included, and dropping the table keeps
-    the count."""
+    the charged bytes never pass the budget.  A hit returns the very
+    result the table holds, and the interned results are exactly the
+    table's, so they empty with it.  Every run but an oversize one is an
+    execution, a table hit included, and dropping the table keeps the
+    count."""
     target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
                            "rules": rules})
     runner = SimTargetRunner(target, sanitizer)
     walks = []
-    walk = target_module._walk
+    match = runner._match
 
-    def counting(level, blob, mask):
-        if level is runner._trie:  # a run's walk, not one of its recursions
-            walks.append(blob)
-        return walk(level, blob, mask)
+    def counting(blob):
+        walks.append(blob)
+        return match(blob)
 
+    runner._match = counting
     model, charged = {}, 0  # the table as the budget rule keeps it
     executions = 0
     with mock.patch.object(target_module, "MEMO_BUDGET", budget), \
-            mock.patch.object(target_module, "MEMO_ENTRY_BYTES", entry_bytes), \
-            mock.patch.object(target_module, "_walk", counting):
+            mock.patch.object(target_module, "MEMO_ENTRY_BYTES", entry_bytes):
         for kind, value in steps:
             if kind == "limit":
                 runner.max_blob = value
                 continue
             blob = pool[value % len(pool)]
             walks.clear()
+            table = dict(runner._memo)
             if len(blob) > runner.max_blob:
-                table = dict(runner._memo)
                 with pytest.raises(OversizeBlobError):
                     runner.run(blob)
                 assert runner._memo == table and not walks
@@ -949,6 +950,8 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
             assert got == want
             assert got.output == want.output
             assert walks == ([] if blob in model else [blob])
+            if blob in model:
+                assert got is table[blob]
             charge = len(blob) + entry_bytes
             if blob not in model and charge <= budget:
                 if charged + charge > budget:
@@ -956,12 +959,140 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
                 model[blob], charged = True, charged + charge
             assert runner._memo.keys() == model.keys()
             assert runner._memo_bytes == charged <= budget
-            # The table holds the runner's interned paths, nothing per entry.
-            paths = {id(path) for path in runner._paths.values()}
-            assert all(id(path) in paths for path in runner._memo.values())
+            assert ({id(result) for result in runner._results.values()}
+                    == {id(result) for result in runner._memo.values()})
     runner.drop_memo()
-    assert not runner._memo and runner._memo_bytes == 0
+    assert not runner._memo and not runner._results and runner._memo_bytes == 0
     assert runner.executions == executions
+
+
+# Byte tests on a few offsets and values, so that rules collide as siblings
+# at one offset (the walk's fan-out), reuse a value at other offsets, and
+# read past the end of the short drawn blobs.
+_FAN_BYTES = [0x00, 0x41, 0x42, 0xFF]
+_FAN_TESTS = st.builds(lambda off, byte: {"kind": "offset-equals", "offset": off, "value": byte},
+                       st.integers(0, 5), st.sampled_from(_FAN_BYTES))
+_FAN_TAILS = st.one_of(_FAN_TESTS, st.sampled_from([
+    {"kind": "contains", "hex": "42"},
+    {"kind": "length-cmp", "op": "ge", "value": 3},
+    {"kind": "not", "term": {"kind": "prefix", "hex": "41"}},
+]))
+
+
+@st.composite
+def _fan_out_rules(draw):
+    """Rules whose guards start with a byte test: a guard alone (a leaf
+    sibling), or followed by more conjuncts (a sibling with children);
+    rules draw from a few guards, so guards repeat."""
+    guards = draw(st.lists(st.builds(lambda head, tail: [head] + tail, _FAN_TESTS,
+                                     st.lists(_FAN_TAILS, max_size=2)),
+                           min_size=1, max_size=10))
+    rules = []
+    for _ in range(draw(st.integers(1, 16))):
+        conjuncts = draw(st.sampled_from(guards))
+        guard = (conjuncts[0] if len(conjuncts) == 1
+                 else {"kind": "and", "terms": conjuncts})
+        enter = draw(st.lists(st.sampled_from([f"f{i}" for i in range(6)]), min_size=1,
+                              max_size=2))
+        rule = {"guard": guard, "enter": enter}
+        if draw(st.integers(0, 2)) == 0:
+            rule["crash"] = {"location": enter[0], "vuln_type": "heap-buffer-overflow",
+                             "sanitizer": draw(st.sampled_from(["address", "undefined",
+                                                                "memory"]))}
+        rules.append(rule)
+    return rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=_fan_out_rules(),
+       blobs=st.lists(st.lists(st.sampled_from(_FAN_BYTES), max_size=5).map(bytes),
+                      min_size=1, max_size=8))
+def test_offset_fan_out_matches_naive_execute(rules, blobs):
+    """Sibling byte tests at one offset share one table lookup in the
+    compiled walk; every rule they stand for matches as the in-order walk
+    matches it, under each sanitizer and past the blob's end."""
+    target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
+                           "rules": rules})
+    for sanitizer in (None, "address", "undefined", "memory"):
+        runner = SimTargetRunner(target, sanitizer)
+        for blob in [b""] + blobs:
+            want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
+            got = runner.run(blob)
+            assert got == want
+            assert got.output == want.output
+
+
+def _nested_or_not(depth):
+    """A guard ``depth`` levels deep, alternating ``or`` and ``not``, with a
+    byte test beside each ``or``."""
+    guard = {"kind": "prefix", "text": "Z"}
+    for level in range(depth):
+        if level % 2:
+            guard = {"kind": "or", "terms": [
+                {"kind": "offset-equals", "offset": level % 5, "value": ord("A") + level % 4},
+                guard]}
+        else:
+            guard = {"kind": "not", "term": guard}
+    return guard
+
+
+_CONJUNCTS_300 = [
+    [{"kind": "offset-equals", "offset": i % 8, "value": b"ABCDEFGH"[i % 8]},
+     {"kind": "length-cmp", "op": "ge", "value": i % 9},
+     {"kind": "contains", "text": "CDE"[: 1 + i % 3]}][i % 3]
+    for i in range(300)
+]
+_INJECTION = '"); import os; ("\\\n\'"""\n'
+
+_LIMIT_TARGETS = {
+    "300 alternating or/not levels": [
+        {"guard": _nested_or_not(300), "enter": ["deep"]},
+        {"guard": _nested_or_not(301), "enter": ["deeper"],
+         "crash": {"location": "deeper", "vuln_type": "use-after-free", "sanitizer": "address"}},
+    ],
+    "a rule of 300 conjuncts": [
+        {"guard": {"kind": "and", "terms": _CONJUNCTS_300[:n]}, "enter": [f"r{n}"]}
+        for n in (300, 150, 299, 1)
+    ],
+    "5,000 rules": [
+        {"guard": ({"kind": "offset-equals", "offset": i % 40, "value": i * 13 % 256}
+                   if i % 5 else {"kind": "prefix", "hex": bytes([i % 256, i * 7 % 256]).hex()}),
+         "enter": [f"f{i}"],
+         **({"crash": {"location": f"f{i}", "vuln_type": "use-after-free",
+                       "sanitizer": "address"}} if i % 97 == 96 else {})}
+        for i in range(5000)
+    ],
+    "a text literal that is also code": [
+        {"guard": {"kind": "contains", "text": _INJECTION}, "enter": ["inj"]},
+        {"guard": {"kind": "prefix", "text": _INJECTION[:9]}, "enter": ["pre"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIMIT_TARGETS))
+def test_compiled_walk_limits_and_source_safety(name):
+    """Targets that a walk nesting one construct per guard level or per
+    conjunct cannot compile still build a runner that matches the in-order
+    walk, and the generated code holds no literal from the target: its
+    constants are ints and None only."""
+    target = parse_target({"version": 1, "name": "limit_target", "fuzzer": "limit_fuzzer",
+                           "rules": _LIMIT_TARGETS[name]})
+    rng = random.Random(name)
+    probes = [b"", b"Z", b"ABCDEFGH", b"ABCDEFGX" * 5, _INJECTION.encode() + b"tail",
+              b"x" + _INJECTION.encode()]
+    probes += [bytes(rng.randrange(256) for _ in range(rng.randrange(48))) for _ in range(20)]
+    for sanitizer in (None, "address"):
+        runner = SimTargetRunner(target, sanitizer)
+        for blob in probes:
+            want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
+            assert runner.run(blob) == want
+        consts = runner._match.__code__.co_consts
+        assert all(const is None or type(const) is int for const in consts)
+    for rule in target.rules[:4]:
+        test = compile_predicate(rule.guard)
+        assert all(const is None or type(const) is int for const in test.__code__.co_consts)
+        for blob in probes:
+            assert test(blob) == helpers.naive_eval_predicate(rule.guard, blob)
 
 
 def _write_energy(corpus, index, energy):

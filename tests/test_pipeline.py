@@ -33,7 +33,6 @@ from vulnhunt.config import Config
 from vulnhunt.directions import GlobalAnalyzedSet
 from vulnhunt.errors import ConfigError, UnknownFuzzerError
 from vulnhunt.fuzzing import CrashSpec, ExecutionResult, FuzzLoop, SimTargetRunner
-from vulnhunt.fuzzing import target as target_module
 from vulnhunt.pipeline import (
     _build_pool,
     plan_workers,
@@ -313,32 +312,37 @@ def test_sp_background_loop_seeds_from_failed_attempts(e2e_workspace, monkeypatc
 
 
 def test_a_runner_walks_its_trie_once_per_distinct_blob(e2e_workspace, monkeypatch):
-    """At seed 0 on the fixture, a runner walks its guard trie once per
+    """At seed 0 on the fixture, a runner calls its compiled walk once per
     distinct blob it runs (no runner's table fills its budget), every run
     is still one of the task's executions, and no worker keeps its table
-    once the scan is over."""
+    or its interned results once the scan is over."""
     blobs: dict[int, set] = {}  # runner id -> distinct blobs it ran
-    run = SimTargetRunner.run
+    walks: Counter = Counter()  # runner id -> calls of its compiled walk
+    run, init = SimTargetRunner.run, SimTargetRunner.__init__
 
     def recording(self, blob):
         blobs.setdefault(id(self), set()).add(blob)
         return run(self, blob)
 
-    walks: Counter = Counter()  # trie level id -> walks entering it
-    walk = target_module._walk
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        match = self._match
 
-    def counting(level, blob, mask):
-        walks[id(level)] += 1
-        return walk(level, blob, mask)
+        def counting(blob):
+            walks[id(self)] += 1
+            return match(blob)
+
+        self._match = counting
 
     monkeypatch.setattr(SimTargetRunner, "run", recording)
-    monkeypatch.setattr(target_module, "_walk", counting)
+    monkeypatch.setattr(SimTargetRunner, "__init__", counting_init)
     result = run_scan(e2e_workspace.config())
     assert sum(task.metrics.executions for task in result.tasks) == 60_293
     for worker in result.workers:
-        assert walks[id(worker.runner._trie)] == len(blobs[id(worker.runner)])
-        assert not worker.runner._memo and worker.runner._memo_bytes == 0
-    assert sum(walks[id(w.runner._trie)] for w in result.workers) == 18_106
+        runner = worker.runner
+        assert walks[id(runner)] == len(blobs[id(runner)])
+        assert not runner._memo and not runner._results and runner._memo_bytes == 0
+    assert sum(walks[id(w.runner)] for w in result.workers) == 18_106
 
 
 def test_oversize_agent_seed_is_skipped(e2e_workspace, monkeypatch):
