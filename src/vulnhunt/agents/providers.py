@@ -235,13 +235,14 @@ class ScriptedProvider(Provider):
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Load a scenario file (YAML or JSON by extension)."""
+    """Load a scenario file (YAML or JSON by extension); a ValidationError
+    naming the path if it cannot be read or parsed or is not a mapping."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix in (".yaml", ".yml"):
-        data = yaml.safe_load(text)
-    else:
-        data = json.loads(text)
+    try:
+        parse = yaml.safe_load if path.suffix in (".yaml", ".yml") else json.loads
+        data = parse(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"scenario {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"scenario {path} must contain a mapping")
     return data

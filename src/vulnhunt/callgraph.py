@@ -167,11 +167,15 @@ def load_call_graph(source: str | Path | Iterable[str]) -> CallGraph:
         The loaded graph with reachability and call depths computed.
 
     Raises:
-        ExportParseError: on malformed lines, missing/unknown keys, or a
-            duplicate function id; the message carries the line number.
+        ExportParseError: on an unreadable file, malformed lines,
+            missing/unknown keys, or a duplicate function id; the message
+            carries the path or the line number.
     """
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(source).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ExportParseError(f"cannot read export {source}: {exc}") from exc
     else:
         lines = list(source)
 

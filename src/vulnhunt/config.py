@@ -98,6 +98,10 @@ class Config:
             )
         if self.quorum < 1:
             raise ConfigError(f"quorum must be at least 1, got {self.quorum}")
+        if self.worker_parallelism < 1:
+            raise ConfigError(
+                f"worker_parallelism must be at least 1, got {self.worker_parallelism}"
+            )
         # Every blob, the empty seed included, must fit max_blob; an
         # iteration count below 0 would run as 0, and a threshold above 1
         # would never merge.
@@ -136,13 +140,13 @@ def _load_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
     try:
+        text = path.read_text(encoding="utf-8")
         if path.suffix in (".yaml", ".yml"):
             data = yaml.safe_load(text) or {}
         else:
             data = json.loads(text)
-    except (yaml.YAMLError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must contain a mapping")

@@ -20,10 +20,10 @@ from .target import (
     SimTargetRunner,
     TargetRule,
     TargetRunner,
-    compile_predicate,
     load_target,
     load_targets_dir,
     parse_target,
+    render_output,
     validate_predicate,
 )
 
@@ -44,11 +44,11 @@ __all__ = [
     "TargetRule",
     "TargetRunner",
     "VerifyOutcome",
-    "compile_predicate",
     "extract_literal_tokens",
     "load_target",
     "load_targets_dir",
     "parse_target",
+    "render_output",
     "reproduce",
     "seed_from_direction",
     "seed_from_fp",

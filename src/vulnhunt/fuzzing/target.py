@@ -22,20 +22,13 @@ Out-of-range reads are simply false (an offset past the end never matches).
 The idiom for an unconditional rule is ``{"kind": "length-cmp", "op": "ge",
 "value": 0}``; a runner never tests it.
 
-Guards are compiled once per runner, when ``SimTargetRunner`` is built.
-The runner arranges their conjuncts in a trie, so a conjunct that several
-rules' guards start with is tested once per execution, and generates one
-Python function from the trie: straight-line code that computes which
-rules matched as a bit mask.  Leaf byte tests at one offset under one
-parent become a single lookup of that byte in a table of bits.  The
-generated source holds only ints, comparison symbols and names made up by
-the generator; literals and tables live in the function's namespace, so
-no target text is ever compiled as code.  A runner interns what it has
-computed: the path a mask stands for (coverage, trace and crash), and
-within a byte budget the ``ExecutionResult`` of each blob it has run, so
-a blob run again costs one dict lookup.  An execution's ``output`` text
-is rendered when read, from the trace and crash it records; most
-executions are never read that way.
+Each ``SimTargetRunner`` compiles its guards once, into one generated
+function from a blob to the mask of the rules that matched; no target
+text is ever compiled as code.  A result is the path a blob took through
+the rules (outcome, coverage, trace and crash) and nothing else, so a
+runner keeps one ``ExecutionResult`` per path.  ``render_output`` prints
+a run's log from a result, the target's name and the blob's size, at the
+few places that keep a log.
 """
 
 from __future__ import annotations
@@ -201,19 +194,6 @@ class _Source:
         return self.namespace[self.name]
 
 
-def compile_predicate(node: dict) -> Callable[[bytes], bool]:
-    """Compile a validated predicate tree into one test; total (never raises).
-
-    The test is a generated function, built through the same expression
-    generator as a runner's walk: literals are decoded and operators
-    resolved here, once per tree, so the function only reads the blob.
-    """
-    source = _Source("test")
-    expr = source.test(node, None)
-    source.lines.append(f" return {expr}")
-    return source.function()
-
-
 # ===== Target model =====
 
 
@@ -245,33 +225,32 @@ class ExecutionResult(NamedTuple):
 
     ``coverage`` is the set of executed functions; ``trace`` the ordered
     sequence.  A crash's location is always an element of the coverage set.
-    ``size`` is the blob length.  A named tuple rather than a frozen
-    dataclass: just as immutable, hashable and compared field by field, but
-    built without a ``__setattr__`` per field.  Being immutable, one result
-    can be returned to every execution that earns it.
+    A named tuple rather than a frozen dataclass: just as immutable,
+    hashable and compared field by field, but built without a
+    ``__setattr__`` per field.  Being immutable, one result can be returned
+    to every execution that takes its path.
     """
 
     outcome: str
     coverage: frozenset[str]
     trace: tuple[str, ...]
-    target_name: str
-    size: int
     crash: CrashSpec | None = None
 
-    @property
-    def output(self) -> str:
-        """The run's log: a ``run`` line, one ``enter`` line per traced
-        function, then the sanitizer error or ``exit ok``."""
-        lines = [f"run {self.target_name} ({self.size} bytes)"]
-        lines.extend(f"enter {fn}" for fn in self.trace)
-        crash = self.crash
-        if crash is None:
-            lines.append("exit ok")
-        else:
-            lines.append(
-                f"== ERROR: {crash.sanitizer} sanitizer: {crash.vuln_type} in {crash.location} =="
-            )
-        return "\n".join(lines)
+
+def render_output(result: ExecutionResult, target_name: str, size: int) -> str:
+    """The log of a run of a ``size``-byte blob against ``target_name``: a
+    ``run`` line, one ``enter`` line per traced function, then the
+    sanitizer error or ``exit ok``."""
+    lines = [f"run {target_name} ({size} bytes)"]
+    lines.extend(f"enter {fn}" for fn in result.trace)
+    crash = result.crash
+    if crash is None:
+        lines.append("exit ok")
+    else:
+        lines.append(
+            f"== ERROR: {crash.sanitizer} sanitizer: {crash.vuln_type} in {crash.location} =="
+        )
+    return "\n".join(lines)
 
 
 def parse_target(obj: dict, where: str = "target") -> SimTarget:
@@ -335,13 +314,18 @@ def load_target(path: str | Path) -> SimTarget:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise TargetSchemaError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TargetSchemaError(f"{path}: cannot read: {exc}") from exc
     return parse_target(obj, where=str(path.name))
 
 
 def load_targets_dir(path: str | Path) -> dict[str, SimTarget]:
     """Load every ``*.json`` target in a directory, keyed by fuzzer name."""
+    path = Path(path)
+    if not path.is_dir():
+        raise TargetSchemaError(f"targets {path}: not a directory")
     targets: dict[str, SimTarget] = {}
-    for item in sorted(Path(path).glob("*.json")):
+    for item in sorted(path.glob("*.json")):
         target = load_target(item)
         if target.fuzzer in targets:
             raise TargetSchemaError(f"{item}: duplicate target for fuzzer '{target.fuzzer}'")
@@ -350,16 +334,21 @@ def load_targets_dir(path: str | Path) -> dict[str, SimTarget]:
 
 
 class TargetRunner:
-    """Execution hook: anything with ``run(blob) -> ExecutionResult``.
+    """Execution hook: what a worker runs blobs through.
 
     The in-tree implementation wraps a SimTarget bound to the worker's
     sanitizer; an external harness can substitute its own runner with the
-    same contract: deterministic given the blob, so running a blob again
-    returns an equal result.  That contract is what lets ``SimTargetRunner``
-    answer a repeated blob from its table, and what makes a crash's
-    reproduction an exact check.  A runner also counts the executions it
-    made in ``executions``, which is what its worker reports.
+    same contract.  ``run(blob)`` is deterministic given the blob, which
+    lets ``SimTargetRunner`` answer a repeated blob from its table and
+    makes a crash's reproduction an exact check.  ``executions`` counts
+    the runs made, and is what the worker reports; ``max_blob`` is the
+    longest blob accepted, and the worker skips longer ones unrun;
+    ``name`` is the target's, which a kept run log prints.
     """
+
+    name: str
+    max_blob: int
+    executions: int
 
     def run(self, blob: bytes) -> ExecutionResult:
         raise NotImplementedError
@@ -442,37 +431,30 @@ class SimTargetRunner(TargetRunner):
     the rules whose guards end there.  Conjuncts equal to the
     unconditional idiom are dropped, and rules left with none sit in a
     constant base mask.  The trie is then compiled, with ``compile`` and
-    ``exec``, into one function from a blob to the mask of the rules whose
-    guards hold (``_compile_trie``).  The function is flat: each trie node
-    and each composite subterm gets a local of its own, ANDed with its
-    parent's, so no construct nests deeper as a guard deepens or a rule
-    gains conjuncts.  Leaf ``offset-equals`` siblings at one offset are
-    one lookup, ``m |= TABLE[blob[off]]`` behind ``n > off``.  Only ints
-    (offsets, values and masks, each passed through ``int``) and
-    comparison symbols from a fixed table are written into the source;
-    byte literals and tables are bound in its namespace.
+    ``exec``, into one flat function from a blob to the mask of the rules
+    whose guards hold (``_compile_trie``).  Only ints (offsets, values and
+    masks, each passed through ``int``) and comparison symbols from a
+    fixed table are written into the source; byte literals and tables are
+    bound in its namespace.
 
     An execution calls that function, then cuts the mask after the first
     matching rule whose crash fires under this sanitizer: guards are pure
     and total, so this is the mask an in-order walk that stops there gets.
-    The mask is looked up in a path table: mask -> (outcome, coverage,
-    trace, crash), built from the rules on the first execution that takes
-    the path, so executions on one path share one coverage set, whose
-    hash ``frozenset`` caches.
+    The mask is looked up in a path table, ``_paths``: mask -> the one
+    ``ExecutionResult`` of that path, built from the rules on the first
+    execution that takes it, so executions on one path share one result
+    and one coverage set, whose hash ``frozenset`` caches.
 
-    Results are interned too.  ``_results`` maps ``(mask, size)`` to one
-    ``ExecutionResult``, and a memo maps each blob the runner has run to
-    its result, so a blob run again (a fuzz mutant seen before, a
-    reproduction replay, a PoC variant re-run) returns the same object
-    without a walk.  Because an execution depends on nothing but the blob,
-    and a result is immutable, that is exactly what a new walk would give;
-    the ``max_blob`` check still comes first.  The memo is bounded by
+    A memo maps each blob the runner has run to its entry in ``_paths``,
+    so a blob run again (a fuzz mutant seen before, a reproduction replay,
+    a PoC variant re-run) returns the same object without a walk.  Because
+    an execution depends on nothing but the blob, and a result is
+    immutable, that is exactly what a new walk would give; the
+    ``max_blob`` check still comes first.  The memo is bounded by
     ``MEMO_BUDGET``: each entry is charged its blob's length plus
     ``MEMO_ENTRY_BYTES``, an insert that would pass the budget clears the
     memo first, and a blob whose charge alone passes it is not stored.
-    Only results the memo keeps are interned, and ``_results`` empties
-    whenever the memo does, so it never outgrows the memo.  ``drop_memo``
-    empties both.
+    ``drop_memo`` empties it; the path table stays.
 
     ``executions`` counts every run that passed the ``max_blob`` check, a
     run answered from the memo included; ``drop_memo`` keeps the count.
@@ -508,9 +490,9 @@ class SimTargetRunner(TargetRunner):
             else:
                 node[1] |= bit
         self._match = _compile_trie(root, self._base)  # blob -> mask
-        self._paths: dict[int, tuple] = {}  # mask -> what _path returns
-        self._results: dict[tuple[int, int], ExecutionResult] = {}  # (mask, size) -> result
-        self._memo: dict[bytes, ExecutionResult] = {}  # blob -> its entry in _results
+        self.name = target.name
+        self._paths: dict[int, ExecutionResult] = {}  # mask -> the result of that path
+        self._memo: dict[bytes, ExecutionResult] = {}  # blob -> its entry in _paths
         self._memo_bytes = 0  # what the _memo entries are charged
 
     def run(self, blob: bytes) -> ExecutionResult:
@@ -528,35 +510,34 @@ class SimTargetRunner(TargetRunner):
         fired = mask & self._fires
         if fired:  # keep the bits up to the lowest firing one
             mask &= ((fired & -fired) << 1) - 1
-        key = (mask, size)
-        result = self._results.get(key)
+        result = self._paths.get(mask)
         if result is None:
-            path = self._paths.get(mask)
-            if path is None:
-                path = self._paths[mask] = self._path(mask)
-            outcome, coverage, trace, crash = path
-            result = ExecutionResult(outcome, coverage, trace, self.target.name, size, crash)
+            result = self._paths[mask] = self._path(mask)
         charge = size + MEMO_ENTRY_BYTES
         if charge <= MEMO_BUDGET:
             if self._memo_bytes + charge > MEMO_BUDGET:
                 self.drop_memo()
-            self._memo[blob] = self._results[key] = result
+            self._memo[blob] = result
             self._memo_bytes += charge
         return result
 
     def drop_memo(self) -> None:
-        """Empty the blob -> result table, and the interned results with
-        it; the runner stays usable."""
+        """Empty the blob -> result table; the runner stays usable."""
         self._memo.clear()
-        self._results.clear()
         self._memo_bytes = 0
 
-    def _path(self, mask: int) -> tuple[str, frozenset[str], tuple[str, ...], CrashSpec | None]:
-        """The path through the rules in ``mask``: their entered functions
-        in rule order, and the crash of the last one if it fires."""
+    def _path(self, mask: int) -> ExecutionResult:
+        """The result of the path through the rules in ``mask``: their
+        entered functions in rule order, and the crash of the last one if
+        it fires.  Only the set bits are visited, lowest first."""
         rules = self.target.rules
-        trace = tuple(fn for i, rule in enumerate(rules) if mask >> i & 1 for fn in rule.enter)
-        last = mask.bit_length() - 1
-        if last >= 0 and self._fires >> last & 1:
-            return "crash", frozenset(trace), trace, rules[last].crash
-        return "ok", frozenset(trace), trace, None
+        trace: list[str] = []
+        last = -1
+        while mask:
+            low = mask & -mask
+            last = low.bit_length() - 1
+            trace.extend(rules[last].enter)
+            mask ^= low
+        crash = rules[last].crash if last >= 0 and self._fires >> last & 1 else None
+        return ExecutionResult("ok" if crash is None else "crash", frozenset(trace),
+                               tuple(trace), crash)

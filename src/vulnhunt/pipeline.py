@@ -68,6 +68,7 @@ from .fuzzing import (
     Mutator,
     SimTargetRunner,
     load_targets_dir,
+    render_output,
     reproduce,
     seed_from_direction,
     seed_from_fp,
@@ -692,7 +693,7 @@ class Worker:
             "blob_path": blob_path,
             "reproduced_count": reproduced_count,
             "trace": list(result.trace),
-            "output": result.output,
+            "output": render_output(result, self.runner.name, len(blob)),
         }
         self.store.put("povs", pov_id, record)
         self.task.metrics.pov_count += 1
@@ -928,7 +929,8 @@ class PocAttempt:
                     f"coverage {len(result.coverage)} functions, "
                     f"deepest: {result.trace[-1] if result.trace else '(empty)'}"
                 )
-        combined = "\n".join(r.output for r in outcome.results if r is not None)
+        combined = "\n".join(render_output(result, worker.runner.name, len(blobs[index]))
+                             for index, result in results.items() if result is not None)
         return {
             "success": False,
             "attempt": self.attempts,
@@ -1029,8 +1031,12 @@ def run_scan(
     if config.mode == "delta":
         if not config.diff_path:
             raise ConfigError("delta mode requires diff_path")
-        with open(config.diff_path, encoding="utf-8") as fh:
-            delta = load_delta(fh.read(), graph)
+        try:
+            with open(config.diff_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read diff {config.diff_path}: {exc}") from exc
+        delta = load_delta(text, graph)
 
     pool, active_roles = _build_pool(config, scenario)
     by_source: dict[tuple[str, str], Worker] = {}
@@ -1063,12 +1069,8 @@ def run_scan(
         for task in tasks
     ]
     by_source.update(((w.task.fuzzer, w.task.sanitizer), w) for w in workers)
-    if config.worker_parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.worker_parallelism) as executor:
-            list(executor.map(lambda w: w.run(), workers))
-    else:
-        for worker in workers:
-            worker.run()
+    with ThreadPoolExecutor(max_workers=config.worker_parallelism) as executor:
+        list(executor.map(lambda w: w.run(), workers))
 
     counts = spstore.counts()
     totals = {

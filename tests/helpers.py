@@ -273,10 +273,20 @@ def naive_execute(target, blob, max_blob=DEFAULT_MAX_BLOB, sanitizer=None):
         outcome="crash" if crash is not None else "ok",
         coverage=frozenset(trace),
         trace=tuple(trace),
-        target_name=target.name,
-        size=len(blob),
         crash=crash,
     )
+
+
+def naive_path(target, blob, sanitizer=None):
+    """Indices of the rules an execution passes through: each rule whose
+    guard holds, in order, up to the first whose crash fires."""
+    matched = []
+    for i, rule in enumerate(target.rules):
+        if naive_eval_predicate(rule.guard, blob):
+            matched.append(i)
+            if rule.crash is not None and sanitizer in (None, rule.crash.sanitizer):
+                break
+    return tuple(matched)
 
 
 # ---------------------------------------------------------------------------

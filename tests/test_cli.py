@@ -116,6 +116,34 @@ class TestScan:
         assert "induced failure" in captured.err
 
 
+    @pytest.mark.parametrize("flag, bad, extra", [
+        ("--export", "absent.jsonl", []),
+        ("--scenario", "absent.json", []),
+        ("--scenario", "malformed.json", []),
+        ("--targets", "absent-targets", []),
+        ("--diff", "absent.diff", ["--mode", "delta"]),
+    ], ids=["missing-export", "missing-scenario", "malformed-scenario", "missing-targets",
+            "missing-diff"])
+    def test_bad_input_file_exits_2_naming_it(self, e2e_workspace, tmp_path, capsys,
+                                              flag, bad, extra):
+        """An input that cannot be read or parsed ends the scan with one
+        ``error:`` line that names the path, not a traceback or a scan
+        without it."""
+        path = tmp_path / bad
+        if bad == "malformed.json":
+            path.write_text('{"agents": ', encoding="utf-8")
+        args = _scan_args(e2e_workspace)
+        if flag in args:
+            args[args.index(flag) + 1] = str(path)
+        else:
+            args += [flag, str(path)]
+        rc = main(args + extra)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert "report(s) emitted" not in captured.out
+
+
 class TestStatus:
     def test_status_reads_persisted_store(self, scanned_ws, capsys):
         rc = main(["status", "--store", str(scanned_ws.store_dir)])

@@ -57,6 +57,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="scan.json"):
             load_config(path)
 
+    def test_unreadable_file_rejected(self, tmp_path):
+        """A file that is not UTF-8, or is a directory, is a ConfigError
+        naming it, not a traceback."""
+        undecodable = tmp_path / "scan.yaml"
+        undecodable.write_bytes(b"\xff\xfe")
+        directory = tmp_path / "dir.json"
+        directory.mkdir()
+        for path in (undecodable, directory):
+            with pytest.raises(ConfigError, match=path.name):
+                load_config(path)
+
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "scan.yaml"
         path.write_text("- just\n- a\n- list\n")
@@ -88,6 +99,8 @@ class TestConfigValidation:
             ({"provider": {"kind": "http", "base-url": "http://x"}},
              "unknown provider keys: base-url"),
             ({"provider": {"kind": "telepathy"}}, "unknown provider kind: 'telepathy'"),
+            ({"worker_parallelism": 0}, "worker_parallelism must be at least 1, got 0"),
+            ({"worker_parallelism": -2}, "worker_parallelism must be at least 1, got -2"),
         ],
     )
     def test_values_that_break_a_scan_rejected(self, overrides, message):

@@ -28,10 +28,11 @@ from vulnhunt.fuzzing.seeds import (
 from vulnhunt.fuzzing.target import (
     DEFAULT_MAX_BLOB,
     ExecutionResult,
+    SimTarget,
     SimTargetRunner,
-    compile_predicate,
     load_targets_dir,
     parse_target,
+    render_output,
     validate_predicate,
 )
 from vulnhunt.spstore import SPStore
@@ -66,8 +67,16 @@ def palette_blob(total_len: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _guard_test(guard):
+    """``guard`` as a blob -> bool test, through a runner of one rule that
+    enters ``hit`` where the guard holds: the runner's own trie and walk."""
+    runner = SimTargetRunner(parse_target({"version": 1, "name": "one_rule", "fuzzer": "one",
+                                           "rules": [{"guard": guard, "enter": ["hit"]}]}))
+    return lambda blob: runner.run(blob).trace == ("hit",)
+
+
 def _holds(node, blob):
-    return compile_predicate(node)(blob)
+    return _guard_test(node)(blob)
 
 
 def test_predicate_kinds_evaluate_correctly():
@@ -141,8 +150,7 @@ def _u32_offsets(node):
 @settings(max_examples=300, deadline=None)
 @given(tree=_TREES, blob=_BLOBS)
 def test_compiled_predicates_match_naive_oracle(tree, blob):
-    validate_predicate(tree)
-    test = compile_predicate(tree)
+    test = _guard_test(tree)
     # Besides the drawn blob: the empty blob, and every u32 field cut off one
     # byte short of, and exactly at, the blob's end.
     padded = blob + b"\x41" * 24
@@ -197,6 +205,20 @@ def test_load_targets_dir_keys_by_fuzzer(e2e_workspace):
     assert targets["img_fuzzer"].name == "img_target"
 
 
+def test_load_targets_dir_rejects_unreadable_entries(tmp_path):
+    """A target file that is not UTF-8 or is a directory, and a targets path
+    that is not a directory, raise TargetSchemaError naming the path."""
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
+    with pytest.raises(TargetSchemaError, match="bad.json"):
+        load_targets_dir(tmp_path)
+    (tmp_path / "bad.json").unlink()
+    (tmp_path / "dir.json").mkdir()
+    with pytest.raises(TargetSchemaError, match="dir.json"):
+        load_targets_dir(tmp_path)
+    with pytest.raises(TargetSchemaError, match="not a directory"):
+        load_targets_dir(tmp_path / "absent")
+
+
 def test_load_targets_dir_rejects_duplicate_fuzzer(tmp_path):
     fd.write_targets([fd.MAGIC_TARGET], tmp_path)
     (tmp_path / "copy.json").write_text(
@@ -209,7 +231,7 @@ def test_execute_ok_output_shape():
     result = img_run(b"")
     assert result.outcome == "ok"
     assert result.coverage == frozenset({"img_fuzzer_entry"})
-    assert result.output.splitlines() == [
+    assert render_output(result, "img_target", 0).splitlines() == [
         "run img_target (0 bytes)",
         "enter img_fuzzer_entry",
         "exit ok",
@@ -222,7 +244,7 @@ def test_execute_crash_output_and_trace():
     assert result.crash.location == "img_apply_palette"
     assert result.crash.vuln_type == "heap-buffer-overflow"
     assert "== ERROR: address sanitizer: heap-buffer-overflow in img_apply_palette ==" \
-        in result.output.splitlines()
+        in render_output(result, "img_target", 32).splitlines()
     # Execution stops at the crashing rule; the trace keeps rule order.
     assert result.trace[0] == "img_fuzzer_entry"
     assert result.trace[-1] == "img_apply_palette"
@@ -250,9 +272,9 @@ def test_output_text_of_crashing_and_sanitizer_filtered_runs():
     ]
     # The crash rule is entered but built for another sanitizer: no crash.
     filtered = img_run(npd_blob, "address")
-    assert filtered.output == "\n".join(entered + ["exit ok"])
+    assert render_output(filtered, "img_target", 8) == "\n".join(entered + ["exit ok"])
     crashed = img_run(npd_blob, "undefined")
-    assert crashed.output == "\n".join(entered + [
+    assert render_output(crashed, "img_target", 8) == "\n".join(entered + [
         "== ERROR: undefined sanitizer: null-pointer-dereference in img_parse_header =="])
 
 
@@ -636,7 +658,7 @@ class _Echo:
         return blob
 
     def run(self, blob):
-        return ExecutionResult("ok", frozenset({blob.decode()}), (), "echo", len(blob))
+        return ExecutionResult("ok", frozenset({blob.decode()}), ())
 
 
 @settings(max_examples=200, deadline=None)
@@ -755,7 +777,6 @@ def test_rule_steps_match_naive_execute(blob, sanitizer):
         runner = SimTargetRunner(target, sanitizer)
         for got in (runner.run(blob), runner.run(blob)):
             assert got == want
-            assert got.output == want.output
 
 
 _ATOM_BYTES = sorted({byte for atom in _ATOMS for byte in atom})
@@ -797,17 +818,6 @@ def _rules(draw):
     return rule
 
 
-def _naive_path(target, blob, sanitizer):
-    """Indices of the rules an execution passes through."""
-    matched = []
-    for i, rule in enumerate(target.rules):
-        if helpers.naive_eval_predicate(rule.guard, blob):
-            matched.append(i)
-            if rule.crash is not None and sanitizer in (None, rule.crash.sanitizer):
-                break
-    return tuple(matched)
-
-
 @settings(max_examples=60, deadline=None)
 @given(rules=st.integers(1, 80).flatmap(lambda n: st.lists(_rules(), min_size=n, max_size=n)),
        blobs=st.lists(_RULE_BLOBS, min_size=1, max_size=6))
@@ -815,16 +825,14 @@ def test_interned_paths_match_naive_execute(rules, blobs):
     target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
                            "rules": rules})
     for sanitizer in ("address", "undefined", None):
-        runner, coverages = SimTargetRunner(target, sanitizer), {}
+        runner, results = SimTargetRunner(target, sanitizer), {}
         for blob in blobs:
             want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
             first, again = runner.run(blob), runner.run(blob)
-            for got in (first, again):
-                assert got == want
-                assert got.output == want.output
-            # One coverage object per path, however many executions take it.
-            shared = coverages.setdefault(_naive_path(target, blob, sanitizer), first.coverage)
-            assert first.coverage is shared and again.coverage is shared
+            assert first == want
+            # One result object per path, however many executions take it.
+            shared = results.setdefault(helpers.naive_path(target, blob, sanitizer), first)
+            assert first is shared and again is shared
 
 
 # Conjuncts on a short alphabet, so drawn guards collide on their leading
@@ -892,7 +900,6 @@ def test_guard_trie_matches_naive_execute_on_shared_prefixes(rules, blobs):
             want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
             for got in (runner.run(blob), runner.run(blob)):
                 assert got == want
-                assert got.output == want.output
 
 
 # A run of a blob from the pool, or a new ``max_blob`` for the runner.
@@ -911,8 +918,7 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
     run equals the naive walk, a blob is walked again only when the table
     lost it, an oversize blob raises and leaves the table as it was, and
     the charged bytes never pass the budget.  A hit returns the very
-    result the table holds, and the interned results are exactly the
-    table's, so they empty with it.  Every run but an oversize one is an
+    result the table holds.  Every run but an oversize one is an
     execution, a table hit included, and dropping the table keeps the
     count."""
     target = parse_target({"version": 1, "name": "gen_target", "fuzzer": "gen_fuzzer",
@@ -948,7 +954,6 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
             assert runner.executions == executions
             want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
             assert got == want
-            assert got.output == want.output
             assert walks == ([] if blob in model else [blob])
             if blob in model:
                 assert got is table[blob]
@@ -959,10 +964,8 @@ def test_execution_memo_matches_naive_execute(rules, sanitizer, pool, steps, bud
                 model[blob], charged = True, charged + charge
             assert runner._memo.keys() == model.keys()
             assert runner._memo_bytes == charged <= budget
-            assert ({id(result) for result in runner._results.values()}
-                    == {id(result) for result in runner._memo.values()})
     runner.drop_memo()
-    assert not runner._memo and not runner._results and runner._memo_bytes == 0
+    assert not runner._memo and runner._memo_bytes == 0
     assert runner.executions == executions
 
 
@@ -1019,7 +1022,6 @@ def test_offset_fan_out_matches_naive_execute(rules, blobs):
             want = helpers.naive_execute(target, blob, sanitizer=sanitizer)
             got = runner.run(blob)
             assert got == want
-            assert got.output == want.output
 
 
 def _nested_or_not(depth):
@@ -1089,10 +1091,12 @@ def test_compiled_walk_limits_and_source_safety(name):
         consts = runner._match.__code__.co_consts
         assert all(const is None or type(const) is int for const in consts)
     for rule in target.rules[:4]:
-        test = compile_predicate(rule.guard)
-        assert all(const is None or type(const) is int for const in test.__code__.co_consts)
+        one_rule = SimTarget(target.name, target.fuzzer, [rule])
+        runner = SimTargetRunner(one_rule)
+        consts = runner._match.__code__.co_consts
+        assert all(const is None or type(const) is int for const in consts)
         for blob in probes:
-            assert test(blob) == helpers.naive_eval_predicate(rule.guard, blob)
+            assert runner.run(blob) == helpers.naive_execute(one_rule, blob)
 
 
 def _write_energy(corpus, index, energy):

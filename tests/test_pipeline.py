@@ -18,6 +18,7 @@ from helpers import (
     capture_requests,
     export_lines,
     naive_node_universe,
+    naive_path,
     naive_reachable,
     sp_generator_runs,
 )
@@ -314,11 +315,13 @@ def test_sp_background_loop_seeds_from_failed_attempts(e2e_workspace, monkeypatc
 def test_a_runner_walks_its_trie_once_per_distinct_blob(e2e_workspace, monkeypatch):
     """At seed 0 on the fixture, a runner calls its compiled walk once per
     distinct blob it runs (no runner's table fills its budget), every run
-    is still one of the task's executions, and no worker keeps its table
-    or its interned results once the scan is over."""
+    is still one of the task's executions, every blob the table holds maps
+    to the one result of the path it took, and no worker keeps its table
+    once the scan is over."""
     blobs: dict[int, set] = {}  # runner id -> distinct blobs it ran
     walks: Counter = Counter()  # runner id -> calls of its compiled walk
-    run, init = SimTargetRunner.run, SimTargetRunner.__init__
+    held: Counter = Counter()  # runner id -> table entries checked before the drop
+    run, init, drop = SimTargetRunner.run, SimTargetRunner.__init__, SimTargetRunner.drop_memo
 
     def recording(self, blob):
         blobs.setdefault(id(self), set()).add(blob)
@@ -334,14 +337,22 @@ def test_a_runner_walks_its_trie_once_per_distinct_blob(e2e_workspace, monkeypat
 
         self._match = counting
 
+    def checking_drop(self):
+        for blob, result in self._memo.items():
+            mask = sum(1 << i for i in naive_path(self.target, blob, self.sanitizer))
+            assert result is self._paths[mask]
+        held[id(self)] += len(self._memo)
+        drop(self)
+
     monkeypatch.setattr(SimTargetRunner, "run", recording)
     monkeypatch.setattr(SimTargetRunner, "__init__", counting_init)
+    monkeypatch.setattr(SimTargetRunner, "drop_memo", checking_drop)
     result = run_scan(e2e_workspace.config())
     assert sum(task.metrics.executions for task in result.tasks) == 60_293
     for worker in result.workers:
         runner = worker.runner
-        assert walks[id(runner)] == len(blobs[id(runner)])
-        assert not runner._memo and not runner._results and runner._memo_bytes == 0
+        assert walks[id(runner)] == len(blobs[id(runner)]) == held[id(runner)]
+        assert not runner._memo and runner._memo_bytes == 0
     assert sum(walks[id(w.runner)] for w in result.workers) == 18_106
 
 
@@ -479,6 +490,7 @@ class _FlakyRunner:
     first ``crashes`` runs crash there, the rest exit cleanly.  Like every
     runner it counts its runs in ``executions``."""
 
+    name = "fake"
     max_blob = 64
 
     def __init__(self, crashes: int = 0):
@@ -491,7 +503,7 @@ class _FlakyRunner:
         if self.executions <= self.crashes:
             crash = CrashSpec("m_handler", "heap-buffer-overflow", "address")
         return ExecutionResult("crash" if crash else "ok", frozenset({"m_entry", "m_handler"}),
-                               ("m_entry", "m_handler"), "fake", len(blob), crash)
+                               ("m_entry", "m_handler"), crash)
 
 
 _NUL_RECIPE = {"instructions": [{"op": "literal", "hex": "00"}], "variants": [{}, {}, {}]}
