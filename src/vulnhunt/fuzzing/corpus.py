@@ -1,7 +1,10 @@
 """Coverage-deduplicated seed corpora.
 
 A corpus admits a blob only when its coverage (the executed-function set)
-is new, so no two seeds ever share a coverage set.
+is new, so no two seeds ever share a coverage set; ``coverages`` is the set
+of them, which a fuzz loop tests novelty against.  ``partners`` keeps the
+non-empty seed blobs in seed order, the list a bound mutation splices
+from, so no mutation rebuilds it.
 Seeds carry an energy weight used by the fuzzing loops: fresh seeds and
 seeds whose latest mutation unlocked new coverage run hot (4x), cooling by
 half on every pick with a floor of 1.
@@ -28,23 +31,18 @@ class Corpus:
 
     def __init__(self) -> None:
         self.seeds: list[Seed] = []
-        self.blobs: list[bytes] = []  # seeds' blobs, in seed order
-        self._coverages: set[frozenset[str]] = set()
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    def has_coverage(self, coverage: frozenset[str]) -> bool:
-        return coverage in self._coverages
+        self.partners: list[bytes] = []  # the non-empty seed blobs, in seed order
+        self.coverages: set[frozenset[str]] = set()
 
     def add(self, blob: bytes, coverage: frozenset[str], origin: str) -> Seed | None:
         """Admit a blob if its coverage set is new; returns the seed or None."""
-        if coverage in self._coverages:
+        if coverage in self.coverages:
             return None
         seed = Seed(blob=blob, coverage=coverage, origin=origin)
         self.seeds.append(seed)
-        self.blobs.append(blob)
-        self._coverages.add(coverage)
+        if blob:
+            self.partners.append(blob)
+        self.coverages.add(coverage)
         return seed
 
     def cool(self, seed: Seed) -> None:

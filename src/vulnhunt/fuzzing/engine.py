@@ -29,6 +29,13 @@ any other energy, including one written below the floor, changes when
 cooled.  Once every seed has cooled to the floor, picks stop changing
 energies, so most iterations reuse the list.
 
+The mutation is bound once per ``run`` slice (``Mutator.bind``) to the loop's
+rng and the corpus's ``partners``.  Both the partner list and the mutator's
+dictionary are bound by reference, so a seed admitted during a slice is a
+splice partner from the next iteration on, and a token added between slices
+is drawn from in the next one.  Novelty is a membership test on the
+corpus's ``coverages``.
+
 Reproduction implements the operational crash contract: an input proves a
 location vulnerable only if every one of N runs crashes at the same location
 with the same vulnerability type (default quorum 10).
@@ -109,9 +116,9 @@ class FuzzLoop:
                 stats.crashes += 1
                 crashes.append(CrashFinding(b"", result, self.origin, 0))
             corpus.add(b"", result.coverage, origin="empty")
-        seeds, blobs = corpus.seeds, corpus.blobs
-        draw, mutate, execute = rng.random, self.mutator.mutate, self.runner.run
-        cool, has_coverage = corpus.cool, corpus.has_coverage
+        seeds, coverages, cool = corpus.seeds, corpus.coverages, corpus.cool
+        draw, execute = rng.random, self.runner.run
+        mutate = self.mutator.bind(rng, corpus.partners)
         done, cum = self.iterations_done, None
         try:
             # ``done`` counts the iterations started; an empty range leaves it.
@@ -123,12 +130,12 @@ class FuzzLoop:
                 if parent.energy != MIN_ENERGY:
                     cool(parent)
                     cum = None
-                blob = mutate(parent.blob, rng, blobs)
+                blob = mutate(parent.blob)
                 result = execute(blob)
                 if result.outcome == "crash":
                     stats.crashes += 1
                     crashes.append(CrashFinding(blob, result, self.origin, done))
-                elif not has_coverage(result.coverage):
+                elif result.coverage not in coverages:
                     corpus.add(blob, result.coverage, origin=self.origin)
                     corpus.heat(parent)
                     stats.corpus_adds += 1

@@ -18,7 +18,7 @@ from vulnhunt.callgraph import reachable_subgraph
 from vulnhunt.directions import Direction
 from vulnhunt.fuzzing.corpus import Corpus
 from vulnhunt.fuzzing.engine import FuzzLoop, reproduce, sp_fuzzer_verify
-from vulnhunt.fuzzing.mutate import OPERATORS, Mutator, _below
+from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
 from vulnhunt.fuzzing import target as target_module
 from vulnhunt.fuzzing.seeds import (
     extract_literal_tokens,
@@ -312,37 +312,65 @@ def test_oversize_blob_rejected():
 @given(blob=st.binary(max_size=64), seed=st.integers(0, 2**31), max_len=st.integers(1, 48))
 def test_mutate_respects_max_len(blob, seed, max_len):
     mut = Mutator(max_len=max_len, dictionary=[b"IMGX", b"CMPR"])
-    out = mut.mutate(blob, random.Random(seed), [b"partner", blob])
+    out = mut.bind(random.Random(seed), [p for p in (b"partner", blob) if p])(blob)
     assert isinstance(out, bytes)
     assert len(out) <= max_len
 
 
 def test_mutate_is_deterministic_for_equal_rng_state():
     mut = Mutator(dictionary=[b"TAG"])
-    a = [mut.mutate(b"hello", random.Random(5), [b"world"]) for _ in range(10)]
-    b = [mut.mutate(b"hello", random.Random(5), [b"world"]) for _ in range(10)]
+    a = [mut.bind(random.Random(5), [b"world"])(b"hello") for _ in range(10)]
+    b = [mut.bind(random.Random(5), [b"world"])(b"hello") for _ in range(10)]
     assert a == b
 
 
+@pytest.mark.parametrize("max_len", [0, -1, -8])
+def test_mutator_rejects_max_len_below_one(max_len):
+    with pytest.raises(ValueError, match=f"got {max_len}"):
+        Mutator(max_len=max_len)
+
+
+class _Scripted:
+    """An rng whose first ``getrandbits`` answers are ``script``; the later
+    ones come from ``random.Random(seed)``."""
+
+    def __init__(self, script, seed):
+        self.script = list(script)
+        self.rest = random.Random(seed)
+
+    def getrandbits(self, k):
+        return self.script.pop(0) if self.script else self.rest.getrandbits(k)
+
+
+def _apply(op, blob, seed=0, partners=(), mutator=None):
+    """``blob`` mutated by the operator named ``op``: the operator draw is
+    scripted, the draws after it come from ``random.Random(seed)``."""
+    rng = _Scripted([OPERATORS.index(op)], seed)
+    return (mutator or Mutator()).bind(rng, list(partners))(blob)
+
+
 def test_empty_blob_behaviour_per_operator():
-    mut = Mutator()
-    rng = random.Random(0)
-    assert mut._bit_flip(b"", rng, []) == b""
-    assert mut._delete(b"", rng, []) == b""
-    assert mut._block_duplicate(b"", rng, []) == b""
-    assert len(mut._byte_set(b"", rng, [])) == 1
-    assert len(mut._insert(b"", rng, [])) == 1
+    assert _apply("bit_flip", b"") == b""
+    assert _apply("delete", b"") == b""
+    assert _apply("block_duplicate", b"") == b""
+    assert len(_apply("byte_set", b"")) == 1
+    assert len(_apply("insert", b"")) == 1
     # Without partners or dictionary both fall back to a 1-byte insert.
-    assert len(mut._splice(b"", rng, [])) == 1
-    assert len(mut._dict_insert(b"", rng, [])) == 1
+    assert len(_apply("splice", b"")) == 1
+    assert len(_apply("dict_insert", b"")) == 1
+    for seed in range(20):
+        insert = _apply("insert", b"abc", seed)
+        assert _apply("splice", b"abc", seed) == insert
+        assert _apply("dict_insert", b"abc", seed) == insert
 
 
 def test_dict_insert_and_splice_use_their_sources():
     mut = Mutator(dictionary=[b"MAGI"])
-    out = mut._dict_insert(b"xy", random.Random(1), [])
+    out = _apply("dict_insert", b"xy", 1, mutator=mut)
     assert b"MAGI" in out and len(out) == 6
-    spliced = mut._splice(b"abcd", random.Random(2), [b"WXYZ"])
+    spliced = _apply("splice", b"abcd", 2, [b"WXYZ"], mut)
     assert spliced.startswith(b"abcd"[: len(spliced)]) or b"WXYZ"[-1:] in spliced
+    assert spliced in {b"abcd"[:a] + b"WXYZ"[b:] for a in range(5) for b in range(5)}
     mut.add_token(b"MAGI")          # duplicate: ignored
     mut.add_token(b"")              # empty: ignored
     mut.add_token(b"NEW1")
@@ -365,11 +393,11 @@ def test_corpus_admission_by_coverage_novelty():
     assert corpus.add(b"one", cov_a, origin="seed") is not None
     assert corpus.add(b"two", cov_a, origin="seed") is None     # same coverage
     assert corpus.add(b"three", frozenset({"e"}), origin="seed") is not None
-    assert len(corpus) == 2
+    assert len(corpus.seeds) == 2
     coverages = [s.coverage for s in corpus.seeds]
     assert coverages == [cov_a, frozenset({"e"})]
-    assert corpus.has_coverage(cov_a)
-    assert not corpus.has_coverage(frozenset({"p"}))
+    assert cov_a in corpus.coverages
+    assert frozenset({"p"}) not in corpus.coverages
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,12 +411,12 @@ def test_corpus_blobs_and_coverage_bookkeeping(adds):
     for blob, coverage in adds:
         corpus.add(blob, coverage, origin="seed")
         probes.add(coverage)
-    assert corpus.blobs == [s.blob for s in corpus.seeds]
+    assert corpus.partners == [s.blob for s in corpus.seeds if s.blob]
     coverages = {s.coverage for s in corpus.seeds}
     assert len(coverages) == len(corpus.seeds)
     probes |= {frozenset({"a", "b"}), frozenset({"a,b"}), frozenset()}
     for coverage in probes:
-        assert corpus.has_coverage(coverage) == (coverage in coverages)
+        assert (coverage in corpus.coverages) == (coverage in coverages)
 
 
 def test_energy_schedule():
@@ -653,9 +681,12 @@ class _Echo:
     def __init__(self):
         self.parents = []
 
-    def mutate(self, blob, rng, corpus_blobs):
-        self.parents.append(int(blob))
-        return blob
+    def bind(self, rng, partners):
+        def mutate(blob):
+            self.parents.append(int(blob))
+            return blob
+
+        return mutate
 
     def run(self, blob):
         return ExecutionResult("ok", frozenset({blob.decode()}), ())
@@ -686,12 +717,18 @@ def test_seed_draw_matches_random_choices(energies, seed, steps):
        dictionary=st.lists(st.binary(max_size=6), max_size=3), seed=_RNG_SEEDS,
        max_len=st.integers(1, 64))
 def test_operator_table_matches_getattr_dispatch(blob, corpus, dictionary, seed, max_len):
+    """The one bound mutation body against the naive mutator, which looks
+    each operator up by name and filters the partners on every call."""
+    seeded = Corpus()
+    for i, partner in enumerate(corpus):
+        seeded.add(partner, frozenset({str(i)}), origin="seed")
     fast = Mutator(max_len=max_len, dictionary=dictionary)
     naive = helpers.NaiveMutator(max_len=max_len, dictionary=dictionary)
     rng_fast, rng_naive = random.Random(seed), random.Random(seed)
+    mutate = fast.bind(rng_fast, seeded.partners)
     a = b = blob
     for _ in range(20):
-        a = fast.mutate(a, rng_fast, corpus)
+        a = mutate(a)
         b = naive.mutate(b, rng_naive, corpus)
         assert a == b
     assert rng_fast.getstate() == rng_naive.getstate()
@@ -703,15 +740,35 @@ def test_operator_table_matches_getattr_dispatch(blob, corpus, dictionary, seed,
 _EDGE_BOUNDS = [7] + [2**i for i in range(21)]
 
 
-@settings(max_examples=300, deadline=None)
+def _edge_sizes(limit, least=0):
+    """Sizes from ``least`` to ``limit`` that put a draw's bound on an edge:
+    each edge bound and the size one below it (a blob of ``n`` bytes draws
+    below ``n`` and below ``n + 1``)."""
+    return st.sampled_from(sorted({size for bound in _EDGE_BOUNDS if bound <= limit
+                                   for size in (bound - 1, bound) if size >= least}))
+
+
+@settings(max_examples=150, deadline=None)
 @given(seed=_RNG_SEEDS,
-       bounds=st.lists(st.one_of(st.integers(1, 2**20), st.sampled_from(_EDGE_BOUNDS)),
-                       min_size=1, max_size=8))
-def test_below_draws_what_randrange_draws(seed, bounds):
-    r1, r2 = random.Random(seed), random.Random(seed)
-    for n in bounds:
-        assert _below(r1.getrandbits, n) == r2.randrange(n)
-        assert r1.getstate() == r2.getstate()
+       blob_len=st.one_of(_edge_sizes(2**20), st.integers(0, 2**12)),
+       partner_count=st.one_of(st.just(0), _edge_sizes(2**9, least=1)),
+       partner_len=_edge_sizes(2**12, least=1),
+       token_count=st.one_of(st.just(0), _edge_sizes(2**9, least=1)))
+def test_below_draws_what_randrange_draws(seed, blob_len, partner_count, partner_len,
+                                          token_count):
+    """Every inline draw of the bound mutation, with blob, partner and
+    dictionary sizes at the power-of-two edges, draws what ``randrange``
+    and ``choice`` draw, and leaves the rng in the same state."""
+    make = random.Random(seed)
+    blob = make.randbytes(blob_len)
+    partners = [make.randbytes(partner_len) for _ in range(partner_count)]
+    dictionary = [b"T%d" % i for i in range(token_count)]
+    rng_fast, rng_naive = random.Random(seed), random.Random(seed)
+    mutate = Mutator(dictionary=dictionary).bind(rng_fast, partners)
+    naive = helpers.NaiveMutator(dictionary=dictionary)
+    for _ in range(21):
+        assert mutate(blob) == naive.mutate(blob, rng_naive, partners)
+        assert rng_fast.getstate() == rng_naive.getstate()
 
 
 class _FailingRunner:
@@ -1099,39 +1156,56 @@ def test_compiled_walk_limits_and_source_safety(name):
             assert runner.run(blob) == helpers.naive_execute(one_rule, blob)
 
 
-def _write_energy(corpus, index, energy):
-    """An outside energy write between slices: ``heat`` when ``energy`` is
-    None, else a direct assignment."""
-    seed = corpus.seeds[index % len(corpus.seeds)]
-    if energy is None:
-        corpus.heat(seed)
+def _write(write, corpus, mutator, execute):
+    """An outside write between slices, as a worker makes them between pumps.
+
+    ``("energy", index, energy)`` heats a seed when ``energy`` is None, else
+    assigns its energy; ``("token", token)`` gives the mutator a dictionary
+    token; ``("seed", blob)`` admits a blob run through ``execute`` unless it
+    crashes, as ``Worker._admit_seed`` does."""
+    kind, *args = write
+    if kind == "energy":
+        index, energy = args
+        seed = corpus.seeds[index % len(corpus.seeds)]
+        if energy is None:
+            corpus.heat(seed)
+        else:
+            seed.energy = energy
+    elif kind == "token":
+        mutator.add_token(*args)
     else:
-        seed.energy = energy
+        result = execute(*args)
+        if result.outcome != "crash":
+            corpus.add(*args, result.coverage, origin="outside")
 
 
 def _naive_fuzz(runner_target, sanitizer, dictionary, seed, slices):
     """The fuzz loop spelled out with the three oracles, run for each
-    ``(iterations, write)`` slice in turn; ``write`` is None or the
-    ``(index, energy)`` arguments of an ``_write_energy`` after the slice."""
+    ``(iterations, write)`` slice in turn; ``write`` is None or an ``_write``
+    made after the slice.  The splice partners are the non-empty seed blobs,
+    filtered afresh by the naive mutator on every call."""
     rng, mutator = random.Random(seed), helpers.NaiveMutator(dictionary=dictionary)
+
+    def execute(blob):
+        return helpers.naive_execute(runner_target, blob, sanitizer=sanitizer)
+
     corpus, crashes, iteration = Corpus(), [], 0
-    corpus.add(b"", helpers.naive_execute(runner_target, b"", sanitizer=sanitizer).coverage,
-               origin="empty")
+    corpus.add(b"", execute(b"").coverage, origin="empty")
     for iterations, write in slices:
         for _ in range(iterations):
             iteration += 1
             i = helpers.naive_pick_index(rng, [s.energy for s in corpus.seeds])
             parent = corpus.seeds[i]
             parent.energy = max(1.0, parent.energy / 2.0)
-            blob = mutator.mutate(parent.blob, rng, corpus.blobs)
-            result = helpers.naive_execute(runner_target, blob, sanitizer=sanitizer)
+            blob = mutator.mutate(parent.blob, rng, [s.blob for s in corpus.seeds])
+            result = execute(blob)
             if result.outcome == "crash":
                 crashes.append((iteration, blob, result))
             elif corpus.add(blob, result.coverage, origin="global") is not None:
                 parent.energy = 4.0
         if write is not None:
-            _write_energy(corpus, *write)
-    return crashes, corpus, rng
+            _write(write, corpus, mutator, execute)
+    return crashes, corpus, mutator, rng
 
 
 _DICTIONARY = [b"IMGX", b"CMPR", fd.PALETTE_MAGIC.to_bytes(4, "little")]
@@ -1144,37 +1218,51 @@ def test_fuzz_loop_matches_naive_loop(seed, sanitizer, target_obj):
     target = parse_target(target_obj)
     loop = global_loop(SimTargetRunner(target, sanitizer), 1500, seed, Mutator(dictionary=_DICTIONARY))
     crashes = loop.run(1500)
-    want_crashes, want_corpus, want_rng = _naive_fuzz(target, sanitizer, _DICTIONARY, seed,
-                                                      [(1500, None)])
+    want_crashes, want_corpus, _, want_rng = _naive_fuzz(target, sanitizer, _DICTIONARY, seed,
+                                                         [(1500, None)])
     assert [(c.iteration, c.blob, c.result) for c in crashes] == want_crashes
     assert [(s.blob, s.energy) for s in loop.corpus.seeds] == [
         (s.blob, s.energy) for s in want_corpus.seeds]
     assert loop.rng.getstate() == want_rng.getstate()
 
 
-_WRITES = st.none() | st.tuples(st.integers(0, 2**16),
-                                st.none() | st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 7.25]))
+# Outside seeds and tokens: the targets' magic values, prefixes of the
+# palette-crash blob, an empty one (never a partner) and arbitrary bytes.
+_OUTSIDE_BLOBS = st.sampled_from(
+    [b"", b"IMGX", b"CMPR", b"MAGI", b"\x00", palette_blob(40)[:12], palette_blob(40),
+     fd.PALETTE_MAGIC.to_bytes(4, "little")]) | st.binary(max_size=24)
+_WRITES = st.one_of(
+    st.none(),
+    st.tuples(st.just("energy"), st.integers(0, 2**16),
+              st.none() | st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 7.25])),
+    st.tuples(st.just("token"), _OUTSIDE_BLOBS),
+    st.tuples(st.just("seed"), _OUTSIDE_BLOBS),
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=_RNG_SEEDS, sanitizer=_SANITIZERS,
        target_obj=st.sampled_from([fd.IMG_TARGET, fd.MAGIC_TARGET]),
+       dictionary=st.sampled_from([[], _DICTIONARY]),
        slices=st.lists(st.tuples(st.integers(1, 50), _WRITES), min_size=1, max_size=12))
-def test_weight_cache_across_slices_matches_naive_loop(seed, sanitizer, target_obj, slices):
-    """Slices pumped as a worker pumps them, with energies written between
-    them by ``heat`` or by assignment, draw what the naive loop draws."""
+def test_weight_cache_across_slices_matches_naive_loop(seed, sanitizer, target_obj, dictionary,
+                                                       slices):
+    """Slices pumped as a worker pumps them draw what the naive loop draws,
+    with writes between them: energies by ``heat`` or by assignment,
+    dictionary tokens, and outside seeds joining the splice partners."""
     target = parse_target(target_obj)
     budget = sum(n for n, _ in slices)
-    loop = global_loop(SimTargetRunner(target, sanitizer), budget, seed,
-                       Mutator(dictionary=_DICTIONARY))
+    runner = SimTargetRunner(target, sanitizer)
+    loop = global_loop(runner, budget, seed, Mutator(dictionary=dictionary))
     crashes = []
     for iterations, write in slices:
         crashes += loop.run(iterations)
         if write is not None:
-            _write_energy(loop.corpus, *write)
-    want_crashes, want_corpus, want_rng = _naive_fuzz(target, sanitizer, _DICTIONARY, seed,
-                                                      slices)
+            _write(write, loop.corpus, loop.mutator, runner.run)
+    want_crashes, want_corpus, want_mutator, want_rng = _naive_fuzz(
+        target, sanitizer, dictionary, seed, slices)
     assert [(c.iteration, c.blob, c.result) for c in crashes] == want_crashes
     assert [(s.blob, s.energy) for s in loop.corpus.seeds] == [
         (s.blob, s.energy) for s in want_corpus.seeds]
+    assert loop.mutator.dictionary == want_mutator.dictionary
     assert loop.rng.getstate() == want_rng.getstate()
