@@ -11,8 +11,9 @@ Every other way a run stops is also an ending of the run, reported on its
   ``"chain"`` or ``"context"``: a later run may find a model back, but the
   same context fails the same way.
 
-A tool over its call limit is refused, not run.  Every tool invocation lands
-in the outcome's log with its arguments and a digest of the result.
+Every tool call goes to the run's registry, which refuses a call over its
+limit, and lands in the outcome's log with its arguments and a digest of the
+result.
 """
 
 from __future__ import annotations
@@ -79,14 +80,13 @@ def run_agent(
     Args:
         role: the agent role; its tier picks the chain from ``model_chains``.
         seed_context: the initial user message.
-        registry: this run's tool registry; its call counters enforce the
-            budgets' tool-call limits, while its tools may be shared between
-            runs.
+        registry: this run's tool registry, which enforces its own tool-call
+            limits; its tools may be shared between runs.
         pool: provider pool used for fallback dispatch.
         model_chains: per-tier model chains.
         system_prompt: rendered system prompt for the role.
         run_id: stable id for scripted-run selection and logging.
-        budgets: token, tool-call and context caps; none by default.
+        budgets: token and context caps; none by default.
 
     Returns:
         An :class:`AgentOutcome` for every way the run stops.
@@ -142,14 +142,7 @@ def run_agent(
         )
         if response.tool_calls:
             for tc in response.tool_calls:
-                limit = budgets.tool_call_limits.get(tc.name)
-                if limit is not None and registry.call_counts.get(tc.name, 0) >= limit:
-                    text, ok = (
-                        f"tool error: '{tc.name}' call limit ({limit}) reached; refused",
-                        False,
-                    )
-                else:
-                    text, ok = registry.invoke(tc.name, tc.arguments)
+                text, ok = registry.invoke(tc.name, tc.arguments)
                 outcome.tool_log.append(
                     ToolLogEntry(
                         step=step,

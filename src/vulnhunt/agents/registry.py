@@ -2,11 +2,11 @@
 
 Each agent run gets its own registry over a list of tools.  The tools may be
 shared between runs (a worker builds its read-only code tools once); the
-registry's per-tool call counters are not, so each run's tool-call limits
-start from zero.  Tool names are unique within a registry, and each tool's
-schema, like the registry's schema list, is built once.  Tool failures are
-captured and returned as error text results (the loop feeds them back to the
-model), never raised through the agent loop.
+registry's per-tool call counters and limits are not, so each run's
+tool-call limits start from zero.  Tool names are unique within a registry,
+and each tool's schema, like the registry's schema list, is built once.  Tool
+failures and refused calls are returned as error text results (the loop feeds
+them back to the model), never raised through the agent loop.
 """
 
 from __future__ import annotations
@@ -57,9 +57,14 @@ def result_digest(text: str) -> str:
 
 
 class ToolRegistry:
-    """The tool set of one agent instance, with per-tool call counters."""
+    """The tool set of one agent run, with per-tool call counters and limits.
 
-    def __init__(self, tools: list[Tool]):
+    ``limits`` maps a tool name to the most calls the run may make to it; a
+    call over its limit is refused by ``invoke`` and not counted.
+    """
+
+    def __init__(self, tools: list[Tool], limits: dict[str, int] | None = None):
+        self._limits = dict(limits or {})
         self._tools: dict[str, Tool] = {}
         for tool in tools:
             if tool.name in self._tools:
@@ -76,9 +81,13 @@ class ToolRegistry:
     def invoke(self, name: str, arguments: dict) -> tuple[str, bool]:
         """Invoke a tool; returns (result text, ok flag).
 
-        Unknown tools and tool exceptions produce an error-text result with
-        ok=False so the model sees the failure and can route around it.
+        A call over its limit, an unknown tool and a tool exception produce
+        an error-text result with ok=False so the model sees the failure and
+        can route around it.
         """
+        limit = self._limits.get(name)
+        if limit is not None and self.call_counts.get(name, 0) >= limit:
+            return f"tool error: '{name}' call limit ({limit}) reached; refused", False
         tool = self._tools.get(name)
         if tool is None:
             return f"tool error: unknown tool '{name}'", False

@@ -35,10 +35,10 @@ def estimate_tokens(text: str) -> int:
 
 @dataclass
 class Budgets:
-    """Per-agent-run resource caps; None disables a cap."""
+    """Per-agent-run token caps; None disables a cap.  Tool-call limits
+    belong to the run's :class:`~vulnhunt.agents.registry.ToolRegistry`."""
 
     max_total_tokens: int | None = None
-    tool_call_limits: dict[str, int] = field(default_factory=dict)
     context_token_budget: int | None = None
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .spstore import SANITIZERS
 
 MODE_DEFAULTS = {
     "delta": {"budget_minutes": 120.0, "budget_dollars": 150.0},
@@ -80,7 +81,7 @@ class Config:
             if not chain:
                 raise ConfigError(f"model_chains[{tier}] must be a non-empty list")
         for sanitizer in self.sanitizers:
-            if sanitizer not in ("address", "memory", "undefined"):
+            if sanitizer not in SANITIZERS:
                 raise ConfigError(f"unknown sanitizer '{sanitizer}'")
         unknown = set(self.provider) - PROVIDER_KEYS
         if unknown:

@@ -21,9 +21,13 @@ from ..directions import Direction
 from ..errors import LifecycleError
 from ..spstore import SuspiciousPoint
 
-_STRING_RE = re.compile(r'"((?:\\.|[^"\\])*)"' + r"|'((?:\\.|[^'\\])*)'")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
-_DEC_RE = re.compile(r"(?<![\w.])\d+(?![\w.])")
+# One scan in source order: a double- or single-quoted string, else a hex
+# literal, else a decimal one.  A number inside a string is part of the
+# string, and a hex literal's digits are never a decimal.
+_LITERAL_RE = re.compile(
+    r'"((?:\\.|[^"\\])*)"' + r"|'((?:\\.|[^'\\])*)'"
+    + r"|(0[xX][0-9a-fA-F]+|(?<![\w.])\d+(?![\w.]))"
+)
 
 _ESCAPES = {"n": b"\n", "t": b"\t", "r": b"\r", "0": b"\x00", "\\": b"\\", '"': b'"', "'": b"'"}
 
@@ -68,40 +72,19 @@ def _encode_number(token: str) -> bytes:
 def extract_literal_tokens(source_text: str) -> list[bytes]:
     """Scrape string/numeric literal tokens from source, in source order.
 
-    Hex literals are matched before bare decimals so ``0x10`` never double
-    counts.  Duplicates are dropped keeping first occurrence; empty tokens
-    are skipped.
+    Duplicates are dropped keeping first occurrence; empty tokens are
+    skipped.
     """
-    spans: list[tuple[int, bytes]] = []
-    covered: list[tuple[int, int]] = []
-    for match in _STRING_RE.finditer(source_text):
-        raw = match.group(1) if match.group(1) is not None else match.group(2)
-        token = _decode_string(raw)
+    tokens: dict[bytes, None] = {}
+    for match in _LITERAL_RE.finditer(source_text):
+        double, single, number = match.groups()
+        if number is not None:
+            token = _encode_number(number)
+        else:
+            token = _decode_string(double if double is not None else single)
         if token:
-            spans.append((match.start(), token))
-        covered.append(match.span())
-
-    def inside_string(pos: int) -> bool:
-        return any(a <= pos < b for a, b in covered)
-
-    hex_spans: list[tuple[int, int]] = []
-    for match in _HEX_RE.finditer(source_text):
-        if inside_string(match.start()):
-            continue
-        spans.append((match.start(), _encode_number(match.group(0))))
-        hex_spans.append(match.span())
-    for match in _DEC_RE.finditer(source_text):
-        if inside_string(match.start()):
-            continue
-        if any(a <= match.start() < b for a, b in hex_spans):
-            continue
-        spans.append((match.start(), _encode_number(match.group(0))))
-    spans.sort(key=lambda pair: pair[0])
-    tokens: list[bytes] = []
-    for _, token in spans:
-        if token and token not in tokens:
-            tokens.append(token)
-    return tokens
+            tokens[token] = None
+    return list(tokens)
 
 
 def _seeds_from_functions(function_ids: list[str], subgraph: CallGraph) -> tuple[list[bytes], list[bytes]]:

@@ -75,7 +75,7 @@ from .fuzzing import (
     sp_fuzzer_verify,
 )
 from .recipes import RecipeBlobFactory, RecipeError
-from .spstore import SPStore, SuspiciousPoint, is_sanitizer_compatible
+from .spstore import SPStore, SuspiciousPoint, is_sanitizer_compatible, lifecycle_counts
 from .store import FileStore, MemoryStore, StoreBackend
 
 log = logging.getLogger("vulnhunt.pipeline")
@@ -223,15 +223,13 @@ class Worker:
         self.owned_sp_ids: set[str] = set()
         self.importance: dict[str, int] = {}
         self.poc_queue: list[str] = []
-        self.poc_done: set[str] = set()
+        # Every point ever queued here; a point is attempted at most once.
+        self.poc_routed: set[str] = set()
         # The crash table: each crash this worker reported -> times seen.
         self.crash_repeats: dict[CrashSpec, int] = {}
 
         # The BFS parents behind trace_pov's static routes, built on first use.
         self._route_parents: dict[str, str | None] | None = None
-        self._pov_seq = 0
-        self._report_seq = 0
-        self._run_seq = 0
         self._started = 0.0
         self._budget_reason = ""
 
@@ -280,13 +278,16 @@ class Worker:
         """One agent run with the worker's code tools plus ``extra_tools``
         (functions or bound methods, each exposed under its ``__name__``).
 
-        The run's tokens, tool calls and the run itself always count.  When
-        the run ended on a failure and the stage names its ``failure``, the
-        task is warned ``"{failure}: {reason}"``.
+        The run counts when it starts, so its number in ``run_id`` is the
+        task's ``agent_runs``, and a run nested in one of its tools gets the
+        next.  Its tokens and tool calls count when it ends.  When the run
+        ended on a failure and the stage names its ``failure``, the task is
+        warned ``"{failure}: {reason}"``.
         """
         # A fresh registry per run: its call counts enforce this run's limits.
-        registry = ToolRegistry(self.code_tools + [Tool(fn.__name__, fn) for fn in extra_tools])
-        self._run_seq += 1
+        tools = self.code_tools + [Tool(fn.__name__, fn) for fn in extra_tools]
+        registry = ToolRegistry(tools, tool_limits)
+        self.task.metrics.agent_runs += 1
         outcome = run_agent(
             role,
             seed_context,
@@ -294,16 +295,14 @@ class Worker:
             self.pool,
             self.config.model_chains,
             system_prompt=self.system_prompts[role],
-            run_id=f"{self.task.id}:{role}:{self._run_seq}",
+            run_id=f"{self.task.id}:{role}:{self.task.metrics.agent_runs}",
             budgets=Budgets(
                 max_total_tokens=self._remaining_tokens(),
-                tool_call_limits=dict(tool_limits or {}),
                 context_token_budget=CONTEXT_TOKEN_BUDGET,
             ),
         )
         self.task.metrics.tokens += outcome.usage.total
         self.task.metrics.tool_calls += len(outcome.tool_log)
-        self.task.metrics.agent_runs += 1
         if outcome.failure and failure is not None:
             self.task.warnings.append(f"{failure}: {outcome.failure}")
         return outcome
@@ -512,10 +511,10 @@ class Worker:
         if sp.verdict == "tp":
             if (
                 self.task.fuzzer not in sp.poc_attempted_by
-                and sp.id not in self.poc_done
-                and sp.id not in self.poc_queue
+                and sp.id not in self.poc_routed
                 and (self.task.fuzzer, self.task.sanitizer) in sp.sources
             ):
+                self.poc_routed.add(sp.id)
                 self.poc_queue.append(sp.id)
         elif sp.verdict == "fp":
             self._admit_seeds(*seed_from_fp(sp, self.subgraph), f"fp:{sp.id}")
@@ -587,11 +586,10 @@ class Worker:
         return (-self.importance.get(sp_id, 1), -sp.score, sp.created_stage, sp.id)
 
     def _drain_poc_queue(self) -> None:
-        # _route_verified queues an id only when it is neither done nor queued.
+        # _route_verified queues an id only once per worker.
         while self.poc_queue and not self._budget_tripped():
             self.poc_queue.sort(key=self._queue_order)
             sp = self.spstore.get(self.poc_queue.pop(0))
-            self.poc_done.add(sp.id)
             if self.runner is None:
                 self.task.warnings.append(f"no simulated target; cannot attempt poc for {sp.id}")
             else:
@@ -673,8 +671,7 @@ class Worker:
         return True
 
     def _persist_pov(self, sp_id: str, blob: bytes, result, reproduced_count: int) -> dict:
-        self._pov_seq += 1
-        pov_id = f"pov-{self.task.id}-{self._pov_seq:03d}"
+        pov_id = f"pov-{self.task.id}-{self.task.metrics.pov_count + 1:03d}"
         blob_path = ""
         if self.config.out_dir:
             pov_dir = os.path.join(self.config.out_dir, "povs")
@@ -730,8 +727,7 @@ class Worker:
     ) -> None:
         if self._counted_as_repeat(crash):
             return
-        self._report_seq += 1
-        report_id = f"rpt-{self.task.id}-{self._report_seq:03d}"
+        report_id = f"rpt-{self.task.id}-{self.task.metrics.report_count + 1:03d}"
         rec = self.subgraph.functions.get(crash.location)
         # The REPORT_FIELDS schema, then the record's own id and its PoV's.
         record = {
@@ -761,11 +757,9 @@ class Worker:
     # -- top-level flows -----------------------------------------------------
 
     def _finalize_metrics(self) -> None:
-        owned = [self.spstore.get(i) for i in sorted(self.owned_sp_ids)]
-        self.task.metrics.sp_deduped = len(owned)
-        self.task.metrics.tp_v = sum(1 for sp in owned if sp.verdict == "tp")
-        self.task.metrics.fp = sum(1 for sp in owned if sp.verdict == "fp")
-        self.task.metrics.unverified = sum(1 for sp in owned if not sp.is_verified)
+        counts = lifecycle_counts(self.spstore.get(i) for i in self.owned_sp_ids)
+        for key, value in counts.items():
+            setattr(self.task.metrics, key, value)
         self.task.metrics.executions = self.runner.executions if self.runner is not None else 0
         self.task.metrics.wall_clock_s = time.monotonic() - self._started
 

@@ -150,6 +150,19 @@ class DedupOutcome:
     merged: bool
 
 
+def lifecycle_counts(points) -> dict[str, int]:
+    """``sp_deduped``, ``tp_v``, ``fp`` and ``unverified`` over ``points``;
+    ``sp_deduped`` always equals ``tp_v + fp + unverified``."""
+    points = list(points)
+    verdicts = [sp.verdict for sp in points if sp.is_verified]
+    return {
+        "sp_deduped": len(points),
+        "tp_v": verdicts.count("tp"),
+        "fp": verdicts.count("fp"),
+        "unverified": len(points) - len(verdicts),
+    }
+
+
 # ===== Similarity =====
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
@@ -434,18 +447,9 @@ class SPStore:
             return [self._sps[i] for i in self._by_function.get(function_id, [])]
 
     def counts(self) -> dict[str, int]:
-        """Lifecycle counters; sp_deduped always equals tp_v + fp + unverified."""
+        """Lifecycle counters: ``sp_total`` plus :func:`lifecycle_counts`."""
         with self._lock:
-            tp_v = sum(1 for s in self._sps.values() if s.is_verified and s.verdict == "tp")
-            fp = sum(1 for s in self._sps.values() if s.is_verified and s.verdict == "fp")
-            unverified = sum(1 for s in self._sps.values() if not s.is_verified)
-            return {
-                "sp_total": self._candidates_seen,
-                "sp_deduped": len(self._sps),
-                "tp_v": tp_v,
-                "fp": fp,
-                "unverified": unverified,
-            }
+            return {"sp_total": self._candidates_seen, **lifecycle_counts(self._sps.values())}
 
     def check_invariants(self) -> None:
         """Raise if any stored record violates a lifecycle invariant."""

@@ -1,16 +1,16 @@
 """Persistence backends for run artifacts.
 
 Collections are fixed: tasks, sps, povs, reports, metrics.  Records are
-plain JSON-serializable dicts keyed by string id.  The file backend keeps
-one JSON-lines journal per collection and appends one line per put; the
-last line for an id wins, and a torn final line is never read, so a crash
-never leaves a half-written record readable.  The in-memory backend serves
-tests and dry runs.  Both are thread-safe.
+plain JSON-serializable dicts keyed by string id.  Both backends encode a put
+as the one JSON line of :func:`encode_put`.  The file backend appends it to
+one journal per collection; the last line for an id wins, and a torn final
+line is never read, so a crash never leaves a half-written record readable.
+The in-memory backend, for tests and dry runs, keeps each id's last line.
+Both are thread-safe.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 from pathlib import Path
@@ -18,6 +18,11 @@ from pathlib import Path
 from .errors import StoreError
 
 COLLECTIONS = ("tasks", "sps", "povs", "reports", "metrics")
+
+
+def encode_put(record_id: str, record: dict) -> str:
+    """One put as the JSON line a journal appends; a reader takes its ``record``."""
+    return json.dumps({"id": record_id, "record": record}, sort_keys=True) + "\n"
 
 
 class StoreBackend:
@@ -39,25 +44,29 @@ class StoreBackend:
 
 
 class MemoryStore(StoreBackend):
+    """Per collection, each id's last put as its encoded line."""
+
     def __init__(self) -> None:
-        self._data: dict[str, dict[str, dict]] = {c: {} for c in COLLECTIONS}
+        self._lines: dict[str, dict[str, str]] = {c: {} for c in COLLECTIONS}
         self._lock = threading.RLock()
 
     def put(self, collection: str, record_id: str, record: dict) -> None:
         self._check_collection(collection)
+        line = encode_put(record_id, record)
         with self._lock:
-            self._data[collection][record_id] = copy.deepcopy(record)
+            self._lines[collection][record_id] = line
 
     def get(self, collection: str, record_id: str) -> dict | None:
         self._check_collection(collection)
         with self._lock:
-            record = self._data[collection].get(record_id)
-            return copy.deepcopy(record) if record is not None else None
+            line = self._lines[collection].get(record_id)
+        return json.loads(line)["record"] if line is not None else None
 
     def list(self, collection: str) -> list[dict]:
         self._check_collection(collection)
         with self._lock:
-            return [copy.deepcopy(self._data[collection][k]) for k in sorted(self._data[collection])]
+            lines = self._lines[collection]
+            return [json.loads(lines[k])["record"] for k in sorted(lines)]
 
 
 class FileStore(StoreBackend):
@@ -94,7 +103,7 @@ class FileStore(StoreBackend):
 
     def put(self, collection: str, record_id: str, record: dict) -> None:
         self._check_collection(collection)
-        line = json.dumps({"id": record_id, "record": record}, sort_keys=True) + "\n"
+        line = encode_put(record_id, record)
         with self._lock:
             with open(self._journal(collection), "a+b") as fh:
                 if collection not in self._tails_checked:

@@ -16,6 +16,7 @@ from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.directions import DirectionScheduler, Pick
 from vulnhunt.errors import OversizeBlobError
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
+from vulnhunt.fuzzing.seeds import _decode_string, _encode_number
 from vulnhunt.fuzzing.target import DEFAULT_MAX_BLOB, ExecutionResult
 
 
@@ -287,6 +288,51 @@ def naive_path(target, blob, sanitizer=None):
             if rule.crash is not None and sanitizer in (None, rule.crash.sanitizer):
                 break
     return tuple(matched)
+
+
+# ---------------------------------------------------------------------------
+# Literal scraping oracle
+# ---------------------------------------------------------------------------
+
+_NAIVE_STRING_RE = re.compile(r'"((?:\\.|[^"\\])*)"' + r"|'((?:\\.|[^'\\])*)'")
+_NAIVE_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
+_NAIVE_DEC_RE = re.compile(r"(?<![\w.])\d+(?![\w.])")
+
+
+def naive_extract_literal_tokens(source_text):
+    """Three separate scans (strings, then hex outside strings, then
+    decimals outside strings and hex), merged by position, deduplicated in
+    a list."""
+    spans = []
+    covered = []
+    for match in _NAIVE_STRING_RE.finditer(source_text):
+        raw = match.group(1) if match.group(1) is not None else match.group(2)
+        token = _decode_string(raw)
+        if token:
+            spans.append((match.start(), token))
+        covered.append(match.span())
+
+    def inside_string(pos):
+        return any(a <= pos < b for a, b in covered)
+
+    hex_spans = []
+    for match in _NAIVE_HEX_RE.finditer(source_text):
+        if inside_string(match.start()):
+            continue
+        spans.append((match.start(), _encode_number(match.group(0))))
+        hex_spans.append(match.span())
+    for match in _NAIVE_DEC_RE.finditer(source_text):
+        if inside_string(match.start()):
+            continue
+        if any(a <= match.start() < b for a, b in hex_spans):
+            continue
+        spans.append((match.start(), _encode_number(match.group(0))))
+    spans.sort(key=lambda pair: pair[0])
+    tokens = []
+    for _, token in spans:
+        if token and token not in tokens:
+            tokens.append(token)
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,13 @@ class TestToolRegistry:
         assert reg.call_counts == {"echo": 2, "boom": 1, "structured": 0}
         assert sum(reg.call_counts.values()) == 3
 
+    def test_a_call_over_its_limit_is_refused_and_not_counted(self):
+        reg = ToolRegistry([Tool(name="echo", fn=_echo)], limits={"echo": 1})
+        assert reg.invoke("echo", {}) == ("ok", True)
+        refusal = ("tool error: 'echo' call limit (1) reached; refused", False)
+        assert reg.invoke("echo", {}) == refusal
+        assert reg.call_counts == {"echo": 1}
+
     def test_registries_share_tools_but_not_call_counts(self):
         tools = [Tool(name="echo", fn=_echo)]
         first, second = ToolRegistry(tools), ToolRegistry(tools)
@@ -587,7 +594,7 @@ def _scripted_pool(scenario: dict) -> ProviderPool:
 _CHAINS = {"T2": ["scripted"]}
 
 
-def _loop_registry(calls: list[str] | None = None) -> ToolRegistry:
+def _loop_registry(calls: list[str] | None = None, limits=None) -> ToolRegistry:
     log = calls if calls is not None else []
 
     def probe(k=0):
@@ -598,7 +605,7 @@ def _loop_registry(calls: list[str] | None = None) -> ToolRegistry:
         log.append("big")
         return "r" * 2000
 
-    return ToolRegistry([Tool(name="probe", fn=probe), Tool(name="big", fn=big)])
+    return ToolRegistry([Tool(name="probe", fn=probe), Tool(name="big", fn=big)], limits)
 
 
 class TestRunAgent:
@@ -697,11 +704,10 @@ class TestRunAgent:
             }
         }
         calls: list[str] = []
-        registry = _loop_registry(calls)
+        registry = _loop_registry(calls, limits={"probe": 1})
         outcome = run_agent(
             role="sp-generator",
             model_chains=_CHAINS,
-            budgets=Budgets(tool_call_limits={"probe": 1}),
             seed_context="seed",
             registry=registry,
             pool=_scripted_pool(scenario),

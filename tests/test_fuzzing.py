@@ -469,6 +469,15 @@ def test_token_dedup_keeps_first_occurrence():
     assert tokens == [b"\x07", b"XY"]
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from("\"\"''\\\\0123456789xX..aF _\n;"), max_size=40))
+def test_one_scan_scrapes_what_three_scans_do(source):
+    """Quotes, escapes, digits, ``x`` and dots, where strings, hex and
+    decimal literals overlap, scrape the same tokens as the three-scan
+    oracle."""
+    assert extract_literal_tokens(source) == helpers.naive_extract_literal_tokens(source)
+
+
 def img_direction():
     return Direction(
         name="image-decoding",

@@ -26,6 +26,7 @@ from vulnhunt.agents import (
     ROLE_TIERS,
     ProviderError,
     ScriptedProvider,
+    ToolRegistry,
     load_scenario,
     render_prompt,
 )
@@ -644,6 +645,66 @@ def test_context_budget_bounds_every_poc_request(magic_workspace, monkeypatch):
     assert poc[-1].messages[1].content.startswith("confirmed suspicious point sp-")
     attempts = {tc.call_id for r in poc for m in r.messages for tc in m.tool_calls}
     assert len(poc) == 41 and len(attempts) == 40
+
+
+def test_a_refused_call_is_an_invoked_and_counted_tool_call(magic_workspace, monkeypatch):
+    """A PoC run over ``max_poc_attempts`` has its extra calls refused by the
+    registry: every tool call the task counts is one ``ToolRegistry.invoke``,
+    and the registry's own count stops at the limit."""
+    invoked: list[tuple[str, bool]] = []
+    registries = []
+    invoke = ToolRegistry.invoke
+
+    def counting(self, name, arguments):
+        text, ok = invoke(self, name, arguments)
+        invoked.append((name, ok))
+        if self not in registries:
+            registries.append(self)
+        return text, ok
+
+    monkeypatch.setattr(ToolRegistry, "invoke", counting)
+    config = magic_workspace.config(global_fuzz_iterations=0, sp_fuzz_iterations=0,
+                                    max_poc_attempts=4)
+    (task,) = run_scan(config, scenario=_magic_poc_scenario(7)).tasks
+    assert task.state == "done"
+    assert task.metrics.tool_calls == len(invoked) == 2 + 7
+    assert [ok for name, ok in invoked if name == "create_pov"] == [True] * 4 + [False] * 3
+    (poc_registry,) = [r for r in registries if "create_pov" in r.call_counts]
+    assert poc_registry.call_counts["create_pov"] == 4
+
+
+def test_a_report_run_nested_in_a_poc_run_gets_the_next_run_id(magic_workspace, monkeypatch):
+    """The PoC run's second attempt crashes, and the report for that crash
+    runs inside it: the report takes the next run number, the PoC run keeps
+    its own, and the task counts every run."""
+    crash_recipe = {"instructions": [{"op": "literal", "hex": "7f"}], "variants": [{}, {}, {}]}
+    scenario = _magic_poc_scenario(1)
+    scenario["agents"]["poc-generator"][0]["steps"][1:1] = [
+        {"tool_calls": [{"name": "create_pov", "args": {"recipe": crash_recipe}}]}]
+    scenario["agents"]["report"] = [{"match": "", "steps": [{"text": "tag overflow"}]}]
+    requests = capture_requests(monkeypatch)
+    config = magic_workspace.config(global_fuzz_iterations=0, sp_fuzz_iterations=0)
+    result = run_scan(config, scenario=scenario)
+    (task,) = result.tasks
+    run = "magic_fuzzer--address"
+    assert [(r.agent_role, r.run_id) for r in requests] == [
+        ("direction-generator", f"{run}:direction-generator:1"),
+        ("sp-generator", f"{run}:sp-generator:2"),
+        ("sp-generator", f"{run}:sp-generator:3"),
+        ("sp-generator", f"{run}:sp-generator:3"),
+        ("sp-verifier", f"{run}:sp-verifier:4"),
+        ("sp-verifier", f"{run}:sp-verifier:4"),
+        ("poc-generator", f"{run}:poc-generator:5"),
+        ("poc-generator", f"{run}:poc-generator:5"),
+        ("report", f"{run}:report:6"),
+        ("poc-generator", f"{run}:poc-generator:5"),
+        ("sp-generator", f"{run}:sp-generator:7"),
+        ("sp-generator", f"{run}:sp-generator:8"),
+    ]
+    assert task.metrics.agent_runs == 8
+    (report,) = result.reports
+    assert (report["id"], report["pov_id"]) == (f"rpt-{run}-001", f"pov-{run}-001")
+    assert report["description"] == "tag overflow" and report["attempts"] == 2
 
 
 _NO_DIRECTIONS = "no exploration directions registered; falling back to the whole subgraph"

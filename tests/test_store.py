@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnhunt.errors import StoreError
-from vulnhunt.store import COLLECTIONS, FileStore, MemoryStore
+from vulnhunt.pipeline import run_scan
+from vulnhunt.store import COLLECTIONS, FileStore, MemoryStore, StoreBackend
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -82,6 +83,46 @@ def test_file_store_journal_layout(tmp_path):
     reopened.put("povs", "y", {"v": 3})
     assert FileStore(root, create=False).list("povs") == [{"v": 2}, {"v": 3}]
     assert journal.read_bytes().endswith(b"\n")
+
+
+def test_a_record_json_cannot_encode_is_refused_alike(tmp_path):
+    """A set is not JSON: both stores raise the same error and keep nothing."""
+    errors = []
+    for store in (MemoryStore(), FileStore(tmp_path / "store")):
+        with pytest.raises(TypeError) as raised:
+            store.put("sps", "sp-1", {"sources": {("f", "address")}})
+        errors.append(str(raised.value))
+        assert store.list("sps") == []
+    assert errors[0] == errors[1]
+
+
+class _BothStores(StoreBackend):
+    """Every put goes to a MemoryStore and a FileStore; reads come from memory."""
+
+    def __init__(self, root: Path):
+        self.memory, self.file = MemoryStore(), FileStore(root)
+
+    def put(self, collection, record_id, record):
+        self.memory.put(collection, record_id, record)
+        self.file.put(collection, record_id, record)
+
+    def get(self, collection, record_id):
+        return self.memory.get(collection, record_id)
+
+    def list(self, collection):
+        return self.memory.list(collection)
+
+
+def test_both_stores_read_back_a_scan_alike(e2e_workspace):
+    both = _BothStores(e2e_workspace.root / "store")
+    result = run_scan(e2e_workspace.config(), store=both)
+    assert len(result.reports) == 5
+    for collection in COLLECTIONS:
+        records = both.file.list(collection)
+        assert records and both.memory.list(collection) == records
+        for record in records:
+            record_id = record.get("id", "run")
+            assert both.memory.get(collection, record_id) == both.file.get(collection, record_id)
 
 
 @pytest.mark.parametrize("create", [True, False])
