@@ -71,11 +71,15 @@ def run_agent(
 ) -> AgentOutcome:
     """Run one agent to completion under its budgets.
 
-    A run pays per step only for what changes: the registry's schema list
-    is sent as it is, the conversation keeps its token total as messages
-    are appended (so it is compressed only when that total is over the
-    context budget), and the step usages add up into two counters that
-    become ``outcome.usage`` when the run ends.
+    A run pays per step only for what changes.  The registry's ``invoke``,
+    the pool's ``call_with_fallback``, the conversation's ``append`` and the
+    registry's schema list are looked up once per run (``append`` again
+    after a compression), and each request sends that one schema list.  The
+    conversation keeps its token total as messages are appended, so it is
+    compressed only when that total is over the context budget.  The step
+    usages add up into two counters that become ``outcome.usage`` when the
+    run ends.  A tool log entry keeps the call's own arguments dict: a
+    provider hands out a fresh one per call, and a tool receives a copy.
 
     Args:
         role: the agent role; its tier picks the chain from ``model_chains``.
@@ -104,74 +108,58 @@ def run_agent(
         [Message(role="system", content=system_prompt), Message(role="user", content=seed_context)]
     )
     outcome = AgentOutcome(role=role)
+    tool_log, served_models = outcome.tool_log, outcome.served_models
     prompt_tokens = completion_tokens = 0
     token_limit, context_budget = budgets.max_total_tokens, budgets.context_token_budget
-
-    def tripped() -> str:
-        if token_limit is not None and prompt_tokens + completion_tokens >= token_limit:
-            return "token budget exhausted"
-        return ""
+    model, run_id = chain[0], run_id or role
+    schemas, invoke, call = registry.schemas(), registry.invoke, pool.call_with_fallback
+    append = conversation.append
 
     for step in range(1, MAX_STEPS + 1):
-        reason = tripped()
-        if reason:
+        if token_limit is not None and prompt_tokens + completion_tokens >= token_limit:
             outcome.budget_exhausted = True
-            outcome.budget_reason = reason
+            outcome.budget_reason = "token budget exhausted"
             break
         try:
             if context_budget is not None and conversation.total_tokens() > context_budget:
                 conversation = compress_context(conversation, context_budget)
+                append = conversation.append
             request = ProviderRequest(
-                model=chain[0],
-                messages=list(conversation.messages),
-                tools=registry.schemas(),
-                agent_role=role,
-                run_id=run_id or role,
+                model, list(conversation.messages), schemas, agent_role=role, run_id=run_id
             )
-            response = pool.call_with_fallback(chain, request)
+            response = call(chain, request)
         except (BudgetError, ChainExhaustedError) as exc:
             outcome.failure = str(exc)
             outcome.failure_kind = "context" if isinstance(exc, BudgetError) else "chain"
             break
         outcome.steps = step
-        prompt_tokens += response.usage.prompt
-        completion_tokens += response.usage.completion
-        outcome.served_models.append(response.served_by)
-        conversation.append(
-            Message(role="assistant", content=response.text, tool_calls=response.tool_calls)
-        )
-        if response.tool_calls:
-            for tc in response.tool_calls:
-                text, ok = registry.invoke(tc.name, tc.arguments)
-                outcome.tool_log.append(
-                    ToolLogEntry(
-                        step=step,
-                        name=tc.name,
-                        arguments=dict(tc.arguments),
-                        digest=result_digest(text),
-                        ok=ok,
-                    )
-                )
-                conversation.append(
-                    Message(role="tool", content=text, tool_call_id=tc.call_id)
-                )
-            if response.stop:
-                outcome.final_text = response.text
-                break
-            continue
+        usage = response.usage
+        prompt_tokens += usage.prompt
+        completion_tokens += usage.completion
+        served_models.append(response.served_by)
+        tool_calls = response.tool_calls
+        append(Message("assistant", response.text, tool_calls))
+        for tc in tool_calls:
+            text, ok = invoke(tc.name, tc.arguments)
+            tool_log.append(ToolLogEntry(step, tc.name, tc.arguments, result_digest(text), ok))
+            append(Message("tool", text, tool_call_id=tc.call_id))
         # A text response ends the run, with or without stop; the loop only
-        # continues on tool activity.
-        outcome.final_text = response.text
-        break
+        # continues on tool activity that does not stop.
+        if response.stop or not tool_calls:
+            outcome.final_text = response.text
+            break
     else:
         outcome.budget_exhausted = True
         outcome.budget_reason = f"step cap ({MAX_STEPS}) reached"
 
     outcome.usage = TokenUsage(prompt_tokens, completion_tokens)
-    reason = tripped()
-    if reason and not outcome.final_text:
+    if (
+        token_limit is not None
+        and prompt_tokens + completion_tokens >= token_limit
+        and not outcome.final_text
+    ):
         outcome.budget_exhausted = True
-        outcome.budget_reason = outcome.budget_reason or reason
+        outcome.budget_reason = outcome.budget_reason or "token budget exhausted"
     outcome.conversation = conversation
     logger.debug(
         "[agent:%s] steps=%d tools=%d tokens=%d exhausted=%s failure=%s",

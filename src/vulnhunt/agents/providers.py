@@ -89,6 +89,9 @@ class ProviderPool:
 # Selection indexes each match under its first characters, at most this many.
 _HEAD_CHARS = 8
 
+# ``json.dumps`` with keyword arguments builds a new encoder per call.
+_encode_args = json.JSONEncoder(sort_keys=True).encode
+
 
 def _compile_step(step: dict) -> tuple:
     """A scenario step as ``(text, ((name, args), ...), stop, completion_tokens)``.
@@ -98,7 +101,7 @@ def _compile_step(step: dict) -> tuple:
     calls = tuple((str(tc["name"]), tc.get("args", {})) for tc in step.get("tool_calls", []))
     text = str(step.get("text", ""))
     completion = estimate_tokens(text) + sum(
-        estimate_tokens(json.dumps(dict(args), sort_keys=True)) for _, args in calls
+        estimate_tokens(_encode_args(dict(args))) for _, args in calls
     )
     return text, calls, bool(step.get("stop", not calls)), max(1, completion)
 
@@ -106,10 +109,12 @@ def _compile_step(step: dict) -> tuple:
 class _RoleScript:
     """One role's compiled runs, with an index of the live runs by match.
 
-    ``buckets`` maps each match to the indices of its live runs, last index
-    first, so the lowest live index is at the end.  ``heads`` maps the first
-    characters of each non-empty match to the lengths of the matches that
-    start with them.
+    ``buckets`` maps each live match to the indices of its live runs, last
+    index first, so the lowest live index is at the end; a match whose last
+    run is consumed is deleted.  ``heads`` maps the first characters of each
+    live non-empty match to the lengths of the live matches that start with
+    them, each with how many such matches there are; a length goes when its
+    count reaches 0, and a head when it has no lengths left.
     """
 
     def __init__(self, runs: list[tuple[str, bool, tuple]]):
@@ -118,28 +123,47 @@ class _RoleScript:
         self.buckets: dict[str, list[int]] = {}
         for i in reversed(range(len(runs))):
             self.buckets.setdefault(runs[i][0], []).append(i)
-        self.heads: dict[str, set[int]] = {}
+        self.heads: dict[str, dict[int, int]] = {}
         for match in self.buckets:
             if match:
-                self.heads.setdefault(match[:_HEAD_CHARS], set()).add(len(match))
+                lengths = self.heads.setdefault(match[:_HEAD_CHARS], {})
+                lengths[len(match)] = lengths.get(len(match), 0) + 1
 
     def select(self, seed_text: str) -> tuple | None:
         """Steps of the first run, in scenario order, whose match occurs in
         the seed and that is reusable or not yet selected."""
         buckets = self.buckets
-        best = buckets.get("") or None  # the empty match occurs in every seed
+        best_match = ""
+        best = buckets.get("")  # the empty match occurs in every seed
         for head, lengths in self.heads.items():
             at = seed_text.find(head)
             while at >= 0:
                 for n in lengths:
-                    bucket = buckets.get(seed_text[at : at + n])
-                    if bucket and (best is None or bucket[-1] < best[-1]):
-                        best = bucket
+                    match = seed_text[at : at + n]
+                    bucket = buckets.get(match)
+                    if bucket is not None and (best is None or bucket[-1] < best[-1]):
+                        best, best_match = bucket, match
                 at = seed_text.find(head, at + 1)
         if best is None:
             return None
-        index = best[-1] if self.reusable[best[-1]] else best.pop()
+        index = best[-1]
+        if not self.reusable[index]:
+            best.pop()
+            if not best:
+                self._drop(best_match)
         return self.steps[index]
+
+    def _drop(self, match: str) -> None:
+        """Forget a match whose last live run was just consumed."""
+        del self.buckets[match]
+        if match:
+            head, n = match[:_HEAD_CHARS], len(match)
+            lengths = self.heads[head]
+            lengths[n] -= 1
+            if not lengths[n]:
+                del lengths[n]
+                if not lengths:
+                    del self.heads[head]
 
 
 class ScriptedProvider(Provider):
@@ -218,14 +242,19 @@ class ScriptedProvider(Provider):
             steps, step_idx = session
             session[1] = step_idx + 1
 
-        prompt_tokens = sum(m.token_estimate for m in request.messages)
+        prompt_tokens = 0
+        for message in request.messages:
+            prompt_tokens += message.token_estimate
         if steps is None or step_idx >= len(steps):
             return ProviderResponse(text="", stop=True, usage=TokenUsage(prompt_tokens, 0))
         text, calls, stop, completion = steps[step_idx]
-        tool_calls = tuple(
-            ToolCall(name=name, arguments=dict(args), call_id=f"{request.run_id}#{step_idx}.{j}")
-            for j, (name, args) in enumerate(calls)
-        )
+        tool_calls: tuple[ToolCall, ...] = ()
+        if calls:
+            prefix = f"{request.run_id}#{step_idx}."
+            tool_calls = tuple([
+                ToolCall(name, dict(args), prefix + str(j))
+                for j, (name, args) in enumerate(calls)
+            ])
         return ProviderResponse(
             text=text,
             tool_calls=tool_calls,

@@ -43,11 +43,15 @@ class Tool:
         return self._schema
 
 
+# ``json.dumps`` with keyword arguments builds a new encoder per call.
+_encode_result = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
 def _serialize_result(result: Any) -> str:
     if isinstance(result, str):
         return result
     try:
-        return json.dumps(result, sort_keys=True, default=str)
+        return _encode_result(result)
     except (TypeError, ValueError):
         return repr(result)
 
@@ -65,12 +69,14 @@ class ToolRegistry:
 
     def __init__(self, tools: list[Tool], limits: dict[str, int] | None = None):
         self._limits = dict(limits or {})
-        self._tools: dict[str, Tool] = {}
-        for tool in tools:
-            if tool.name in self._tools:
-                raise ValidationError(f"duplicate tool '{tool.name}'")
-            self._tools[tool.name] = tool
-        self.call_counts: dict[str, int] = {name: 0 for name in self._tools}
+        self._tools = {tool.name: tool for tool in tools}
+        if len(self._tools) != len(tools):
+            seen: set[str] = set()
+            for tool in tools:
+                if tool.name in seen:
+                    raise ValidationError(f"duplicate tool '{tool.name}'")
+                seen.add(tool.name)
+        self.call_counts: dict[str, int] = dict.fromkeys(self._tools, 0)
         self._schemas = [tool.schema() for tool in self._tools.values()]
 
     def schemas(self) -> list[dict]:

@@ -7,7 +7,6 @@ provider when reported; otherwise the documented heuristic applies:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
@@ -27,10 +26,9 @@ ROLE_TIERS: dict[str, str] = {
 
 
 def estimate_tokens(text: str) -> int:
-    """Length heuristic used when a provider reports no usage."""
-    if not text:
-        return 0
-    return max(1, math.ceil(len(text) / 4))
+    """Length heuristic used when a provider reports no usage: a quarter of
+    the length rounded up, which is 0 for empty text only."""
+    return -(-len(text) // 4)
 
 
 @dataclass
@@ -64,8 +62,10 @@ class Message:
     token_estimate: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        extra = sum(estimate_tokens(repr(tc.arguments)) for tc in self.tool_calls)
-        self.token_estimate = estimate_tokens(self.content) + extra
+        tokens = estimate_tokens(self.content)
+        for tc in self.tool_calls:
+            tokens += estimate_tokens(repr(tc.arguments))
+        self.token_estimate = tokens
 
 
 class Conversation:

@@ -228,6 +228,8 @@ class Worker:
         # The crash table: each crash this worker reported -> times seen.
         self.crash_repeats: dict[CrashSpec, int] = {}
 
+        # Function id -> its agent context below the heading, built on first use.
+        self._context_bodies: dict[str, str] = {}
         # The BFS parents behind trace_pov's static routes, built on first use.
         self._route_parents: dict[str, str | None] | None = None
         self._started = 0.0
@@ -424,19 +426,23 @@ class Worker:
     # -- suspicious point generation ----------------------------------------
 
     def _function_context(self, function_id: str, heading: str) -> str:
-        rec = self.subgraph.functions[function_id]
-        lines = [
-            heading,
-            f"function: {function_id}",
-            f"file: {rec.file_path}",
-            f"callers: {', '.join(self.subgraph.callers_of(function_id)) or '(none)'}",
-            f"callees: {', '.join(self.subgraph.callees_of(function_id)) or '(none)'}",
-        ]
-        if self.delta is not None:
-            lines.append("")
-            lines.append(f"commit message:\n{self.delta.commit_message}")
-        lines.extend(["", "source:", rec.source_text])
-        return "\n".join(lines)
+        """``heading`` over the function's context body, which is built once
+        per worker: its sp-generator and verifier runs share it."""
+        body = self._context_bodies.get(function_id)
+        if body is None:
+            rec = self.subgraph.functions[function_id]
+            lines = [
+                f"function: {function_id}",
+                f"file: {rec.file_path}",
+                f"callers: {', '.join(self.subgraph.callers_of(function_id)) or '(none)'}",
+                f"callees: {', '.join(self.subgraph.callees_of(function_id)) or '(none)'}",
+            ]
+            if self.delta is not None:
+                lines.append("")
+                lines.append(f"commit message:\n{self.delta.commit_message}")
+            lines.extend(["", "source:", rec.source_text])
+            body = self._context_bodies[function_id] = "\n".join(lines)
+        return f"{heading}\n{body}"
 
     def _analyze_function(self, function_id: str, direction_name: str) -> list[SuspiciousPoint]:
         pending: list[SuspiciousPoint] = []

@@ -12,6 +12,7 @@ Both are thread-safe.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
 
@@ -19,10 +20,15 @@ from .errors import StoreError
 
 COLLECTIONS = ("tasks", "sps", "povs", "reports", "metrics")
 
+# ``json.dumps`` with keyword arguments builds a new encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
 
 def encode_put(record_id: str, record: dict) -> str:
     """One put as the JSON line a journal appends; a reader takes its ``record``."""
-    return json.dumps({"id": record_id, "record": record}, sort_keys=True) + "\n"
+    return _encode({"id": record_id, "record": record}) + "\n"
 
 
 class StoreBackend:
@@ -73,9 +79,13 @@ class FileStore(StoreBackend):
     """One JSON-lines journal per collection, ``<root>/<collection>.jsonl``.
 
     A put appends ``{"id": ..., "record": ...}`` as one line, and the last
-    line for an id wins.  A reader ignores a final line with no newline, the
-    tail of a put that died mid-write; a store's first put to a collection
-    cuts such a tail off, so a later line is never glued onto it.
+    line for an id wins.  The line is written through a descriptor opened
+    ``O_APPEND`` for that put alone and closed before ``put`` returns, so
+    each line is in the file when its put returns and no descriptor is held
+    between puts (there is nothing to close).  A reader ignores a final line
+    with no newline, the tail of a put that died mid-write; a store's first
+    put to a collection cuts such a tail off, so a later line is never glued
+    onto it.
 
     ``create=False`` opens an existing store for reading: a missing ``root``
     raises :class:`StoreError` and nothing is created.  A root in the old
@@ -96,29 +106,35 @@ class FileStore(StoreBackend):
                 f"such as '{old[0]}/'); it is not read"
             )
         self._lock = threading.RLock()
+        self._journals = {c: str(self.root / f"{c}.jsonl") for c in COLLECTIONS}
         self._tails_checked: set[str] = set()
-
-    def _journal(self, collection: str) -> Path:
-        return self.root / f"{collection}.jsonl"
 
     def put(self, collection: str, record_id: str, record: dict) -> None:
         self._check_collection(collection)
-        line = encode_put(record_id, record)
+        data = encode_put(record_id, record).encode("ascii")
+        path = self._journals[collection]
         with self._lock:
-            with open(self._journal(collection), "a+b") as fh:
-                if collection not in self._tails_checked:
+            if collection not in self._tails_checked:
+                with open(path, "a+b") as fh:
                     fh.seek(0)
-                    data = fh.read()
-                    if not data.endswith(b"\n"):
-                        fh.truncate(data.rfind(b"\n") + 1)
-                    self._tails_checked.add(collection)
-                fh.write(line.encode("ascii"))
+                    old = fh.read()
+                    if not old.endswith(b"\n"):
+                        fh.truncate(old.rfind(b"\n") + 1)
+                self._tails_checked.add(collection)
+            fd = os.open(path, _APPEND, 0o666)
+            try:
+                written = os.write(fd, data)
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
 
     def _latest(self, collection: str) -> dict[str, dict]:
         self._check_collection(collection)
         with self._lock:
             try:
-                data = self._journal(collection).read_bytes()
+                with open(self._journals[collection], "rb") as fh:
+                    data = fh.read()
             except FileNotFoundError:
                 return {}
         latest = {}

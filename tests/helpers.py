@@ -11,10 +11,13 @@ import random
 import re
 from collections import namedtuple
 
-from vulnhunt.agents import ScriptedProvider
+from vulnhunt.agents import ScriptedProvider, compress_context, loop
+from vulnhunt.agents.loop import AgentOutcome, ToolLogEntry
+from vulnhunt.agents.registry import result_digest
+from vulnhunt.agents.types import ROLE_TIERS, Budgets, Conversation, Message, ProviderRequest, TokenUsage
 from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.directions import DirectionScheduler, Pick
-from vulnhunt.errors import OversizeBlobError
+from vulnhunt.errors import BudgetError, ChainExhaustedError, OversizeBlobError, ValidationError
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
 from vulnhunt.fuzzing.seeds import _decode_string, _encode_number
 from vulnhunt.fuzzing.target import DEFAULT_MAX_BLOB, ExecutionResult
@@ -476,6 +479,90 @@ def naive_select_run(runs, consumed, seed_text):
             consumed.add(i)
         return i
     return None
+
+
+# ---------------------------------------------------------------------------
+# Agent loop oracle
+# ---------------------------------------------------------------------------
+
+
+def naive_run_agent(role, seed_context, registry, pool, model_chains, system_prompt,
+                    run_id="", budgets=None):
+    """``run_agent`` written plainly: a budget test re-run through a closure,
+    the registry's schemas and the pool looked up per step, and each tool
+    log entry holding its own copy of the arguments.  Reads ``loop.MAX_STEPS``
+    at call time, so a patched cap applies to both."""
+    if role not in ROLE_TIERS:
+        raise ValidationError(f"unknown agent role '{role}'")
+    chain = model_chains.get(ROLE_TIERS[role])
+    if not chain:
+        raise ValidationError(f"role '{role}': model chain must be non-empty")
+    budgets = budgets or Budgets()
+    conversation = Conversation(
+        [Message(role="system", content=system_prompt), Message(role="user", content=seed_context)]
+    )
+    outcome = AgentOutcome(role=role)
+    prompt_tokens = completion_tokens = 0
+    token_limit, context_budget = budgets.max_total_tokens, budgets.context_token_budget
+
+    def tripped():
+        if token_limit is not None and prompt_tokens + completion_tokens >= token_limit:
+            return "token budget exhausted"
+        return ""
+
+    for step in range(1, loop.MAX_STEPS + 1):
+        reason = tripped()
+        if reason:
+            outcome.budget_exhausted = True
+            outcome.budget_reason = reason
+            break
+        try:
+            if context_budget is not None and conversation.total_tokens() > context_budget:
+                conversation = compress_context(conversation, context_budget)
+            request = ProviderRequest(
+                model=chain[0],
+                messages=list(conversation.messages),
+                tools=registry.schemas(),
+                agent_role=role,
+                run_id=run_id or role,
+            )
+            response = pool.call_with_fallback(chain, request)
+        except (BudgetError, ChainExhaustedError) as exc:
+            outcome.failure = str(exc)
+            outcome.failure_kind = "context" if isinstance(exc, BudgetError) else "chain"
+            break
+        outcome.steps = step
+        prompt_tokens += response.usage.prompt
+        completion_tokens += response.usage.completion
+        outcome.served_models.append(response.served_by)
+        conversation.append(
+            Message(role="assistant", content=response.text, tool_calls=response.tool_calls)
+        )
+        if response.tool_calls:
+            for tc in response.tool_calls:
+                text, ok = registry.invoke(tc.name, tc.arguments)
+                outcome.tool_log.append(
+                    ToolLogEntry(step=step, name=tc.name, arguments=dict(tc.arguments),
+                                 digest=result_digest(text), ok=ok)
+                )
+                conversation.append(Message(role="tool", content=text, tool_call_id=tc.call_id))
+            if response.stop:
+                outcome.final_text = response.text
+                break
+            continue
+        outcome.final_text = response.text
+        break
+    else:
+        outcome.budget_exhausted = True
+        outcome.budget_reason = f"step cap ({loop.MAX_STEPS}) reached"
+
+    outcome.usage = TokenUsage(prompt_tokens, completion_tokens)
+    reason = tripped()
+    if reason and not outcome.final_text:
+        outcome.budget_exhausted = True
+        outcome.budget_reason = outcome.budget_reason or reason
+    outcome.conversation = conversation
+    return outcome
 
 
 # ---------------------------------------------------------------------------

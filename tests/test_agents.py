@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_select_run
+from helpers import naive_run_agent, naive_select_run
 from vulnhunt.agents import (
     Budgets,
     Conversation,
@@ -36,9 +37,10 @@ from vulnhunt.agents import (
     render_prompt,
     run_agent,
 )
-from vulnhunt.agents import loop
+from vulnhunt import store
+from vulnhunt.agents import loop, providers
 from vulnhunt.agents.prompts import TEMPLATES
-from vulnhunt.agents.registry import result_digest
+from vulnhunt.agents.registry import _encode_result, result_digest
 from vulnhunt.errors import BudgetError, ChainExhaustedError, ValidationError
 
 
@@ -56,6 +58,11 @@ class TestTokenEstimate:
     def test_quarter_length_rounded_up(self, text, expected):
         assert estimate_tokens(text) == expected
         assert expected == max(1, math.ceil(len(text) / 4))
+
+    def test_integer_form_matches_the_ceiling(self):
+        for length in [*range(65), 10**6, 10**6 + 1, 10**6 + 2, 10**6 + 3, 2**22 + 1]:
+            expected = max(1, math.ceil(length / 4)) if length else 0
+            assert estimate_tokens("é" * length) == expected, length
 
 
 class TestSpecs:
@@ -254,6 +261,72 @@ class TestToolRegistry:
     def test_result_digest_is_truncated_sha256(self):
         expected = hashlib.sha256(b"payload").hexdigest()[:12]
         assert result_digest("payload") == expected
+
+
+# ===== cached JSON encoders =====
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# Values JSON cannot encode by itself: ``default=str`` renders them, and an
+# encoder without it raises.  Mixed key types cannot be sorted either way.
+UNENCODABLE = st.one_of(
+    st.sets(st.integers(), min_size=1, max_size=3),
+    st.binary(max_size=4),
+    st.builds(complex, st.integers(), st.integers()),
+    st.dictionaries(st.one_of(st.integers(), st.text(max_size=2)), st.none(), min_size=2,
+                    max_size=3),
+)
+ENCODER_VALUES = st.recursive(
+    JSON_VALUES | UNENCODABLE,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def encode_or_error(encode, value):
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCachedEncoders:
+    """Each module-level encoder is ``json.dumps`` with its call site's keywords."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=ENCODER_VALUES)
+    def test_tool_result_encoder(self, value):
+        expected = encode_or_error(lambda v: json.dumps(v, sort_keys=True, default=str), value)
+        assert encode_or_error(_encode_result, value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=ENCODER_VALUES)
+    def test_scenario_argument_encoder(self, value):
+        expected = encode_or_error(lambda v: json.dumps(v, sort_keys=True), value)
+        assert encode_or_error(providers._encode_args, value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=ENCODER_VALUES)
+    def test_store_put_encoder(self, record):
+        entry = {"id": "r", "record": record}
+        expected = encode_or_error(lambda v: json.dumps(v, sort_keys=True), entry)
+        assert encode_or_error(store._encode, entry) == expected
+
+    def test_cyclic_values_fail_alike(self):
+        cyclic: list = []
+        cyclic.append(cyclic)
+        for encode, keywords in (
+            (_encode_result, {"default": str}),
+            (providers._encode_args, {}),
+            (store._encode, {}),
+        ):
+            expected = encode_or_error(lambda v: json.dumps(v, sort_keys=True, **keywords), cyclic)
+            assert encode_or_error(encode, cyclic) == expected
 
 
 # ===== providers =====
@@ -534,11 +607,27 @@ class TestScriptedProvider:
             }
         }
         provider = ScriptedProvider(scenario)
+        script = provider._scripts["sp-generator"]
         consumed: set[int] = set()
         for n, seed in enumerate(seeds):
             expected = naive_select_run(runs, consumed, seed)
             response = provider.complete(self._request("sp-generator", f"r{n}", seed))
             assert response.text == ("" if expected is None else f"run {expected}")
+            # The index names only live matches: a consumed match's bucket,
+            # and its length and head once no live match needs them, are gone.
+            live = {
+                str(run["match"] or ""): None
+                for i, run in enumerate(runs)
+                if run["reusable"] or i not in consumed
+            }
+            assert all(script.buckets.values())
+            assert set(script.buckets) == set(live)
+            heads: dict[str, dict[int, int]] = {}
+            for match in live:
+                if match:
+                    lengths = heads.setdefault(match[: providers._HEAD_CHARS], {})
+                    lengths[len(match)] = lengths.get(len(match), 0) + 1
+            assert script.heads == heads
 
     def test_replayed_arguments_are_fresh_dicts(self):
         args = {"k": 1}
@@ -862,6 +951,133 @@ class TestRunAgent:
         assert len(summaries) == 1
         assert summaries[0].role == "user"
         assert "- tool: " + "r" * 80 in summaries[0].content
+
+
+
+# ===== run loop against its oracle =====
+
+
+class _Gate(Provider):
+    """One model of a chain: records each request it is offered, then fails
+    on the calls numbered in ``fail_at`` and serves the others through the
+    shared scripted provider."""
+
+    def __init__(self, name, inner, fail_at, log):
+        self.name, self.inner, self.fail_at, self.log = name, inner, fail_at, log
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        messages = list(request.messages)
+        self.log.append(
+            (self.name, request.model, messages, [m.token_estimate for m in messages],
+             request.tools, request.temperature, request.agent_role, request.run_id)
+        )
+        if self.calls in self.fail_at:
+            raise ProviderError("timeout")
+        return self.inner.complete(request)
+
+
+def _oracle_tools(log):
+    def probe(k=0):
+        log.append(f"probe:{k}")
+        return f"probed {k}"
+
+    def big():
+        log.append("big")
+        return "r" * 300
+
+    def boom():
+        log.append("boom")
+        raise RuntimeError("kaput")
+
+    def data():
+        log.append("data")
+        return {"b": [1, 2], "a": "é"}
+
+    return [Tool(name=fn.__name__, fn=fn) for fn in (probe, big, boom, data)]
+
+
+_ORACLE_CALL = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(["probe", "big", "boom", "data", "ghost"]),
+        "args": st.sampled_from([{}, {"k": 1}, {"k": "é"}, {"nope": 0}]),
+    }
+)
+_ORACLE_STEP = st.fixed_dictionaries(
+    {
+        "tool_calls": st.lists(_ORACLE_CALL, max_size=3),
+        "text": st.sampled_from(["", "done", "x" * 30]),
+    },
+    optional={"stop": st.booleans()},
+)
+# Runs of "big" results outgrow a context budget, so they compress.
+_BIG_STEPS = st.lists(
+    st.builds(lambda text: {"tool_calls": [{"name": "big", "args": {}}], "text": text},
+              st.sampled_from(["", "more"])),
+    min_size=3,
+    max_size=6,
+).map(lambda steps: [*steps, {"text": "done"}])
+
+
+def _outcome_facts(outcome):
+    messages = outcome.conversation.messages
+    return (
+        outcome.role, outcome.final_text, outcome.tool_log, outcome.usage,
+        outcome.served_models, outcome.steps, outcome.budget_exhausted,
+        outcome.budget_reason, outcome.failure, outcome.failure_kind,
+        messages, [m.token_estimate for m in messages], outcome.conversation.total_tokens(),
+    )
+
+
+class TestRunAgentOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        steps=st.one_of(st.none(), st.lists(_ORACLE_STEP, max_size=7), _BIG_STEPS),
+        chain=st.sampled_from([["scripted"], ["first", "scripted"], ["ghost", "scripted"]]),
+        fail_first=st.frozensets(st.integers(1, 8), max_size=4),
+        fail_scripted=st.one_of(st.just(frozenset()), st.frozensets(st.integers(1, 8),
+                                                                     max_size=2)),
+        limits=st.one_of(st.none(), st.fixed_dictionaries({"probe": st.integers(0, 2)})),
+        max_total_tokens=st.one_of(st.none(), st.integers(1, 600), st.integers(600, 6000)),
+        # The narrow range holds a short seed and the last exchange, but
+        # not two earlier "big" results, so it compresses.
+        context_token_budget=st.one_of(st.none(), st.integers(1, 400), st.integers(90, 250)),
+        max_steps=st.one_of(st.just(loop.MAX_STEPS), st.integers(1, 6)),
+        seed=st.text(max_size=300),
+        system=st.text(max_size=40),
+    )
+    def test_outcome_and_requests_match_the_naive_loop(
+        self, steps, chain, fail_first, fail_scripted, limits, max_total_tokens,
+        context_token_budget, max_steps, seed, system,
+    ):
+        """Scripted scenarios with tool calls, stop flags, unknown tools and
+        bad arguments, under call limits, token budgets that trip, context
+        budgets that compress or cannot hold the run, chains whose first
+        model fails or that run out, and step caps: the run and every
+        request it sends are those of the plain loop."""
+        agents = {} if steps is None else {"sp-generator": [{"steps": steps}]}
+
+        def play(run):
+            scripted = ScriptedProvider({"agents": agents})
+            requests, tool_calls = [], []
+            pool = ProviderPool()
+            pool.register("first", _Gate("first", scripted, fail_first, requests))
+            pool.register("scripted", _Gate("scripted", scripted, fail_scripted, requests))
+            with mock.patch.object(loop, "MAX_STEPS", max_steps):
+                outcome = run(
+                    "sp-generator",
+                    seed,
+                    ToolRegistry(_oracle_tools(tool_calls), limits),
+                    pool,
+                    {"T2": chain},
+                    system,
+                    run_id="run-1",
+                    budgets=Budgets(max_total_tokens, context_token_budget),
+                )
+            return _outcome_facts(outcome), requests, tool_calls
+
+        assert play(run_agent) == play(naive_run_agent)
 
 
 # ===== context compression =====

@@ -1,16 +1,20 @@
 """Record stores: round-trips, isolation, journal layout, the in-memory oracle."""
 from __future__ import annotations
 
+import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulnhunt import store as store_module
 from vulnhunt.errors import StoreError
 from vulnhunt.pipeline import run_scan
-from vulnhunt.store import COLLECTIONS, FileStore, MemoryStore, StoreBackend
+from vulnhunt.store import COLLECTIONS, FileStore, MemoryStore, StoreBackend, encode_put
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -154,11 +158,7 @@ _OPS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(ops=_OPS, torn_at=st.integers(min_value=0, max_value=40), torn_in=st.sampled_from(COLLECTIONS))
-def test_file_store_matches_memory_oracle(ops, torn_at, torn_in):
-    """Any sequence of puts, gets, lists and reopens, with one crash that
-    leaves a torn line, reads the same from the journal as from memory."""
+def _check_against_memory_oracle(ops, torn_at, torn_in):
     oracle = MemoryStore()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "store"
@@ -178,3 +178,73 @@ def test_file_store_matches_memory_oracle(ops, torn_at, torn_in):
                 assert store.list(collection) == oracle.list(collection)
             if kind == "get":
                 assert store.get(*args) == oracle.get(*args)
+        for collection in COLLECTIONS:
+            journal = root / f"{collection}.jsonl"
+            if journal.exists():
+                # Every complete line is whole JSON; only the injected torn
+                # line may be left unterminated, when no put followed it.
+                for line in journal.read_bytes().split(b"\n")[:-1]:
+                    json.loads(line)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, torn_at=st.integers(min_value=0, max_value=40), torn_in=st.sampled_from(COLLECTIONS))
+def test_file_store_matches_memory_oracle(ops, torn_at, torn_in):
+    """Any sequence of puts, gets, lists and reopens, with one crash that
+    leaves a torn line, reads the same from the journal as from memory."""
+    _check_against_memory_oracle(ops, torn_at, torn_in)
+
+
+def _short_write(limit, counter):
+    write = os.write
+
+    def short(fd, data):
+        counter.append(fd)
+        return write(fd, bytes(data[:limit]))
+
+    return short
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS, torn_at=st.integers(min_value=0, max_value=40), torn_in=st.sampled_from(COLLECTIONS))
+def test_short_writes_still_land_whole_lines(ops, torn_at, torn_in):
+    """With ``os.write`` taking at most 7 bytes a call, a put keeps writing
+    until its whole line is in the journal, and reads match the oracle."""
+    writes: list[int] = []
+    with mock.patch.object(store_module.os, "write", _short_write(7, writes)):
+        _check_against_memory_oracle(ops, torn_at, torn_in)
+    puts = [op for op in ops if op[0] == "put"]
+    assert len(writes) >= sum(len(encode_put(*op[2:])) // 7 for op in puts)
+
+
+def test_a_long_record_written_seven_bytes_at_a_time(tmp_path):
+    store = FileStore(tmp_path)
+    puts = [("r1", {"text": "x" * 500, "nested": {"k": list(range(20))}}), ("r2", {"v": 1})]
+    writes: list[int] = []
+    with mock.patch.object(store_module.os, "write", _short_write(7, writes)):
+        for record_id, record in puts:
+            store.put("reports", record_id, record)
+    lines = [encode_put(record_id, record) for record_id, record in puts]
+    assert (tmp_path / "reports.jsonl").read_text() == "".join(lines)
+    assert len(writes) == sum(-(-len(line) // 7) for line in lines)
+    assert store.list("reports") == [record for _, record in puts]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_puts_hold_no_descriptor(tmp_path):
+    store = FileStore(tmp_path)
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(1000):
+        store.put(COLLECTIONS[i % len(COLLECTIONS)], f"id-{i}", {"i": i})
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(store.list("metrics")) == 200
+
+
+def test_a_journal_deleted_between_puts_is_recreated(tmp_path):
+    store = FileStore(tmp_path)
+    store.put("povs", "a", {"v": 1})
+    (tmp_path / "povs.jsonl").unlink()
+    store.put("povs", "b", {"v": 2})
+    assert (tmp_path / "povs.jsonl").read_text() == encode_put("b", {"v": 2})
+    assert store.list("povs") == [{"v": 2}]
+
