@@ -84,8 +84,8 @@ def run_agent(
     Args:
         role: the agent role; its tier picks the chain from ``model_chains``.
         seed_context: the initial user message.
-        registry: this run's tool registry, which enforces its own tool-call
-            limits; its tools may be shared between runs.
+        registry: the run's tool registry, which enforces its own tool-call
+            limits; a caller that reuses it for another run resets it first.
         pool: provider pool used for fallback dispatch.
         model_chains: per-tier model chains.
         system_prompt: rendered system prompt for the role.

@@ -8,6 +8,8 @@ live here so a real provider behaves like the scripted one is assumed to.
 
 from __future__ import annotations
 
+from ..config import Config
+
 PROMPT_VERSION = "1.0"
 
 _COMMON_FOOTER = (
@@ -92,16 +94,17 @@ TEMPLATES: dict[str, str] = {
 
 
 def render_prompt(role: str, **context) -> str:
-    """Render the system prompt for a role; unknown placeholders are errors."""
+    """Render a role's system prompt (caps default to ``Config``'s); unknown
+    placeholders are errors."""
     template = TEMPLATES[role]
     defaults = {
         "project": "target",
         "fuzzer": "?",
         "sanitizer": "?",
-        "max_directions": 5,
-        "variants": 3,
-        "max_attempts": 40,
-        "trace_unlock": 16,
+        "max_directions": Config.max_directions,
+        "variants": Config.variants_per_attempt,
+        "max_attempts": Config.max_poc_attempts,
+        "trace_unlock": Config.trace_unlock_attempt,
         "vuln_types": "",
     }
     defaults.update(context)

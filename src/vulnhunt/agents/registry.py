@@ -1,12 +1,12 @@
-"""Per-agent-run tool registries.
+"""Tool registries: a tool set with per-tool call counters and limits.
 
-Each agent run gets its own registry over a list of tools.  The tools may be
-shared between runs (a worker builds its read-only code tools once); the
-registry's per-tool call counters and limits are not, so each run's
-tool-call limits start from zero.  Tool names are unique within a registry,
-and each tool's schema, like the registry's schema list, is built once.  Tool
-failures and refused calls are returned as error text results (the loop feeds
-them back to the model), never raised through the agent loop.
+A registry is built once, over tools that other registries may share (a
+worker's read-only code tools are in every role's registry), and ``reset``
+zeroes its call counters so each run's limits start from zero.  Tool names
+are unique within a registry, and each tool's schema, like the registry's
+schema list, is built once.  Tool failures and refused calls are returned as
+error text results (the loop feeds them back to the model), never raised
+through the agent loop.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ def result_digest(text: str) -> str:
 
 
 class ToolRegistry:
-    """The tool set of one agent run, with per-tool call counters and limits.
+    """A tool set with per-tool call counters and limits.
 
-    ``limits`` maps a tool name to the most calls the run may make to it; a
+    ``limits`` maps a tool name to the most calls allowed between resets; a
     call over its limit is refused by ``invoke`` and not counted.
     """
 
@@ -79,9 +79,13 @@ class ToolRegistry:
         self.call_counts: dict[str, int] = dict.fromkeys(self._tools, 0)
         self._schemas = [tool.schema() for tool in self._tools.values()]
 
+    def reset(self) -> None:
+        """Zero the call counts, for a new run's limits."""
+        self.call_counts = dict.fromkeys(self._tools, 0)
+
     def schemas(self) -> list[dict]:
         """The tools' request schemas, in registration order; callers must
-        not modify the list, which every request of the run shares."""
+        not modify the list, which every request shares."""
         return self._schemas
 
     def invoke(self, name: str, arguments: dict) -> tuple[str, bool]:

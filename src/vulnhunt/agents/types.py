@@ -34,7 +34,7 @@ def estimate_tokens(text: str) -> int:
 @dataclass
 class Budgets:
     """Per-agent-run token caps; None disables a cap.  Tool-call limits
-    belong to the run's :class:`~vulnhunt.agents.registry.ToolRegistry`."""
+    belong to the :class:`~vulnhunt.agents.registry.ToolRegistry` a run gets."""
 
     max_total_tokens: int | None = None
     context_token_budget: int | None = None

@@ -15,8 +15,11 @@ from pathlib import Path
 
 import yaml
 
+from .directions import DEFAULT_MAX_REVISITS, MAX_DIRECTIONS_PER_WORKER
 from .errors import ConfigError
-from .spstore import SANITIZERS
+from .fuzzing import DEFAULT_MAX_BLOB, DEFAULT_QUORUM
+from .recipes import DEFAULT_VARIANTS
+from .spstore import DEFAULT_SIMILARITY_THRESHOLD, SANITIZERS
 
 MODE_DEFAULTS = {
     "delta": {"budget_minutes": 120.0, "budget_dollars": 150.0},
@@ -56,17 +59,17 @@ class Config:
     model_chains: dict = field(default_factory=lambda: {k: list(v) for k, v in DEFAULT_MODEL_CHAINS.items()})
     price_table: dict = field(default_factory=lambda: dict(DEFAULT_PRICE_TABLE))
     provider: dict = field(default_factory=lambda: {"kind": "scripted"})
-    quorum: int = 10
+    quorum: int = DEFAULT_QUORUM
     max_poc_attempts: int = 40
-    variants_per_attempt: int = 3
+    variants_per_attempt: int = DEFAULT_VARIANTS
     trace_unlock_attempt: int = 16
-    max_blob: int = 1 << 20
+    max_blob: int = DEFAULT_MAX_BLOB
     fuzz_slice: int = 200
     global_fuzz_iterations: int = 20000
     sp_fuzz_iterations: int = 400
-    dedup_threshold: float = 0.6
-    max_directions: int = 5
-    max_revisits: int = 1
+    dedup_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
+    max_directions: int = MAX_DIRECTIONS_PER_WORKER
+    max_revisits: int = DEFAULT_MAX_REVISITS
     worker_parallelism: int = 1
 
     def __post_init__(self) -> None:

@@ -12,12 +12,14 @@ vulnerability report.
 Every agent run goes through ``Worker._run_role``, which bounds its
 context at ``CONTEXT_TOKEN_BUDGET`` tokens and counts what the run spent.
 That includes the duplicate judge: the shared point store calls it, and
-``run_scan`` forwards each call to the worker that built the candidate.  A
-run whose model chain is exhausted, or whose context cannot be compressed
-under the budget, ends with a failure: the stage leaves a task warning and
-the scan goes on, the verifier retries a point whose model chain was
-exhausted at once and warns only when the retry fails too, and the report
-and the duplicate judge fall back to their template and to no verdict.
+``run_scan`` forwards each call to the worker that built the candidate.
+Each role has one tool registry per worker, reset per run; a stage's tools
+are worker methods that write to one worker field each.  A run whose model
+chain is exhausted, or whose context cannot be compressed under the
+budget, ends with a failure: the stage leaves a task warning and the scan
+goes on, the verifier retries a point whose model chain was exhausted at
+once and warns only when the retry fails too, and the report and the
+duplicate judge fall back to their template and to no verdict.
 Executions are counted by the worker's runner alone.
 
 Everything is deterministic at desk scale: fuzzing runs in cooperative
@@ -204,6 +206,31 @@ class Worker:
             "trace_unlock": config.trace_unlock_attempt,
         }
         self.system_prompts = {role: render_prompt(role, **prompt_context) for role in ROLE_TIERS}
+        # One registry per role: the code tools, the role's stage tools and
+        # its limits.  ``_run_role`` resets it per run, which holds because
+        # no role's run nests inside a run of the same role (only ``report``
+        # nests, in ``create_pov``), and only this worker's thread uses it
+        # (the duplicate judge runs on the worker that built the candidate).
+        stage_tools = {
+            "direction-generator": [Tool("create_direction", self.create_direction)],
+            "seed-generator": [Tool("add_seed", self.add_seed)],
+            "sp-generator": [Tool("create_suspicious_point", self.create_suspicious_point)],
+            "sp-verifier": [Tool("update_suspicious_point", self.update_suspicious_point)],
+            "poc-generator": [
+                Tool("create_pov", lambda **args: self._poc.create_pov(**args)),
+                Tool("trace_pov", lambda **args: self._poc.trace_pov(**args)),
+            ],
+        }
+        limits = {"poc-generator": {"create_pov": config.max_poc_attempts}}
+        self.registries = {
+            role: ToolRegistry(self.code_tools + stage_tools.get(role, []), limits.get(role))
+            for role in ROLE_TIERS
+        }
+        # What the stage tools write; each stage empties its field first.
+        self._seed_blobs: list[bytes] = []
+        self._pending: list[SuspiciousPoint] = []
+        self._verdict: dict = {}
+        self._poc: PocAttempt | None = None
         self.scheduler = DirectionScheduler(
             self.subgraph,
             task.fuzzer,
@@ -269,16 +296,9 @@ class Worker:
             description=f"Read-only code query '{kind}' over the {scope}.",
         )
 
-    def _run_role(
-        self,
-        role: str,
-        seed_context: str,
-        extra_tools: tuple = (),
-        tool_limits: dict | None = None,
-        failure: str | None = None,
-    ) -> AgentOutcome:
-        """One agent run with the worker's code tools plus ``extra_tools``
-        (functions or bound methods, each exposed under its ``__name__``).
+    def _run_role(self, role: str, seed_context: str, failure: str | None = None) -> AgentOutcome:
+        """One agent run with the role's registry, its call counts reset so
+        the run's limits start from zero.
 
         The run counts when it starts, so its number in ``run_id`` is the
         task's ``agent_runs``, and a run nested in one of its tools gets the
@@ -286,9 +306,8 @@ class Worker:
         ended on a failure and the stage names its ``failure``, the task is
         warned ``"{failure}: {reason}"``.
         """
-        # A fresh registry per run: its call counts enforce this run's limits.
-        tools = self.code_tools + [Tool(fn.__name__, fn) for fn in extra_tools]
-        registry = ToolRegistry(tools, tool_limits)
+        registry = self.registries[role]
+        registry.reset()
         self.task.metrics.agent_runs += 1
         outcome = run_agent(
             role,
@@ -311,34 +330,28 @@ class Worker:
 
     # -- directions and seeding -------------------------------------------
 
+    def create_direction(
+        self,
+        name: str,
+        entry_functions: list,
+        core_functions: list,
+        risk_level: str,
+        risk_reason: str,
+    ):
+        """The direction generator's tool: register one direction."""
+        if not isinstance(entry_functions, list) or not isinstance(core_functions, list):
+            raise ValueError("entry_functions and core_functions must be lists of names")
+        direction = Direction(
+            name=str(name),
+            entry_functions=tuple(str(f) for f in entry_functions),
+            core_functions=tuple(str(f) for f in core_functions),
+            risk_level=str(risk_level),
+            risk_reason=str(risk_reason),
+        )
+        result = self.scheduler.register_direction(direction)
+        return {"accepted": result.accepted, "reason": result.reason, "warnings": result.warnings}
+
     def _generate_directions(self) -> None:
-        accepted = []
-
-        def create_direction(
-            name: str,
-            entry_functions: list,
-            core_functions: list,
-            risk_level: str,
-            risk_reason: str,
-        ):
-            if not isinstance(entry_functions, list) or not isinstance(core_functions, list):
-                raise ValueError("entry_functions and core_functions must be lists of names")
-            direction = Direction(
-                name=str(name),
-                entry_functions=tuple(str(f) for f in entry_functions),
-                core_functions=tuple(str(f) for f in core_functions),
-                risk_level=str(risk_level),
-                risk_reason=str(risk_reason),
-            )
-            result = self.scheduler.register_direction(direction)
-            if result.accepted:
-                accepted.append(direction.name)
-            return {
-                "accepted": result.accepted,
-                "reason": result.reason,
-                "warnings": result.warnings,
-            }
-
         entries = sorted(self.subgraph.fuzzer_entries.get(self.task.fuzzer, ()))
         seed = "\n".join(
             [
@@ -350,29 +363,20 @@ class Worker:
                 "Propose exploration directions for this fuzzer with create_direction.",
             ]
         )
-        self._run_role(
-            "direction-generator",
-            seed,
-            extra_tools=(create_direction,),
-            failure="direction generation failed",
-        )
-        if not accepted:
+        self._run_role("direction-generator", seed, failure="direction generation failed")
+        if not self.scheduler.directions:
             self.task.warnings.append(
                 "no exploration directions registered; falling back to the whole subgraph"
             )
 
+    def add_seed(self, hex: str = "", text: str = ""):
+        """The seed generator's tool: keep one starting input."""
+        self._seed_blobs.append(bytes.fromhex(hex) if hex else text.encode("utf-8", "replace"))
+        return {"accepted": True, "count": len(self._seed_blobs)}
+
     def _agent_seed_blobs(self, direction: Direction) -> list[bytes] | None:
         if "seed-generator" not in self.active_roles:
             return None
-        blobs: list[bytes] = []
-
-        def add_seed(hex: str = "", text: str = ""):
-            if hex:
-                blobs.append(bytes.fromhex(hex))
-            else:
-                blobs.append(text.encode("utf-8", "replace"))
-            return {"accepted": True, "count": len(blobs)}
-
         seed = "\n".join(
             [
                 f"fuzzer: {self.task.fuzzer}",
@@ -381,10 +385,9 @@ class Worker:
                 "Produce starting inputs with add_seed (hex= or text=).",
             ]
         )
-        self._run_role(
-            "seed-generator", seed, extra_tools=(add_seed,), failure="seed generation failed"
-        )
-        return blobs or None
+        self._seed_blobs = []
+        self._run_role("seed-generator", seed, failure="seed generation failed")
+        return self._seed_blobs or None
 
     def _admit_seed(self, blob: bytes, origin: str) -> None:
         if self.runner is None:
@@ -444,40 +447,35 @@ class Worker:
             body = self._context_bodies[function_id] = "\n".join(lines)
         return f"{heading}\n{body}"
 
+    def create_suspicious_point(
+        self, function: str, description: str, vuln_type: str, score: float
+    ):
+        """The sp generator's tool: build one candidate point."""
+        rec = self.subgraph.resolve(str(function))
+        if rec is None or rec.id not in self.subgraph.functions:
+            raise ValueError(f"function {function!r} is not in the reachable subgraph")
+        candidate = self.spstore.build_candidate(
+            function_id=rec.id,
+            source=(self.task.fuzzer, self.task.sanitizer),
+            description=str(description),
+            vuln_type=str(vuln_type),
+            score=float(score),
+        )
+        self._pending.append(candidate)
+        return {
+            "accepted": True,
+            "function": rec.id,
+            "vuln_type": candidate.vuln_type,
+            "score": candidate.score,
+        }
+
     def _analyze_function(self, function_id: str, direction_name: str) -> list[SuspiciousPoint]:
-        pending: list[SuspiciousPoint] = []
-
-        def create_suspicious_point(
-            function: str, description: str, vuln_type: str, score: float
-        ):
-            rec = self.subgraph.resolve(str(function))
-            if rec is None or rec.id not in self.subgraph.functions:
-                raise ValueError(f"function {function!r} is not in the reachable subgraph")
-            candidate = self.spstore.build_candidate(
-                function_id=rec.id,
-                source=(self.task.fuzzer, self.task.sanitizer),
-                description=str(description),
-                vuln_type=str(vuln_type),
-                score=float(score),
-            )
-            pending.append(candidate)
-            return {
-                "accepted": True,
-                "function": rec.id,
-                "vuln_type": candidate.vuln_type,
-                "score": candidate.score,
-            }
-
         seed = self._function_context(
             function_id, f"direction: {direction_name} | analyze this function for memory-safety flaws"
         )
-        self._run_role(
-            "sp-generator",
-            seed,
-            extra_tools=(create_suspicious_point,),
-            failure=f"sp generation failed for {function_id}",
-        )
-        return pending
+        self._pending = []
+        self._run_role("sp-generator", seed, failure=f"sp generation failed for {function_id}")
+        return self._pending
 
     def _process_candidates(self, pending: list[SuspiciousPoint], importance: int) -> None:
         for candidate in pending:
@@ -527,6 +525,24 @@ class Worker:
 
     # -- verification --------------------------------------------------------
 
+    def update_suspicious_point(
+        self,
+        verdict: str,
+        corrected_description: str = "",
+        new_score: float | None = None,
+        poc_guidance: str = "",
+    ):
+        """The verifier's tool: record its verdict on the point."""
+        if verdict not in ("tp", "fp"):
+            raise ValueError("verdict must be 'tp' or 'fp'")
+        self._verdict = {
+            "verdict": verdict,
+            "corrected_description": corrected_description or None,
+            "new_score": new_score,
+            "poc_guidance": poc_guidance or None,
+        }
+        return {"accepted": True, "verdict": verdict}
+
     def _verify(self, sp: SuspiciousPoint) -> None:
         if not is_sanitizer_compatible(sp.vuln_type, self.task.sanitizer):
             self.spstore.apply_verification(
@@ -538,24 +554,6 @@ class Worker:
                 ),
             )
             return
-        captured: dict = {}
-
-        def update_suspicious_point(
-            verdict: str,
-            corrected_description: str = "",
-            new_score: float | None = None,
-            poc_guidance: str = "",
-        ):
-            if verdict not in ("tp", "fp"):
-                raise ValueError("verdict must be 'tp' or 'fp'")
-            captured.update(
-                verdict=verdict,
-                corrected_description=corrected_description,
-                new_score=new_score,
-                poc_guidance=poc_guidance,
-            )
-            return {"accepted": True, "verdict": verdict}
-
         seed = self._function_context(
             sp.function_id,
             f"verify suspicious point {sp.id}: {sp.vuln_type} (score {sp.score})\n"
@@ -566,8 +564,8 @@ class Worker:
         # verdict a failed run captured is not applied, and only the last
         # failure is warned.
         for retry in (False, True):
-            captured.clear()
-            outcome = self._run_role("sp-verifier", seed, extra_tools=(update_suspicious_point,))
+            self._verdict = {}
+            outcome = self._run_role("sp-verifier", seed)
             if not outcome.failure:
                 break
             if retry or outcome.failure_kind != "chain":
@@ -576,14 +574,8 @@ class Worker:
                     f"left unverified: {outcome.failure}"
                 )
                 return
-        if captured:
-            self.spstore.apply_verification(
-                sp.id,
-                captured["verdict"],
-                corrected_description=captured["corrected_description"] or None,
-                new_score=captured["new_score"],
-                poc_guidance=captured["poc_guidance"] or None,
-            )
+        if self._verdict:
+            self.spstore.apply_verification(sp.id, **self._verdict)
 
     # -- proof-of-crash generation --------------------------------------------
 
@@ -776,14 +768,14 @@ class Worker:
             if self.task.degenerate:
                 self.task.state = "done"
                 return self.task
-            if self._budget_tripped():
-                self.task.state = "timeout"
-                return self.task
-            self._analyze()
-            loop = self.global_loop
-            while loop is not None and loop.budget_left > 0 and not self._budget_tripped():
-                self._pump(loop)
+            if not self._budget_tripped():
+                self._analyze()
+                loop = self.global_loop
+                while loop is not None and loop.budget_left > 0 and not self._budget_tripped():
+                    self._pump(loop)
             self.task.state = "timeout" if self._budget_tripped() else "done"
+            if self._budget_reason:
+                self.task.warnings.append(f"stopped: {self._budget_reason}")
         except Exception as exc:  # noqa: BLE001 - worker failure is a terminal state
             log.exception("worker %s failed", self.task.id)
             self.task.state = "failed"
@@ -856,7 +848,7 @@ class PocAttempt:
 
     def run(self) -> None:
         """Run the PoC agent; an unsolved point is recorded as not crashed."""
-        worker, sp, config = self.worker, self.sp, self.worker.config
+        worker, sp = self.worker, self.sp
         seed = "\n".join(
             [
                 f"confirmed suspicious point {sp.id}",
@@ -870,13 +862,8 @@ class PocAttempt:
                 worker.subgraph.functions[sp.function_id].source_text,
             ]
         )
-        worker._run_role(
-            "poc-generator",
-            seed,
-            extra_tools=(self.create_pov, self.trace_pov),
-            tool_limits={"create_pov": config.max_poc_attempts},
-            failure=f"poc generation failed for {sp.id}",
-        )
+        worker._poc = self
+        worker._run_role("poc-generator", seed, failure=f"poc generation failed for {sp.id}")
         if not self.solved:
             worker.spstore.record_poc_result(sp.id, worker.task.fuzzer, crashed=False)
 

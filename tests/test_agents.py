@@ -257,6 +257,10 @@ class TestToolRegistry:
         first.invoke("echo", {})
         assert first.call_counts == {"echo": 1}
         assert second.call_counts == {"echo": 0}
+        schemas = first.schemas()
+        first.reset()
+        assert first.call_counts == {"echo": 0}
+        assert first.schemas() is schemas
 
     def test_result_digest_is_truncated_sha256(self):
         expected = hashlib.sha256(b"payload").hexdigest()[:12]

@@ -627,6 +627,28 @@ def _magic_poc_scenario(attempts: int) -> dict:
     }}
 
 
+def test_every_poc_run_on_a_worker_gets_its_full_create_pov_limit(magic_workspace):
+    """A worker reuses one poc-generator registry for all its PoC runs, and
+    each run starts its limit from zero: two runs of five calls each make
+    ``max_poc_attempts`` executed calls before their first refusal."""
+    scenario = _magic_poc_scenario(5)
+    scenario["agents"]["poc-generator"][0]["reusable"] = True
+    worker = _bare_worker(magic_workspace, scenario, sp_fuzz_iterations=0, max_poc_attempts=3)
+    worker.runner = _FlakyRunner()
+    task, spstore = worker.task, worker.spstore
+    registry = worker.registries["poc-generator"]
+    attempts = []
+    for function in ("m_entry", "m_handler"):
+        sp_id = spstore.create_sp(function, (task.fuzzer, task.sanitizer),
+                                  "tag copied into a fixed buffer", "heap-buffer-overflow", 0.9)
+        spstore.apply_verification(sp_id, "tp")
+        attempts.append(pipeline.PocAttempt(worker, spstore.get(sp_id)))
+        attempts[-1].run()
+        assert registry.call_counts["create_pov"] == 3
+    assert [attempt.attempts for attempt in attempts] == [3, 3]
+    assert task.metrics.agent_runs == 2 and task.metrics.tool_calls == 2 * 5
+
+
 def test_context_budget_bounds_every_poc_request(magic_workspace, monkeypatch):
     """Under a small context budget a 40-attempt PoC run is compressed
     before each step that would outgrow it; every attempt still runs."""
@@ -1054,11 +1076,15 @@ class TestBudgets:
     def test_wall_clock_budget_times_out(self, e2e_workspace):
         result = run_scan(e2e_workspace.config(budget_minutes=0.0))
         assert [t.state for t in result.tasks] == ["timeout"] * 3
+        assert [t.warnings for t in result.tasks] == [
+            ["stopped: wall clock budget (0s) exhausted"]
+        ] * 3
         assert result.reports == []
 
     def test_token_ceiling_times_out(self, e2e_workspace):
         result = run_scan(e2e_workspace.config(budget_dollars=0.0))
         assert [t.state for t in result.tasks] == ["timeout"] * 3
+        assert [t.warnings for t in result.tasks] == [["stopped: token ceiling (0) exhausted"]] * 3
         assert all(t.metrics.tokens == 0 for t in result.tasks)
 
     def test_final_drain_stops_within_one_slice(self, magic_workspace, monkeypatch):
