@@ -2,10 +2,18 @@
 
 The static-analysis export is line-delimited: one JSON object per line with
 keys ``{id, name, file, source, callees, reached_by_fuzzers, is_entry_for}``.
-This module loads that export into a :class:`CallGraph`, computes per-fuzzer
-reachability and call depths, and exposes the read-only query surface the
-analysis agents use (function source, callers/callees, reachability lists,
-code search, file content).
+A record ends only at ``\n``, ``\r\n`` or ``\r``, so a string may hold any
+other Unicode line break raw.  This module loads that export into a
+:class:`CallGraph`, computes per-fuzzer reachability and call depths, and
+exposes the read-only query surface the analysis agents use (function
+source, callers/callees, reachability lists, code search, file content).
+
+:func:`load_call_graph` reads the export in one streaming pass: it iterates
+the open file (never holding its whole text), decodes each line with one
+call of the C JSON scanner, validates it and builds its record around the
+decoded lists, and collects each fuzzer's entries and the fuzzers known only
+from annotations as it goes.  After the pass it adds stubs for external
+callees and writes each fuzzer's depths straight from one BFS.
 
 Reachability for a fuzzer is the union of the export's own annotations and
 the BFS closure over call edges from that fuzzer's entry points, so exports
@@ -32,6 +40,12 @@ from .errors import ExportParseError, UnknownFuzzerError
 logger = logging.getLogger(__name__)
 
 EXPORT_KEYS = ("id", "name", "file", "source", "callees", "reached_by_fuzzers", "is_entry_for")
+_REQUIRED_KEYS = frozenset(EXPORT_KEYS[:4])
+_KEY_SET = frozenset(EXPORT_KEYS)
+_LIST_KEYS = EXPORT_KEYS[4:]
+# The C scanner that json.loads reaches through three Python-level calls and
+# two whitespace matches per line; the loader calls it directly.
+_scan_once = json.JSONDecoder().scan_once
 
 QUERY_KINDS = (
     "get_function_source",
@@ -79,15 +93,17 @@ class CallGraph:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._callers: dict[str, list[str]] = {fid: [] for fid in self.functions}
-        self._by_name: dict[str, list[str]] = {}
+        callers: dict[str, list[str]] = {fid: [] for fid in self.functions}
+        by_name: dict[str, list[str]] = {}
         for rec in self.functions.values():
-            self._by_name.setdefault(rec.name, []).append(rec.id)
+            by_name.setdefault(rec.name, []).append(rec.id)
             for callee in rec.callees:
-                if callee in self._callers:
-                    self._callers[callee].append(rec.id)
-        for lst in self._callers.values():
+                if callee in callers:
+                    callers[callee].append(rec.id)
+        for lst in callers.values():
             lst.sort()
+        self._callers = callers
+        self._by_name = by_name
 
     def callers_of(self, function_id: str) -> list[str]:
         return list(self._callers.get(function_id, []))
@@ -107,26 +123,42 @@ class CallGraph:
         return None
 
 
-def _parse_line(raw: str, line_no: int) -> dict:
+def _parse_line(raw: str, line_no: int, newline: str) -> FunctionRecord:
+    """Decode and check one export line, which may end in ``newline``.
+
+    A line the scanner does not take whole (surrounding whitespace, or a
+    fault) goes through ``json.loads``, whose error text is reported.
+    """
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ExportParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+        obj, end = _scan_once(raw, 0)
+        if end != len(raw) and raw[end:] != newline:
+            raise ValueError
+    except (StopIteration, ValueError):
+        try:
+            obj = json.loads(raw.removesuffix(newline))
+        except json.JSONDecodeError as exc:
+            raise ExportParseError(f"invalid JSON ({exc.msg})", line_no) from exc
     if not isinstance(obj, dict):
         raise ExportParseError("record is not an object", line_no)
-    missing = [k for k in ("id", "name", "file", "source") if k not in obj]
-    if missing:
-        raise ExportParseError(f"missing keys: {', '.join(missing)}", line_no)
-    unknown = [k for k in obj if k not in EXPORT_KEYS]
-    if unknown:
+    if not _REQUIRED_KEYS <= obj.keys() <= _KEY_SET:
+        missing = [k for k in EXPORT_KEYS[:4] if k not in obj]
+        if missing:
+            raise ExportParseError(f"missing keys: {', '.join(missing)}", line_no)
+        unknown = [k for k in obj if k not in _KEY_SET]
         raise ExportParseError(f"unknown keys: {', '.join(sorted(unknown))}", line_no)
-    if not isinstance(obj["id"], str) or not obj["id"]:
+    fid = obj["id"]
+    if not isinstance(fid, str) or not fid:
         raise ExportParseError("'id' must be a non-empty string", line_no)
-    for key in ("callees", "reached_by_fuzzers", "is_entry_for"):
-        value = obj.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    get = obj.get
+    for key in _LIST_KEYS:
+        value = get(key, [])
+        if not isinstance(value, list):
             raise ExportParseError(f"'{key}' must be a list of strings", line_no)
-    return obj
+        for item in value:
+            if not isinstance(item, str):
+                raise ExportParseError(f"'{key}' must be a list of strings", line_no)
+    return FunctionRecord(fid, obj["name"], obj["file"], obj["source"], get("callees", []),
+                          set(get("reached_by_fuzzers", ())), get("is_entry_for", []))
 
 
 def bfs_parents(functions: dict[str, FunctionRecord], entries: Iterable[str]) -> dict[str, str | None]:
@@ -141,7 +173,7 @@ def bfs_parents(functions: dict[str, FunctionRecord], entries: Iterable[str]) ->
     while frontier:
         cur = frontier.popleft()
         for callee in functions[cur].callees:
-            if callee in functions and callee not in parents:
+            if callee not in parents and callee in functions:
                 parents[callee] = cur
                 frontier.append(callee)
     return parents
@@ -161,7 +193,8 @@ def load_call_graph(source: str | Path | Iterable[str]) -> CallGraph:
     """Load a line-delimited export into a :class:`CallGraph`.
 
     Args:
-        source: path to an export file, or an iterable of export lines.
+        source: path to a UTF-8 export file, read line by line with
+            universal newlines, or an iterable of export lines.
 
     Returns:
         The loaded graph with reachability and call depths computed.
@@ -171,35 +204,53 @@ def load_call_graph(source: str | Path | Iterable[str]) -> CallGraph:
             missing/unknown keys, or a duplicate function id; the message
             carries the path or the line number.
     """
-    if isinstance(source, (str, Path)):
+    if not isinstance(source, (str, Path)):
+        return _load_lines(source, "")
+    path = Path(source)
+    try:
+        with path.open(encoding="utf-8") as lines:
+            return _load_lines(lines, "\n")
+    except (OSError, UnicodeDecodeError, ExportParseError) as exc:
+        # A file that cannot be read whole is reported as unreadable even
+        # when a line before the fault is bad, with the error of a
+        # whole-file read (a streamed decode names an offset in its chunk).
         try:
-            lines = Path(source).read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ExportParseError(f"cannot read export {source}: {exc}") from exc
-    else:
-        lines = list(source)
+            path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as read_error:
+            raise ExportParseError(f"cannot read export {source}: {read_error}") from read_error
+        if isinstance(exc, ExportParseError):
+            raise
+        raise ExportParseError(f"cannot read export {source}: {exc}") from exc
 
+
+def _load_lines(lines: Iterable[str], newline: str) -> CallGraph:
+    """The single pass of :func:`load_call_graph` over ``lines``, whose
+    items may end in ``newline``, then stubs and depths."""
     functions: dict[str, FunctionRecord] = {}
-    warnings: list[str] = []
+    fuzzer_entries: dict[str, list[str]] = {}
+    annotated: dict[str, None] = {}
     for idx, raw in enumerate(lines, start=1):
-        if not raw.strip():
+        if not raw or raw.isspace():
             continue
-        obj = _parse_line(raw, idx)
-        fid = obj["id"]
+        rec = _parse_line(raw, idx, newline)
+        fid = rec.id
         if fid in functions:
             raise ExportParseError(f"duplicate function id '{fid}'", idx)
-        functions[fid] = FunctionRecord(
-            id=fid,
-            name=obj["name"],
-            file_path=obj["file"],
-            source_text=obj["source"],
-            callees=list(obj.get("callees", [])),
-            reached_by_fuzzers=set(obj.get("reached_by_fuzzers", [])),
-            is_entry_for=list(obj.get("is_entry_for", [])),
-        )
+        functions[fid] = rec
+        for fuzzer in rec.is_entry_for:
+            fuzzer_entries.setdefault(fuzzer, []).append(fid)
+        for fuzzer in rec.reached_by_fuzzers:
+            annotated[fuzzer] = None
+    for lst in fuzzer_entries.values():
+        lst.sort()
+    # Fuzzers mentioned only in reachability annotations are still known,
+    # just entry-less (their subgraph is empty until entries appear).
+    for fuzzer in annotated:
+        fuzzer_entries.setdefault(fuzzer, [])
 
     # Callees absent from the export become external stubs: the node is
     # created and the edge kept so get_callees stays faithful.
+    warnings: list[str] = []
     for rec in list(functions.values()):
         for callee in rec.callees:
             if callee not in functions:
@@ -212,23 +263,14 @@ def load_call_graph(source: str | Path | Iterable[str]) -> CallGraph:
                     is_external=True,
                 )
 
-    fuzzer_entries: dict[str, list[str]] = {}
-    for rec in functions.values():
-        for fuzzer in rec.is_entry_for:
-            fuzzer_entries.setdefault(fuzzer, []).append(rec.id)
-    for lst in fuzzer_entries.values():
-        lst.sort()
-    # Fuzzers mentioned only in reachability annotations are still known,
-    # just entry-less (their subgraph is empty until entries appear).
-    for rec in functions.values():
-        for fuzzer in rec.reached_by_fuzzers:
-            fuzzer_entries.setdefault(fuzzer, [])
-
     graph = CallGraph(functions=functions, fuzzer_entries=fuzzer_entries, warnings=warnings)
-    for fuzzer in fuzzer_entries:
-        for fid, depth in compute_depths(graph, fuzzer).items():
-            functions[fid].reached_by_fuzzers.add(fuzzer)
-            functions[fid].call_depth[fuzzer] = depth
+    for fuzzer, entries in fuzzer_entries.items():
+        # A parent precedes its children, so its depth is already written.
+        for fid, parent in bfs_parents(functions, entries).items():
+            rec = functions[fid]
+            rec.reached_by_fuzzers.add(fuzzer)
+            rec.call_depth[fuzzer] = (1 if parent is None
+                                      else functions[parent].call_depth[fuzzer] + 1)
     for warning in warnings:
         logger.debug("call graph: %s", warning)
     return graph

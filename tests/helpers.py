@@ -10,14 +10,21 @@ import json
 import random
 import re
 from collections import namedtuple
+from pathlib import Path
 
 from vulnhunt.agents import ScriptedProvider, compress_context, loop
 from vulnhunt.agents.loop import AgentOutcome, ToolLogEntry
 from vulnhunt.agents.registry import result_digest
 from vulnhunt.agents.types import ROLE_TIERS, Budgets, Conversation, Message, ProviderRequest, TokenUsage
-from vulnhunt.callgraph import CallGraph, FunctionRecord, load_call_graph
+from vulnhunt.callgraph import EXPORT_KEYS, CallGraph, FunctionRecord, load_call_graph
 from vulnhunt.directions import DirectionScheduler, Pick
-from vulnhunt.errors import BudgetError, ChainExhaustedError, OversizeBlobError, ValidationError
+from vulnhunt.errors import (
+    BudgetError,
+    ChainExhaustedError,
+    ExportParseError,
+    OversizeBlobError,
+    ValidationError,
+)
 from vulnhunt.fuzzing.mutate import OPERATORS, Mutator
 from vulnhunt.fuzzing.seeds import _decode_string, _encode_number
 from vulnhunt.fuzzing.target import DEFAULT_MAX_BLOB, ExecutionResult
@@ -138,6 +145,122 @@ def naive_depths(records, fuzzer):
                     nxt.append(callee)
         frontier = nxt
     return depths
+
+
+# ---------------------------------------------------------------------------
+# Naive export loader (oracle for the streaming load_call_graph)
+# ---------------------------------------------------------------------------
+
+
+def _naive_parse_line(raw, line_no):
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ExportParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+    if not isinstance(obj, dict):
+        raise ExportParseError("record is not an object", line_no)
+    missing = [k for k in ("id", "name", "file", "source") if k not in obj]
+    if missing:
+        raise ExportParseError(f"missing keys: {', '.join(missing)}", line_no)
+    unknown = [k for k in obj if k not in EXPORT_KEYS]
+    if unknown:
+        raise ExportParseError(f"unknown keys: {', '.join(sorted(unknown))}", line_no)
+    if not isinstance(obj["id"], str) or not obj["id"]:
+        raise ExportParseError("'id' must be a non-empty string", line_no)
+    for key in ("callees", "reached_by_fuzzers", "is_entry_for"):
+        value = obj.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ExportParseError(f"'{key}' must be a list of strings", line_no)
+    return obj
+
+
+def _naive_record_depths(functions, entries):
+    """Level-by-level BFS over loaded records: entries at depth 1."""
+    depths = {e: 1 for e in entries if e in functions}
+    frontier = list(depths)
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for callee in functions[node].callees:
+                if callee in functions and callee not in depths:
+                    depths[callee] = depths[node] + 1
+                    nxt.append(callee)
+        frontier = nxt
+    return depths
+
+
+def naive_load_call_graph(source):
+    """The export loader as it was before it streamed: read the whole text,
+    split it with ``str.splitlines``, decode each line with ``json.loads``
+    and build the entry lists, stubs and depths in separate passes."""
+    if isinstance(source, (str, Path)):
+        try:
+            lines = Path(source).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ExportParseError(f"cannot read export {source}: {exc}") from exc
+    else:
+        lines = list(source)
+
+    functions = {}
+    warnings = []
+    for idx, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        obj = _naive_parse_line(raw, idx)
+        fid = obj["id"]
+        if fid in functions:
+            raise ExportParseError(f"duplicate function id '{fid}'", idx)
+        functions[fid] = FunctionRecord(
+            id=fid,
+            name=obj["name"],
+            file_path=obj["file"],
+            source_text=obj["source"],
+            callees=list(obj.get("callees", [])),
+            reached_by_fuzzers=set(obj.get("reached_by_fuzzers", [])),
+            is_entry_for=list(obj.get("is_entry_for", [])),
+        )
+
+    for rec in list(functions.values()):
+        for callee in rec.callees:
+            if callee not in functions:
+                warnings.append(f"external callee '{callee}' (called by '{rec.id}')")
+                functions[callee] = FunctionRecord(
+                    id=callee,
+                    name=callee,
+                    file_path="",
+                    source_text="",
+                    is_external=True,
+                )
+
+    fuzzer_entries = {}
+    for rec in functions.values():
+        for fuzzer in rec.is_entry_for:
+            fuzzer_entries.setdefault(fuzzer, []).append(rec.id)
+    for lst in fuzzer_entries.values():
+        lst.sort()
+    for rec in functions.values():
+        for fuzzer in rec.reached_by_fuzzers:
+            fuzzer_entries.setdefault(fuzzer, [])
+
+    graph = CallGraph(functions=functions, fuzzer_entries=fuzzer_entries, warnings=warnings)
+    for fuzzer in fuzzer_entries:
+        for fid, depth in _naive_record_depths(functions, fuzzer_entries[fuzzer]).items():
+            functions[fid].reached_by_fuzzers.add(fuzzer)
+            functions[fid].call_depth[fuzzer] = depth
+    return graph
+
+
+def load_outcome(load, source):
+    """Everything ``load(source)`` builds, key orders included (records with
+    every compared field, each record's depth order, entry lists, warnings),
+    or its ExportParseError's text and line."""
+    try:
+        graph = load(source)
+    except ExportParseError as exc:
+        return ("error", str(exc), exc.line_no)
+    return ("graph", list(graph.functions.items()),
+            [list(rec.call_depth) for rec in graph.functions.values()],
+            list(graph.fuzzer_entries.items()), graph.warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Call-graph loading, reachability, depths, subgraphs, and code queries."""
 from __future__ import annotations
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +107,181 @@ def test_blank_lines_skipped():
     lines.append("   ")
     graph = load_call_graph(lines)
     assert len(graph.functions) == len(fd.E2E_EXPORT_RECORDS)
+
+
+def test_unicode_line_breaks_inside_strings_stay_in_the_record(tmp_path):
+    """Only \\n, \\r\\n and \\r end a record; the other characters that
+    ``str.splitlines`` breaks at may sit raw in a string, as
+    ``json.dumps(..., ensure_ascii=False)`` writes them."""
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    records = [dict(fd.E2E_EXPORT_RECORDS[0], source=f"int f(void) {{{ch} return 0; }}")
+               for ch in breaks]
+    for i, rec in enumerate(records):
+        rec["id"] = f"f{i}"
+    path = tmp_path / "export.jsonl"
+    lines = [json.dumps(rec, ensure_ascii=False) for rec in records]
+    path.write_bytes(("\r\n".join(lines[:4]) + "\r" + "\n".join(lines[4:])).encode("utf-8"))
+    graph = load_call_graph(path)
+    assert [graph.functions[rec["id"]].source_text for rec in records] == \
+        [rec["source"] for rec in records]
+    assert load_call_graph(lines).functions == graph.functions
+
+
+_BAD_LINES = {
+    "bad-json": '{not json',
+    "unterminated": '"abc',
+    "escape-at-end": '"ab\\',
+    "unterminated-then-spaces": '"abc  ',
+    "bad-literal": '{"id": tru}',
+    "open-array": '[1, 2',
+    "number": "3",
+    "array": "[]",
+    "trailing-data": json.dumps(fd.E2E_EXPORT_RECORDS[1]) + " x",
+    "trailing-vt": json.dumps(fd.E2E_EXPORT_RECORDS[1]) + "\x0b",
+    "non-string-callee": json.dumps(dict(fd.E2E_EXPORT_RECORDS[1], callees=["a", 1])),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_LINES.values()), ids=list(_BAD_LINES))
+def test_bad_line_errors_match_the_naive_loader(bad, tmp_path):
+    """The same error text and line as the naive loader, for given lines and
+    for the same lines written to a file: the line's newline plays no part
+    in the error, and a vertical tab stays inside its line."""
+    lines = helpers.export_lines(fd.E2E_EXPORT_RECORDS[:1]) + [bad] + \
+        helpers.export_lines(fd.E2E_EXPORT_RECORDS[2:3])
+    want = helpers.load_outcome(helpers.naive_load_call_graph, lines)
+    assert want[0] == "error" and want[2] == 2
+    assert helpers.load_outcome(load_call_graph, lines) == want
+    path = tmp_path / "export.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert helpers.load_outcome(load_call_graph, path) == want
+
+
+def _open_files(monkeypatch):
+    """Record every file ``Path.open`` returns from now on."""
+    opened = []
+    real_open = Path.open
+
+    def recording(self, *args, **kwargs):
+        opened.append(real_open(self, *args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(Path, "open", recording)
+    return opened
+
+
+def test_undecodable_third_line_names_the_path_and_closes_the_file(tmp_path, monkeypatch):
+    # Two long lines put the bad byte past the first read chunk, so the error
+    # must name its offset in the whole file, as a whole-file read does.
+    records = [dict(fd.E2E_EXPORT_RECORDS[i], source="x" * 6000) for i in range(3)]
+    good = helpers.export_lines(records)
+    path = tmp_path / "export.jsonl"
+    head = ("\n".join(good[:2]) + "\n" + good[2][:-2]).encode("utf-8")
+    path.write_bytes(head + b"\xff\xfe\"}\n")
+    opened = _open_files(monkeypatch)
+    with pytest.raises(ExportParseError) as exc_info:
+        load_call_graph(path)
+    message = str(exc_info.value)
+    assert message.startswith(f"cannot read export {path}: ")
+    assert f"position {len(head)}:" in message and exc_info.value.line_no is None
+    assert opened and all(f.closed for f in opened)
+    assert helpers.load_outcome(helpers.naive_load_call_graph, path) == \
+        ("error", message, None)
+
+
+def test_unreadable_file_wins_over_an_earlier_bad_line(tmp_path, monkeypatch):
+    path = tmp_path / "export.jsonl"
+    good = helpers.export_lines(fd.E2E_EXPORT_RECORDS[:1])[0].encode("utf-8")
+    path.write_bytes(b"{not json\n" + good + b"\n\xff\n")
+    opened = _open_files(monkeypatch)
+    with pytest.raises(ExportParseError, match="^cannot read export .*invalid start byte"):
+        load_call_graph(path)
+    assert all(f.closed for f in opened)
+    missing = tmp_path / "absent.jsonl"
+    assert helpers.load_outcome(load_call_graph, missing) == \
+        helpers.load_outcome(helpers.naive_load_call_graph, missing)
+
+
+# Drawn export lines for the loader oracle.  Line i declares id f{i}, and
+# callees range a little past the declared ids (external stubs); fuzzers
+# appear only in annotations as well as in entry lists.
+_FUZZERS = st.sampled_from(["fz_a", "fz_b", "fz_c"])
+_NOT_A_STRING_LIST = st.sampled_from(["f1", None, 3, {"f1": 1}, ["f1", 2], [None], [["f1"]]])
+_MALFORMED = ["bad json", "trailing", "non-object", "missing", "unknown", "bad id", "bad list",
+              "duplicate"]
+
+
+def _record(draw, fid, count):
+    ids = st.sampled_from([f"f{i}" for i in range(count + 2)])
+    rec = {"id": fid, "name": draw(st.sampled_from(["n0", "n1", "f0"])),
+           "file": draw(st.sampled_from(["a.c", "b.c"])),
+           "source": draw(st.text(alphabet="ab (){};\n\t\"\\é\x85\u2028", max_size=12))}
+    for key, values in (("callees", st.lists(ids, max_size=4)),
+                        ("reached_by_fuzzers", st.lists(_FUZZERS, max_size=2)),
+                        ("is_entry_for", st.lists(_FUZZERS, max_size=2))):
+        if draw(st.integers(0, 5)):
+            rec[key] = draw(values)
+    return rec
+
+
+def _malformed(draw, rec):
+    kind = draw(st.sampled_from(_MALFORMED))
+    if kind == "bad json":
+        return draw(st.sampled_from(['{not json', '{"id": "f0"', '"abc', '"ab\\', '[1, 2',
+                                     '{"id": tru}', 'nul', '\ufeff{}', '{"a": 1,}']))
+    if kind == "trailing":
+        return json.dumps(rec) + draw(st.sampled_from([" x", "}", " {}", "\x0b"]))
+    if kind == "non-object":
+        return draw(st.sampled_from(["[]", '"s"', "3", "null", "[{}]"]))
+    if kind == "missing":
+        drop = draw(st.lists(st.sampled_from(["id", "name", "file", "source"]), min_size=1,
+                             unique=True))
+        return json.dumps({k: v for k, v in rec.items() if k not in drop})
+    if kind == "unknown":
+        return json.dumps(dict(rec, **{draw(st.sampled_from(["flavor", "Id", "calls"])): 1}))
+    if kind == "bad id":
+        return json.dumps(dict(rec, id=draw(st.sampled_from(["", 3, None, ["f0"]]))))
+    if kind == "duplicate":
+        return json.dumps(dict(rec, id="f0"))
+    key = draw(st.sampled_from(["callees", "reached_by_fuzzers", "is_entry_for"]))
+    return json.dumps(dict(rec, **{key: draw(_NOT_A_STRING_LIST)}))
+
+
+@st.composite
+def _export_lines(draw):
+    count = draw(st.integers(0, 10))
+    lines = []
+    for i in range(count):
+        kind = draw(st.sampled_from(["valid"] * 12 + ["blank", "malformed"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t ", "\r\n", " \r\n"])))
+            continue
+        rec = _record(draw, f"f{i}", count)
+        if kind == "valid":
+            line = json.dumps(rec, ensure_ascii=draw(st.booleans()))
+        else:
+            line = _malformed(draw, rec)
+        pad = st.sampled_from(["", "", "", " ", "\t", "  \t"])
+        lines.append(draw(pad) + line + draw(pad) + draw(st.sampled_from(["", "", "\r\n"])))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_export_lines())
+def test_streaming_loader_matches_naive_oracle(lines):
+    """Given lines and the same lines written to a file, the streaming
+    loader builds the same graph as the naive one, key orders and warnings
+    included, or fails with the same error text and line."""
+    want = helpers.load_outcome(helpers.naive_load_call_graph, lines)
+    assert helpers.load_outcome(load_call_graph, lines) == want
+    text = "\n".join(lines)
+    if any(len(line.splitlines()) > 1 for line in text.split("\n")):
+        return  # the naive loader split this text at a Unicode line break too
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "export.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert helpers.load_outcome(load_call_graph, path) == \
+            helpers.load_outcome(helpers.naive_load_call_graph, path)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,24 @@ def test_predicate_validation_paths():
         validate_predicate({"kind": "offset-equals", "offset": 0, "value": 300})
 
 
+@pytest.mark.parametrize("node, field, message", [
+    ({"kind": "offset-equals", "offset": True, "value": 0}, "offset", "non-negative integer"),
+    ({"kind": "offset-equals", "offset": 0, "value": False}, "value", "byte"),
+    ({"kind": "length-cmp", "op": "ge", "value": True}, "value", "non-negative integer"),
+    ({"kind": "u32-le-field-cmp", "offset": False, "op": "eq", "value": 0}, "offset",
+     "non-negative integer"),
+    ({"kind": "u32-le-field-cmp", "offset": 0, "op": "eq", "value": True}, "value",
+     "unsigned 32-bit integer"),
+], ids=["offset-equals.offset", "offset-equals.value", "length-cmp.value",
+        "u32-le-field-cmp.offset", "u32-le-field-cmp.value"])
+def test_predicate_integer_fields_reject_booleans(node, field, message):
+    """JSON ``true``/``false`` are bools, which Python counts as ints; a
+    predicate must not read them as 1 and 0."""
+    with pytest.raises(TargetSchemaError, match=f"'{field}' must .*{message}"):
+        validate_predicate(node)
+    validate_predicate(dict(node, **{field: int(node[field])}))
+
+
 # ---------------------------------------------------------------------------
 # Target parsing and execution
 # ---------------------------------------------------------------------------
