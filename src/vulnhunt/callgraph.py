@@ -13,7 +13,7 @@ the open file (never holding its whole text), decodes each line with one
 call of the C JSON scanner, validates it and builds its record around the
 decoded lists, and collects each fuzzer's entries and the fuzzers known only
 from annotations as it goes.  After the pass it adds stubs for external
-callees and writes each fuzzer's depths straight from one BFS.
+callees and writes each fuzzer's depths from one BFS.
 
 Reachability for a fuzzer is the union of the export's own annotations and
 the BFS closure over call edges from that fuzzer's entry points, so exports
@@ -264,13 +264,11 @@ def _load_lines(lines: Iterable[str], newline: str) -> CallGraph:
                 )
 
     graph = CallGraph(functions=functions, fuzzer_entries=fuzzer_entries, warnings=warnings)
-    for fuzzer, entries in fuzzer_entries.items():
-        # A parent precedes its children, so its depth is already written.
-        for fid, parent in bfs_parents(functions, entries).items():
+    for fuzzer in fuzzer_entries:
+        for fid, depth in compute_depths(graph, fuzzer).items():
             rec = functions[fid]
             rec.reached_by_fuzzers.add(fuzzer)
-            rec.call_depth[fuzzer] = (1 if parent is None
-                                      else functions[parent].call_depth[fuzzer] + 1)
+            rec.call_depth[fuzzer] = depth
     for warning in warnings:
         logger.debug("call graph: %s", warning)
     return graph

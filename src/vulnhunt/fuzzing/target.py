@@ -83,11 +83,6 @@ def _literal_bytes(node: dict, where: str) -> bytes:
     return str(node["text"]).encode("utf-8")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: ``true`` and ``false`` are not numbers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_predicate(node: dict, where: str = "guard") -> None:
     """Schema-check one predicate tree; raises TargetSchemaError with a path."""
     if not isinstance(node, dict):
@@ -96,24 +91,26 @@ def validate_predicate(node: dict, where: str = "guard") -> None:
     if kind not in _PREDICATE_KINDS:
         raise TargetSchemaError(f"{where}: unknown predicate kind {kind!r}")
     if kind == "offset-equals":
-        if not _is_int(node.get("offset")) or node["offset"] < 0:
+        offset, value = node.get("offset"), node.get("value")
+        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
             raise TargetSchemaError(f"{where}: 'offset' must be a non-negative integer")
-        value = node.get("value")
-        if not _is_int(value) or not (0 <= value <= 255):
+        if isinstance(value, bool) or not isinstance(value, int) or not (0 <= value <= 255):
             raise TargetSchemaError(f"{where}: 'value' must be a byte (0-255)")
     elif kind in ("prefix", "contains"):
         _literal_bytes(node, where)
     elif kind == "length-cmp":
         if node.get("op") not in _OPS:
             raise TargetSchemaError(f"{where}: 'op' must be one of {sorted(_OPS)}")
-        if not _is_int(node.get("value")) or node["value"] < 0:
+        value = node.get("value")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise TargetSchemaError(f"{where}: 'value' must be a non-negative integer")
     elif kind == "u32-le-field-cmp":
-        if not _is_int(node.get("offset")) or node["offset"] < 0:
+        offset, value = node.get("offset"), node.get("value")
+        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
             raise TargetSchemaError(f"{where}: 'offset' must be a non-negative integer")
         if node.get("op") not in _OPS:
             raise TargetSchemaError(f"{where}: 'op' must be one of {sorted(_OPS)}")
-        if not _is_int(node.get("value")) or not (0 <= node["value"] <= 0xFFFFFFFF):
+        if isinstance(value, bool) or not isinstance(value, int) or not (0 <= value <= 0xFFFFFFFF):
             raise TargetSchemaError(f"{where}: 'value' must fit an unsigned 32-bit integer")
     elif kind in ("and", "or"):
         terms = node.get("terms")

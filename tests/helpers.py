@@ -174,21 +174,6 @@ def _naive_parse_line(raw, line_no):
     return obj
 
 
-def _naive_record_depths(functions, entries):
-    """Level-by-level BFS over loaded records: entries at depth 1."""
-    depths = {e: 1 for e in entries if e in functions}
-    frontier = list(depths)
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for callee in functions[node].callees:
-                if callee in functions and callee not in depths:
-                    depths[callee] = depths[node] + 1
-                    nxt.append(callee)
-        frontier = nxt
-    return depths
-
-
 def naive_load_call_graph(source):
     """The export loader as it was before it streamed: read the whole text,
     split it with ``str.splitlines``, decode each line with ``json.loads``
@@ -202,6 +187,7 @@ def naive_load_call_graph(source):
         lines = list(source)
 
     functions = {}
+    records = []
     warnings = []
     for idx, raw in enumerate(lines, start=1):
         if not raw.strip():
@@ -210,6 +196,7 @@ def naive_load_call_graph(source):
         fid = obj["id"]
         if fid in functions:
             raise ExportParseError(f"duplicate function id '{fid}'", idx)
+        records.append(obj)
         functions[fid] = FunctionRecord(
             id=fid,
             name=obj["name"],
@@ -244,7 +231,7 @@ def naive_load_call_graph(source):
 
     graph = CallGraph(functions=functions, fuzzer_entries=fuzzer_entries, warnings=warnings)
     for fuzzer in fuzzer_entries:
-        for fid, depth in _naive_record_depths(functions, fuzzer_entries[fuzzer]).items():
+        for fid, depth in naive_depths(records, fuzzer).items():
             functions[fid].reached_by_fuzzers.add(fuzzer)
             functions[fid].call_depth[fuzzer] = depth
     return graph
