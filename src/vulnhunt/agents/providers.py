@@ -19,8 +19,7 @@ import json
 import threading
 from pathlib import Path
 
-import yaml
-
+from ..config import load_mapping
 from ..errors import ChainExhaustedError, ValidationError
 from .types import (
     Message,
@@ -266,15 +265,7 @@ class ScriptedProvider(Provider):
 def load_scenario(path: str | Path) -> dict:
     """Load a scenario file (YAML or JSON by extension); a ValidationError
     naming the path if it cannot be read or parsed or is not a mapping."""
-    path = Path(path)
-    try:
-        parse = yaml.safe_load if path.suffix in (".yaml", ".yml") else json.loads
-        data = parse(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, yaml.YAMLError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"scenario {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"scenario {path} must contain a mapping")
-    return data
+    return load_mapping(Path(path), "scenario", ValidationError)
 
 
 # ===== Reference HTTP adapter =====

@@ -140,20 +140,22 @@ class Config:
         return self.budget_minutes * 60.0
 
 
-def _load_file(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def load_mapping(path: Path, what: str, error: type[Exception], empty: dict | None = None) -> dict:
+    """The mapping in a YAML (``.yaml``/``.yml``) or JSON file; ``error``,
+    naming ``what`` and the path, if the file cannot be read or parsed or
+    holds no mapping.  A false YAML document reads as ``empty`` if given."""
     try:
         text = path.read_text(encoding="utf-8")
         if path.suffix in (".yaml", ".yml"):
-            data = yaml.safe_load(text) or {}
+            data = yaml.safe_load(text)
+            if empty is not None:
+                data = data or empty
         else:
             data = json.loads(text)
     except (OSError, UnicodeDecodeError, yaml.YAMLError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
+        raise error(f"{what} {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must contain a mapping")
+        raise error(f"{what} {path} must contain a mapping")
     return data
 
 
@@ -168,7 +170,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     Raises:
         ConfigError: unknown keys, bad values, or unreadable file.
     """
-    data = _load_file(path) if path else {}
+    data = {}
+    if path:
+        if not Path(path).exists():
+            raise ConfigError(f"config file not found: {path}")
+        data = load_mapping(Path(path), "config", ConfigError, empty={})
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value

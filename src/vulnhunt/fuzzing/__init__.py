@@ -6,7 +6,6 @@ from .engine import (
     DEFAULT_QUORUM,
     FuzzLoop,
     ReproduceOutcome,
-    VerifyOutcome,
     reproduce,
     sp_fuzzer_verify,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "SimTargetRunner",
     "TargetRule",
     "TargetRunner",
-    "VerifyOutcome",
     "extract_literal_tokens",
     "load_target",
     "load_targets_dir",

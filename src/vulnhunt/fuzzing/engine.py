@@ -4,9 +4,9 @@ Two loop flavors share one engine:
 
 * the global fuzzer runs in the background of a whole worker, feeding on
   direction seeds and false-positive seeds;
-* the suspicious-point fuzzer runs per SP, either verifying a handful of
-  agent-crafted blobs (verification mode) or mutating failed PoC attempts
-  while the agent thinks (background mode).
+* the suspicious-point fuzzer runs per SP, mutating failed PoC attempts
+  while the agent thinks.  The attempts' own blobs run through
+  ``sp_fuzzer_verify``, which returns the runs it made, up to the first crash.
 
 Loops are resumable objects pumped in deterministic slices: given the same
 rng seed, corpus history, and target, the execution stream is identical
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .corpus import MIN_ENERGY, Corpus
@@ -53,7 +53,6 @@ from .mutate import Mutator
 from .target import ExecutionResult, TargetRunner
 
 DEFAULT_QUORUM = 10
-SKIP_POLICY = "stop-on-first-crash"
 
 
 @dataclass
@@ -145,40 +144,22 @@ class FuzzLoop:
         return crashes
 
 
-@dataclass
-class VerifyOutcome:
-    """Result of executing up to three PoC blobs against the target."""
-
-    results: list[ExecutionResult | None] = field(default_factory=list)
-    crashed_index: int | None = None
-    skip_policy: str = SKIP_POLICY
-
-    @property
-    def crashed(self) -> bool:
-        return self.crashed_index is not None
-
-
-def sp_fuzzer_verify(blobs: list[bytes], runner: TargetRunner) -> VerifyOutcome:
-    """Execute 1-3 candidate PoC blobs; any crash short-circuits.
-
-    Blobs after the first crashing one are skipped (recorded as None in the
-    results list, policy ``stop-on-first-crash``).
+def sp_fuzzer_verify(blobs: list[bytes], runner: TargetRunner) -> list[ExecutionResult]:
+    """Run 1-3 candidate PoC blobs in order and return the results of the
+    runs made: the first crash ends the list, and the blobs after it do not
+    run.
 
     Raises:
         ValueError: when not given 1 to 3 blobs.
     """
     if not 1 <= len(blobs) <= 3:
         raise ValueError(f"sp_fuzzer_verify takes 1-3 blobs, got {len(blobs)}")
-    outcome = VerifyOutcome()
-    for i, blob in enumerate(blobs):
-        if outcome.crashed:
-            outcome.results.append(None)
-            continue
-        result = runner.run(blob)
-        outcome.results.append(result)
-        if result.outcome == "crash":
-            outcome.crashed_index = i
-    return outcome
+    results = []
+    for blob in blobs:
+        results.append(runner.run(blob))
+        if results[-1].outcome == "crash":
+            break
+    return results
 
 
 @dataclass(frozen=True)

@@ -532,15 +532,11 @@ class Worker:
         new_score: float | None = None,
         poc_guidance: str = "",
     ):
-        """The verifier's tool: record its verdict on the point."""
-        if verdict not in ("tp", "fp"):
-            raise ValueError("verdict must be 'tp' or 'fp'")
-        self._verdict = {
-            "verdict": verdict,
-            "corrected_description": corrected_description or None,
-            "new_score": new_score,
-            "poc_guidance": poc_guidance or None,
-        }
+        """The verifier's tool: check its verdict (a refusal is a tool error
+        the model reads) and keep it to apply when the run ends."""
+        self._verdict = self.spstore.check_verdict(
+            verdict, corrected_description or None, new_score, poc_guidance or None
+        )
         return {"accepted": True, "verdict": verdict}
 
     def _verify(self, sp: SuspiciousPoint) -> None:
@@ -874,55 +870,47 @@ class PocAttempt:
             blobs = self.factory.make_variants(recipe, worker.config.variants_per_attempt)
         except RecipeError as exc:
             return self._failed(f"recipe error: {exc}")
-        # Oversize variants are skipped before anything runs, as
-        # _admit_seed skips oversize seeds, so the rest run and count.
+        # Oversize variants are skipped before anything runs, as _admit_seed
+        # skips oversize seeds.  Each variant that fits takes the next run's
+        # result; only a crash stops the runs early, and it ends this pass.
         limit = worker.runner.max_blob
-        fits = [index for index, blob in enumerate(blobs) if len(blob) <= limit]
+        fits = [blob for blob in blobs if len(blob) <= limit]
         if not fits:
             sizes = ", ".join(f"{len(blob)} bytes" for blob in blobs)
             return self._failed(f"every variant exceeds max_blob {limit} ({sizes}); nothing ran")
-        outcome = sp_fuzzer_verify([blobs[index] for index in fits], worker.runner)
-        results = dict(zip(fits, outcome.results))  # variant index -> result
-        for index, result in results.items():
-            if result is None or result.outcome == "crash":
-                continue
-            worker.corpus.add(blobs[index], result.coverage, f"poc:{self.sp.id}")
-            self.failed_blobs.append(blobs[index])
         self.last_blobs = blobs
-        if outcome.crashed:
-            index = fits[outcome.crashed_index]
-            result = results[index]
-            if not worker._confirm_crash(blobs[index], result, "S", self.attempts, self.sp):
-                return self._failed("crash did not reproduce across the quorum")
-            self.solved = True
-            return {
-                "success": True,
-                "attempt": self.attempts,
-                "variant": index,
-                "crash": result.crash.location,
-                "vuln_type": result.crash.vuln_type,
-            }
-        self._pump_background()
-        tails = []
+        results = iter(sp_fuzzer_verify(fits, worker.runner))
+        tails, logs = [], []
         for index, blob in enumerate(blobs):
-            result = results.get(index)
             if len(blob) > limit:
                 tails.append(f"variant {index}: skipped ({len(blob)} bytes exceeds max_blob {limit})")
-            elif result is None:
-                tails.append(f"variant {index}: skipped ({outcome.skip_policy})")
-            else:
-                tails.append(
-                    f"variant {index}: {result.outcome}, "
-                    f"coverage {len(result.coverage)} functions, "
-                    f"deepest: {result.trace[-1] if result.trace else '(empty)'}"
-                )
-        combined = "\n".join(render_output(result, worker.runner.name, len(blobs[index]))
-                             for index, result in results.items() if result is not None)
+                continue
+            result = next(results)
+            if result.outcome == "crash":
+                if not worker._confirm_crash(blob, result, "S", self.attempts, self.sp):
+                    return self._failed("crash did not reproduce across the quorum")
+                self.solved = True
+                return {
+                    "success": True,
+                    "attempt": self.attempts,
+                    "variant": index,
+                    "crash": result.crash.location,
+                    "vuln_type": result.crash.vuln_type,
+                }
+            worker.corpus.add(blob, result.coverage, f"poc:{self.sp.id}")
+            self.failed_blobs.append(blob)
+            tails.append(
+                f"variant {index}: {result.outcome}, "
+                f"coverage {len(result.coverage)} functions, "
+                f"deepest: {result.trace[-1] if result.trace else '(empty)'}"
+            )
+            logs.append(render_output(result, worker.runner.name, len(blob)))
+        self._pump_background()
         return {
             "success": False,
             "attempt": self.attempts,
             "summary": tails,
-            "output_tail": combined[-FAILURE_HINT_CHARS:],
+            "output_tail": "\n".join(logs)[-FAILURE_HINT_CHARS:],
         }
 
     def trace_pov(self, variant: int = 0):

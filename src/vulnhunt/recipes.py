@@ -16,12 +16,15 @@ Instruction grammar (JSON)::
 
 Any numeric field may be written as ``{"param": "name"}`` and resolved from
 the variant's bindings.
+
+``parse_recipe`` checks the shape and returns the instruction and binding
+lists; ``RecipeBlobFactory.make_variants`` evaluates the instructions once
+per binding, where a bad value (say, an unbound parameter) raises.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import RecipeError
 
@@ -30,14 +33,9 @@ DEFAULT_VARIANTS = 3
 _INSTRUCTION_OPS = ("literal", "repeat", "integer", "random", "concat")
 
 
-@dataclass
-class BlobRecipe:
-    instructions: list[dict]
-    variants: list[dict] = field(default_factory=list)
-
-
-def parse_recipe(obj: dict, expected_variants: int = DEFAULT_VARIANTS) -> BlobRecipe:
-    """Validate recipe shape; raises RecipeError with a location on failure."""
+def parse_recipe(obj: dict, expected_variants: int = DEFAULT_VARIANTS) -> tuple[list, list]:
+    """Validate recipe shape and return its instructions and variant
+    bindings; raises RecipeError with a location on failure."""
     if not isinstance(obj, dict):
         raise RecipeError("recipe must be an object")
     instructions = obj.get("instructions")
@@ -55,7 +53,7 @@ def parse_recipe(obj: dict, expected_variants: int = DEFAULT_VARIANTS) -> BlobRe
     for i, bindings in enumerate(variants):
         if not isinstance(bindings, dict):
             raise RecipeError(f"variants[{i}] must be an object")
-    return BlobRecipe(instructions=list(instructions), variants=list(variants))
+    return instructions, variants
 
 
 def _validate_instruction(instr: dict, where: str) -> None:
@@ -145,25 +143,12 @@ def _emit(instr: dict, bindings: dict, where: str) -> bytes:
     raise AssertionError(f"unreachable op {op!r}")
 
 
-def evaluate_variant(recipe: BlobRecipe, variant_index: int) -> bytes:
-    """Evaluate one variant of a recipe into its blob."""
-    if not 0 <= variant_index < len(recipe.variants):
-        raise RecipeError(f"variant index {variant_index} out of range")
-    bindings = recipe.variants[variant_index]
-    return b"".join(
-        _emit(instr, bindings, f"instructions[{i}]")
-        for i, instr in enumerate(recipe.instructions)
-    )
-
-
-def evaluate_all(recipe: BlobRecipe) -> list[bytes]:
-    """All variants, in order; evaluation is pure so this is repeatable."""
-    return [evaluate_variant(recipe, i) for i in range(len(recipe.variants))]
-
-
 class RecipeBlobFactory:
     """Default factory: payload is a recipe object."""
 
     def make_variants(self, payload: dict, count: int) -> list[bytes]:
-        recipe = parse_recipe(payload, expected_variants=count)
-        return evaluate_all(recipe)
+        """Evaluate every variant of the recipe ``payload``, in order."""
+        instructions, variants = parse_recipe(payload, expected_variants=count)
+        located = [(instr, f"instructions[{i}]") for i, instr in enumerate(instructions)]
+        return [b"".join(_emit(instr, bindings, where) for instr, where in located)
+                for bindings in variants]

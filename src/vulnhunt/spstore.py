@@ -61,17 +61,10 @@ def is_valid_vuln_type(value: str) -> bool:
     return value in VULN_TYPES or bool(_OTHER_RE.match(value))
 
 
-def compatible_sanitizers(vuln_type: str) -> set[str]:
-    """Sanitizers that can detect the given vulnerability type."""
-    if vuln_type in _SANITIZER_FOR:
-        return {_SANITIZER_FOR[vuln_type]}
-    if _OTHER_RE.match(vuln_type):
-        return {"undefined"}
-    raise ValidationError(f"unknown vuln_type '{vuln_type}'")
-
-
 def is_sanitizer_compatible(vuln_type: str, sanitizer: str) -> bool:
-    return sanitizer in compatible_sanitizers(vuln_type)
+    """True when ``sanitizer`` is the one that detects ``vuln_type``; an
+    ``other(<text>)`` type goes to "undefined"."""
+    return sanitizer == _SANITIZER_FOR.get(vuln_type, "undefined")
 
 
 # ===== Description validation =====
@@ -94,6 +87,15 @@ def _has_bare_line_locator(description: str) -> bool:
     line number alongside such an anchor is fine.
     """
     return bool(_LINE_REF_RE.search(description)) and not bool(_ANCHOR_RE.search(description))
+
+
+def _checked_score(score) -> float:
+    """``score`` as a float, refused as ``build_candidate`` refuses it."""
+    if not isinstance(score, (int, float)) or not (0.0 <= float(score) <= 1.0):
+        raise ValidationError(f"score {score!r} outside [0, 1]")
+    if float(score) < SKIP_THRESHOLD:
+        raise ScoreBelowThresholdError(f"score {score:.2f} below skip threshold {SKIP_THRESHOLD}")
+    return float(score)
 
 
 # ===== Records =====
@@ -257,12 +259,7 @@ class SPStore:
                 raise ValidationError("source must be a (fuzzer, sanitizer) pair")
             if source[1] not in SANITIZERS:
                 raise ValidationError(f"unknown sanitizer '{source[1]}'")
-            if not isinstance(score, (int, float)) or not (0.0 <= float(score) <= 1.0):
-                raise ValidationError(f"score {score!r} outside [0, 1]")
-            if float(score) < SKIP_THRESHOLD:
-                raise ScoreBelowThresholdError(
-                    f"score {score:.2f} below skip threshold {SKIP_THRESHOLD}"
-                )
+            score = _checked_score(score)
             if not description or not description.strip():
                 raise ValidationError("description must be non-empty")
             if _has_bare_line_locator(description):
@@ -276,7 +273,7 @@ class SPStore:
                 sources={(source[0], source[1])},
                 description=description.strip(),
                 vuln_type=vuln_type,
-                score=float(score),
+                score=score,
                 created_stage=self._tick(),
             )
 
@@ -347,6 +344,26 @@ class SPStore:
 
     # ----- verification -----
 
+    @staticmethod
+    def check_verdict(verdict, corrected_description=None, new_score=None, poc_guidance=None):
+        """A verdict's values, checked and normalized, keyed as
+        ``apply_verification`` takes them; None leaves a field as it is.
+        Raises ValidationError (ScoreBelowThresholdError for a low score)."""
+        if verdict not in ("tp", "fp"):
+            raise ValidationError(f"verdict must be 'tp' or 'fp', got {verdict!r}")
+        if corrected_description is not None:
+            if not isinstance(corrected_description, str) or not corrected_description.strip():
+                raise ValidationError("corrected description must be a non-empty string")
+            if _has_bare_line_locator(corrected_description):
+                raise ValidationError("corrected description locates the issue only by line number")
+            corrected_description = corrected_description.strip()
+        if new_score is not None:
+            new_score = _checked_score(new_score)
+        if poc_guidance is not None and not isinstance(poc_guidance, str):
+            raise ValidationError("poc guidance must be a string")
+        return {"verdict": verdict, "corrected_description": corrected_description,
+                "new_score": new_score, "poc_guidance": poc_guidance}
+
     def apply_verification(
         self,
         sp_id: str,
@@ -355,31 +372,22 @@ class SPStore:
         new_score: float | None = None,
         poc_guidance: str | None = None,
     ) -> None:
-        """Record a verification verdict exactly once per SP.
+        """Record a verification verdict exactly once per SP, writing
+        nothing unless every value passes ``check_verdict``.
 
         Raises:
             UnknownFunctionError: unknown sp id.
-            ValidationError: bad verdict value or bad corrected description.
+            ValidationError: a value ``check_verdict`` refuses.
             LifecycleError: the SP is already verified.
         """
-        if verdict not in ("tp", "fp"):
-            raise ValidationError(f"verdict must be 'tp' or 'fp', got {verdict!r}")
+        values = self.check_verdict(verdict, corrected_description, new_score, poc_guidance)
         with self._lock:
             sp = self._require(sp_id)
             if sp.is_verified:
                 raise LifecycleError(f"{sp_id} is already verified (verdict {sp.verdict})")
-            if corrected_description is not None:
-                if not corrected_description.strip():
-                    raise ValidationError("corrected description must be non-empty")
-                if _has_bare_line_locator(corrected_description):
-                    raise ValidationError(
-                        "corrected description locates the issue only by line number"
-                    )
-                sp.description = corrected_description.strip()
-            if new_score is not None:
-                if not (0.0 <= float(new_score) <= 1.0):
-                    raise ValidationError(f"score {new_score!r} outside [0, 1]")
-                sp.score = float(new_score)
+            # An accepted description (non-empty) or score (>= 0.3) is never false.
+            sp.description = values["corrected_description"] or sp.description
+            sp.score = values["new_score"] or sp.score
             if poc_guidance is not None:
                 sp.poc_guidance = poc_guidance
             sp.is_verified = True

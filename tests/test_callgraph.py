@@ -109,13 +109,16 @@ def test_blank_lines_skipped():
     assert len(graph.functions) == len(fd.E2E_EXPORT_RECORDS)
 
 
+# The characters ``str.splitlines`` breaks at that do not end a record.
+_UNICODE_ONLY_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def test_unicode_line_breaks_inside_strings_stay_in_the_record(tmp_path):
     """Only \\n, \\r\\n and \\r end a record; the other characters that
     ``str.splitlines`` breaks at may sit raw in a string, as
     ``json.dumps(..., ensure_ascii=False)`` writes them."""
-    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
     records = [dict(fd.E2E_EXPORT_RECORDS[0], source=f"int f(void) {{{ch} return 0; }}")
-               for ch in breaks]
+               for ch in _UNICODE_ONLY_BREAKS]
     for i, rec in enumerate(records):
         rec["id"] = f"f{i}"
     path = tmp_path / "export.jsonl"
@@ -275,7 +278,7 @@ def test_streaming_loader_matches_naive_oracle(lines):
     want = helpers.load_outcome(helpers.naive_load_call_graph, lines)
     assert helpers.load_outcome(load_call_graph, lines) == want
     text = "\n".join(lines)
-    if any(len(line.splitlines()) > 1 for line in text.split("\n")):
+    if any(ch in text for ch in _UNICODE_ONLY_BREAKS):
         return  # the naive loader split this text at a Unicode line break too
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "export.jsonl"

@@ -409,6 +409,29 @@ def test_oversize_poc_variants_are_skipped_and_the_rest_counted(e2e_workspace, m
         assert worker.task.metrics.executions == runs[id(worker.runner)]
 
 
+def test_failed_poc_attempt_with_one_oversize_variant_reports_the_two_that_ran(
+        e2e_workspace, monkeypatch):
+    """The exif recipe's first attempt emits 20, 40 and 70 bytes.  At
+    ``max_blob=64`` the last is skipped, the other two run clean, and the
+    tool result lists all three variants and logs the two runs."""
+    requests = capture_requests(monkeypatch)
+    run_scan(e2e_workspace.config(max_blob=64))
+    results = {m.content for r in requests if r.agent_role == "poc-generator"
+               for m in r.messages if m.role == "tool" and "70 bytes exceeds" in m.content}
+    run_log = ("run meta_target ({} bytes)\nenter meta_fuzzer_entry\nenter meta_parse_exif\n"
+               "enter meta_util_swap\nexit ok")
+    assert [json.loads(text) for text in results] == [{
+        "success": False,
+        "attempt": 1,
+        "summary": [
+            "variant 0: ok, coverage 3 functions, deepest: meta_util_swap",
+            "variant 1: ok, coverage 3 functions, deepest: meta_util_swap",
+            "variant 2: skipped (70 bytes exceeds max_blob 64)",
+        ],
+        "output_tail": run_log.format(20) + "\n" + run_log.format(40),
+    }]
+
+
 # ===== agent stage failures =====
 
 _T1_DOWN = "model chain exhausted: scripted-t1: unavailable"
@@ -820,6 +843,29 @@ def test_a_verdict_from_a_failed_verifier_run_is_not_applied(magic_workspace, mo
     assert not sp.is_verified
     assert "poc-generator" not in {r.agent_role for r in requests}
     assert task.metrics.unverified == 1
+
+
+@pytest.mark.parametrize("hostile, refusal", [
+    ({"new_score": 5}, "score 5 outside [0, 1]"),
+    ({"new_score": "abc"}, "score 'abc' outside [0, 1]"),
+    ({"corrected_description": 7}, "corrected description must be a non-empty string"),
+], ids=["score-5", "score-abc", "description-int"])
+def test_verdict_values_the_store_refuses_are_a_tool_error(e2e_workspace, monkeypatch,
+                                                           hostile, refusal):
+    """Every verifier call of the fixture scenario carries a value the store
+    would refuse: the tool refuses it when called, the model reads why, and
+    every task still ends ``done``."""
+    scenario = copy.deepcopy(fd.E2E_SCENARIO)
+    for entry in scenario["agents"]["sp-verifier"]:
+        for step in entry["steps"]:
+            for call in step.get("tool_calls", ()):
+                call["args"].update(hostile)
+    requests = capture_requests(monkeypatch)
+    result = run_scan(e2e_workspace.config(), scenario=scenario)
+    assert [task.state for task in result.tasks] == ["done"] * len(result.tasks)
+    told = {m.content for r in requests if r.agent_role == "sp-verifier"
+            for m in r.messages if m.role == "tool"}
+    assert told == {f"tool error: update_suspicious_point: {refusal}"}
 
 
 def test_a_chain_that_fails_mid_run_counts_the_steps_that_ran(magic_workspace, monkeypatch):

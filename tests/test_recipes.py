@@ -7,12 +7,7 @@ import pytest
 
 import fixture_data as fd
 from vulnhunt.errors import RecipeError
-from vulnhunt.recipes import (
-    RecipeBlobFactory,
-    evaluate_all,
-    evaluate_variant,
-    parse_recipe,
-)
+from vulnhunt.recipes import RecipeBlobFactory, parse_recipe
 
 
 def simple_recipe(**extra):
@@ -28,9 +23,12 @@ def simple_recipe(**extra):
     return obj
 
 
+def make_variants(obj, count=3):
+    return RecipeBlobFactory().make_variants(obj, count)
+
+
 def test_evaluate_all_variants_in_order():
-    recipe = parse_recipe(simple_recipe())
-    blobs = evaluate_all(recipe)
+    blobs = make_variants(simple_recipe())
     assert blobs == [
         b"HDR\x01\x02\x03\x04",
         b"HDRAA\x01\x02\x03\x04",
@@ -52,7 +50,7 @@ def test_each_op_emits_expected_bytes():
         ],
         "variants": [{}],
     }
-    blob = evaluate_variant(parse_recipe(obj, expected_variants=1), 0)
+    [blob] = make_variants(obj, 1)
     expected_random = random.Random(99).randbytes(4)
     assert blob == (b"\x00\xff" + b"\x02\x01" +
                     (258).to_bytes(8, "big") + b"X\x09\x09\x09" + expected_random)
@@ -60,14 +58,13 @@ def test_each_op_emits_expected_bytes():
 
 def test_random_op_is_deterministic_across_calls():
     obj = {"instructions": [{"op": "random", "count": 16, "seed": 5}], "variants": [{}]}
-    recipe = parse_recipe(obj, expected_variants=1)
-    assert evaluate_variant(recipe, 0) == evaluate_variant(recipe, 0)
+    assert make_variants(obj, 1) == make_variants(obj, 1)
 
 
 def test_integer_wraps_modulo_width():
     obj = {"instructions": [{"op": "integer", "value": 0x1FF, "width": 1, "endian": "le"}],
            "variants": [{}]}
-    assert evaluate_variant(parse_recipe(obj, expected_variants=1), 0) == b"\xff"
+    assert make_variants(obj, 1) == [b"\xff"]
 
 
 def test_parameters_resolve_from_variant_bindings():
@@ -81,7 +78,7 @@ def test_parameters_resolve_from_variant_bindings():
             {"magic": 2, "fill": 0x42, "n": 0},
         ],
     }
-    blobs = evaluate_all(parse_recipe(obj, expected_variants=2))
+    blobs = make_variants(obj, 2)
     assert blobs == [b"\x01\x00\x00\x00AA", b"\x02\x00\x00\x00"]
 
 
@@ -99,31 +96,25 @@ def test_error_paths_carry_instruction_location():
         parse_recipe({"instructions": [{"op": "literal"}], "variants": [{}]}, 1)
     with pytest.raises(RecipeError, match="non-empty 'instructions'"):
         parse_recipe({"instructions": [], "variants": [{}]}, 1)
-    recipe = parse_recipe(
-        {"instructions": [{"op": "repeat", "byte": 300, "count": 1}], "variants": [{}]}, 1)
     with pytest.raises(RecipeError, match="out of range"):
-        evaluate_variant(recipe, 0)
-    unbound = parse_recipe(
-        {"instructions": [{"op": "repeat", "byte": 0, "count": {"param": "n"}}],
-         "variants": [{}]}, 1)
+        make_variants({"instructions": [{"op": "repeat", "byte": 300, "count": 1}],
+                       "variants": [{}]}, 1)
     with pytest.raises(RecipeError, match="unbound parameter 'n'"):
-        evaluate_variant(unbound, 0)
-    bad_width = parse_recipe(
-        {"instructions": [{"op": "integer", "value": 0, "width": 3, "endian": "le"}],
-         "variants": [{}]}, 1)
+        make_variants({"instructions": [{"op": "repeat", "byte": 0, "count": {"param": "n"}}],
+                       "variants": [{}]}, 1)
     with pytest.raises(RecipeError, match="width must be"):
-        evaluate_variant(bad_width, 0)
-    negative = parse_recipe(
-        {"instructions": [{"op": "repeat", "byte": 0, "count": -1}], "variants": [{}]}, 1)
+        make_variants({"instructions": [{"op": "integer", "value": 0, "width": 3, "endian": "le"}],
+                       "variants": [{}]}, 1)
     with pytest.raises(RecipeError, match="negative"):
-        evaluate_variant(negative, 0)
-    with pytest.raises(RecipeError, match=r"variant index 5 out of range"):
-        evaluate_variant(parse_recipe(simple_recipe()), 5)
+        make_variants({"instructions": [{"op": "repeat", "byte": 0, "count": -1}],
+                       "variants": [{}]}, 1)
 
 
 def test_factory_contract():
+    recipe = simple_recipe()
+    assert parse_recipe(recipe) == (recipe["instructions"], recipe["variants"])
     factory = RecipeBlobFactory()
-    blobs = factory.make_variants(simple_recipe(), 3)
+    blobs = factory.make_variants(recipe, 3)
     assert len(blobs) == 3
     with pytest.raises(RecipeError):
         factory.make_variants(simple_recipe(), 2)   # wrong expected count

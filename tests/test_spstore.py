@@ -464,6 +464,31 @@ def test_verification_validation():
     assert not sp.is_verified  # failed attempts left no partial state behind
 
 
+def test_a_refused_verification_leaves_the_point_unchanged():
+    """A valid corrected description beside an out-of-range score: the
+    whole verdict is refused before anything is written."""
+    s = store()
+    sp = s.get(s.deduplicate(make(s)).sp_id)
+    before = sp.to_dict()
+    with pytest.raises(ValidationError, match=r"score 1.5 outside \[0, 1\]"):
+        s.apply_verification(sp.id, "tp", corrected_description="memcpy() bound corrected detail",
+                             new_score=1.5)
+    assert sp.to_dict() == before
+
+
+def test_a_verified_score_below_the_skip_threshold_is_refused():
+    """The verifier cannot store a score that the store's own invariant and
+    candidate screening refuse; the refusal reads as ``build_candidate``'s."""
+    s = store()
+    sp_id = s.deduplicate(make(s)).sp_id
+    with pytest.raises(ScoreBelowThresholdError, match="score 0.10 below skip threshold 0.3"):
+        s.apply_verification(sp_id, "tp", new_score=0.1)
+    with pytest.raises(ScoreBelowThresholdError, match="score 0.10 below skip threshold 0.3"):
+        make(s, score=0.1)
+    assert not s.get(sp_id).is_verified
+    s.check_invariants()
+
+
 def test_poc_result_requires_verified_tp_unless_bypassed():
     s = store()
     sp_id = s.deduplicate(make(s)).sp_id
